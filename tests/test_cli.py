@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +9,40 @@ from qsnake.render import ascii_render, graph_json, svg_render, tikz_render
 from qsnake.snake import snake_graph
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# stdout and exit code of each command, captured before the snake/route
+# refactor; the bytes must never change
+GOLDEN_COMMANDS = [
+    ("compute 29 12", 0),
+    ("compute 29 12 --format json", 0),
+    ("compute 1 1", 0),
+    ("compute 1 1 --format json", 0),
+    ("compute 13 3 --all-routes", 0),
+    ("compute 13 3 --all-routes --format json", 0),
+    ("snake 179 74 --render ascii", 0),
+    ("snake 179 74 --render svg", 0),
+    ("snake 179 74 --render tikz", 0),
+    ("snake 179 74 --render json", 0),
+    ("matchings 5 2", 0),
+    ("kasteleyn 13 3", 0),
+    ("fibonacci 7", 0),
+    ("verify --max-r 12", 0),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, expected_code", GOLDEN_COMMANDS)
+def test_cli_bytes_golden(capsys, command, expected_code):
+    argv = command.split()
+    golden = GOLDEN_DIR / ("-".join(a.lstrip("-") for a in argv) + ".out")
+    code, out = run(capsys, *argv)
+    assert code == expected_code
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 def test_compute_text(capsys):
