@@ -6,13 +6,13 @@ from .matching import (case_recurrences_check, denominator_via_matchings,
                        numerator_via_matchings, scalar_exponent)
 from .kasteleyn import (KasteleynMatrix, det_exact, det_expansion,
                         fibonacci_kasteleyn, fibonacci_kasteleyn_numerator,
-                        kasteleyn_matrix, number_vertices, verify_kasteleyn)
-from .qrational import (QRational, cf_even_form, cf_expand, cf_odd_form,
-                        fibonacci_polys, q_cf_eval, q_continuant, q_int,
-                        q_map_general, q_matrix_eval, q_rational)
-from .snake import (SnakeGraph, assign_weights, build_snake,
-                    denominator_snake, orient_kasteleyn, sign_sequence,
-                    snake_graph)
+                        kasteleyn_matrix, kasteleyn_report, number_vertices,
+                        verify_kasteleyn)
+from .qrational import (QRational, RouteTable, all_routes, cf_even_form,
+                        cf_expand, cf_odd_form, fibonacci_polys, q_cf_eval,
+                        q_continuant, q_int, q_map_general, q_matrix_eval,
+                        q_rational)
+from .snake import SnakeGraph, denominator_snake, sign_sequence, snake_graph
 
 __version__ = "0.1.0"
 
@@ -20,14 +20,14 @@ __all__ = [
     "LaurentFraction", "LaurentPoly", "laurent_gcd",
     "QRational", "cf_expand", "cf_even_form", "cf_odd_form", "q_int",
     "q_cf_eval", "q_matrix_eval", "q_continuant", "q_map_general",
-    "q_rational", "fibonacci_polys",
-    "SnakeGraph", "build_snake", "assign_weights", "orient_kasteleyn",
-    "snake_graph", "denominator_snake", "sign_sequence",
+    "q_rational", "RouteTable", "all_routes", "fibonacci_polys",
+    "SnakeGraph", "snake_graph", "denominator_snake", "sign_sequence",
     "enumerate_matchings", "matching_stat", "matching_stat_dp",
     "scalar_exponent", "numerator_via_matchings", "denominator_via_matchings",
     "case_recurrences_check",
     "KasteleynMatrix", "number_vertices", "kasteleyn_matrix", "det_exact",
-    "det_expansion", "verify_kasteleyn", "fibonacci_kasteleyn",
+    "det_expansion", "verify_kasteleyn", "kasteleyn_report",
+    "fibonacci_kasteleyn",
     "fibonacci_kasteleyn_numerator",
     "__version__",
 ]

@@ -7,15 +7,13 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .kasteleyn import (fibonacci_kasteleyn, fibonacci_kasteleyn_numerator,
-                        kasteleyn_matrix, verify_kasteleyn)
+                        verify_kasteleyn)
 from .matching import (enumerate_matchings, matching_stat_dp,
                        matching_weight_exp)
-from .qrational import (canonical_fraction, cf_expand, fibonacci_number,
-                        fibonacci_polys, q_cf_eval, q_continuant,
-                        q_map_general, q_matrix_eval, q_rational)
+from .qrational import (all_routes, cf_expand, fibonacci_number,
+                        fibonacci_polys, q_rational)
 from .render import render
 from .snake import snake_graph
 from .verify import run_sweep, summarize
@@ -31,30 +29,24 @@ def _pair(parser: argparse.ArgumentParser, r: int, s: int) -> None:
 def cmd_compute(args, parser) -> int:
     _pair(parser, args.r, args.s)
     cf = cf_expand(args.r, args.s)
-    qr = q_rational(args.r, args.s)
     if args.all_routes:
-        routes = {
-            "matrix": q_matrix_eval(cf),
-            "nested-fraction": q_cf_eval(cf),
-            "recurrence-map": canonical_fraction(q_map_general(Fraction(args.r, args.s))),
-        }
-        continuant = q_continuant(cf)
-        agree = all(v == qr for v in routes.values()) and continuant == qr.num
+        table = all_routes(cf)
         if args.format == "json":
             blob = {
                 "r": args.r, "s": args.s, "cf": list(cf),
                 "routes": {k: {"num": v.num.to_json(), "den": v.den.to_json()}
-                           for k, v in routes.items()},
-                "continuant_num": continuant.to_json(),
-                "agree": agree,
+                           for k, v in table.fractions.items()},
+                "continuant_num": table.continuant.to_json(),
+                "agree": table.agree,
             }
             print(json.dumps(blob, indent=2))
         else:
-            for name, v in routes.items():
+            for name, v in table.fractions.items():
                 print(f"{name:<16} {v.num}   /   {v.den}")
-            print(f"{'continuant':<16} {continuant}   (numerator route)")
-            print("agreement: " + ("all routes identical" if agree else "MISMATCH"))
-        return 0 if agree else 1
+            print(f"{'continuant':<16} {table.continuant}   (numerator route)")
+            print("agreement: " + ("all routes identical" if table.agree else "MISMATCH"))
+        return 0 if table.agree else 1
+    qr = q_rational(args.r, args.s)
     if args.format == "json":
         print(json.dumps({"r": args.r, "s": args.s, "cf": list(cf),
                           "num": qr.num.to_json(), "den": qr.den.to_json()},
@@ -79,7 +71,10 @@ def cmd_snake(args, parser) -> int:
 def cmd_matchings(args, parser) -> int:
     _pair(parser, args.r, args.s)
     g = snake_graph(cf_expand(args.r, args.s))
-    matchings = enumerate_matchings(g)
+    try:
+        matchings = enumerate_matchings(g)
+    except ValueError as exc:
+        parser.error(str(exc))
     stat = matching_stat_dp(g)
     blob = {
         "r": args.r, "s": args.s,
@@ -98,10 +93,8 @@ def cmd_matchings(args, parser) -> int:
 
 def cmd_kasteleyn(args, parser) -> int:
     _pair(parser, args.r, args.s)
-    g = snake_graph(cf_expand(args.r, args.s))
-    mat = kasteleyn_matrix(g)
     report = verify_kasteleyn(args.r, args.s)
-    blob = mat.to_json()
+    blob = report.matrix.to_json()
     blob.update({
         "det": report.det.to_json(),
         "det_text": report.det.text(),
@@ -176,8 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every identity over a sweep of pairs")
     p.add_argument("--max-r", type=int, required=True)
+    # a string default goes through type=int only when --jobs is not given,
+    # so a bad QSNAKE_JOBS is a usage error of verify alone
     p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("QSNAKE_JOBS", "1")))
+                   default=os.environ.get("QSNAKE_JOBS", "1"))
     return parser
 
 

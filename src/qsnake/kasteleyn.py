@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, Q, ZERO, LaurentPoly
 from .matching import matching_stat_dp, scalar_exponent
 from .qrational import cf_expand, q_rational
 from .snake import SnakeGraph, snake_graph
@@ -66,8 +66,6 @@ def kasteleyn_matrix(g: SnakeGraph) -> KasteleynMatrix:
     Entry (i, j) is +weight for an edge oriented from black i to white j,
     -weight for one oriented white j to black i, 0 when not adjacent.
     """
-    if g.orientation is None:
-        raise ValueError("graph must carry the canonical orientation")
     black, white = number_vertices(g)
     row_of = {v: i for i, v in enumerate(black)}
     col_of = {v: j for j, v in enumerate(white)}
@@ -76,7 +74,7 @@ def kasteleyn_matrix(g: SnakeGraph) -> KasteleynMatrix:
     for e in g.edges:
         u, v = e
         b, w = (u, v) if g.is_black(u) else (v, u)
-        tail, _ = g.orientation[e]
+        tail, _ = g.arrow(e)
         weight = g.weight(e)
         rows[row_of[b]][col_of[w]] = weight if tail == b else -weight
     return KasteleynMatrix(tuple(tuple(r) for r in rows),
@@ -181,7 +179,7 @@ def permutation_term_signs(m: KasteleynMatrix | Entries) -> list[int]:
 class KasteleynReport:
     r: int
     s: int
-    size: int
+    matrix: KasteleynMatrix
     det: LaurentPoly
     statistic: LaurentPoly
     sign: int
@@ -196,17 +194,24 @@ class KasteleynReport:
 
 
 def verify_kasteleyn(r: int, s: int) -> KasteleynReport:
-    """|det| must equal the statistic; q^n times the statistic the numerator."""
-    cf = cf_expand(r, s)
-    g = snake_graph(cf)
+    """Build the snake of r/s, its statistic and numerator, and report on them."""
+    g = snake_graph(cf_expand(r, s))
+    return kasteleyn_report(r, s, g, matching_stat_dp(g), q_rational(r, s).num)
+
+
+def kasteleyn_report(r: int, s: int, g: SnakeGraph, stat: LaurentPoly,
+                     num: LaurentPoly) -> KasteleynReport:
+    """
+    For the snake g of r/s with matching statistic stat and the numerator
+    num of [r/s]_q: |det| must equal the statistic, q^n times the statistic
+    the numerator.
+    """
     mat = kasteleyn_matrix(g)
     det = det_exact(mat)
-    stat = matching_stat_dp(g)
     sign = 1 if det == stat else (-1 if -det == stat else 0)
-    n = scalar_exponent(cf)
+    n = scalar_exponent(cf_expand(r, s))
     scaled = LaurentPoly.monomial(n) * stat
-    num = q_rational(r, s).num
-    return KasteleynReport(r=r, s=s, size=mat.size, det=det, statistic=stat,
+    return KasteleynReport(r=r, s=s, matrix=mat, det=det, statistic=stat,
                            sign=sign, scalar=n, numerator=num,
                            det_matches_statistic=sign != 0,
                            scaled_matches_numerator=scaled == num)
@@ -231,11 +236,10 @@ def fibonacci_band_matrix(n: int, numerator_variant: bool = False) -> Entries:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = LaurentPoly.monomial(1)
     if numerator_variant:
-        sub, diag_even, sup = -(q * q), q, -ONE
+        sub, diag_even, sup = -(Q * Q), Q, -ONE
     else:
-        sub, diag_even, sup = -q, ONE, -LaurentPoly.monomial(-1)
+        sub, diag_even, sup = -Q, ONE, -LaurentPoly.monomial(-1)
     rows = []
     for i in range(1, n + 1):
         row = [ZERO] * n

@@ -153,13 +153,6 @@ class LaurentPoly:
         """Specialize q = 1 (the sum of all coefficients)."""
         return sum(self.coeffs)
 
-    def content(self) -> int:
-        """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
-
     def div_exact(self, other: LaurentPoly) -> LaurentPoly:
         """
         Exact quotient self / other in Z[q, 1/q].
@@ -235,6 +228,7 @@ def _trimmed(p: list[int]) -> list[int]:
 
 
 def _content(p: Sequence[int]) -> int:
+    """Nonnegative gcd of the coefficients (0 for no nonzero coefficient)."""
     g = 0
     for c in p:
         g = math.gcd(g, c)
@@ -378,7 +372,7 @@ class LaurentFraction:
         if not g.is_monomial() or g.coefficient(0) != 1:
             num = num.div_exact(g)
             den = den.div_exact(g)
-        c = math.gcd(num.content(), den.content())
+        c = math.gcd(_content(num.coeffs), _content(den.coeffs))
         if c > 1:
             num = LaurentPoly(num.min_deg, tuple(x // c for x in num.coeffs))
             den = LaurentPoly(den.min_deg, tuple(x // c for x in den.coeffs))

@@ -13,19 +13,28 @@ from dataclasses import dataclass
 
 from .laurent import ONE, LaurentPoly
 from .qrational import cf_even_form, cf_expand
-from .snake import RIGHT, UP, SnakeGraph, box_edges, snake_graph
+from .snake import RIGHT, UP, Edge, SnakeGraph, box_edges, snake_graph
 
-Edge = tuple[tuple[int, int], tuple[int, int]]
 Matching = tuple[Edge, ...]
+
+# Largest snake enumerate_matchings accepts.  The backtracking recurses once
+# per matched pair, d + 1 levels for d boxes, so far larger snakes overflow
+# the recursion limit; the 600-box strip 601/1 already takes seconds.
+MAX_ENUMERATION_BOXES = 600
 
 
 def enumerate_matchings(g: SnakeGraph) -> list[Matching]:
     """
     All perfect matchings as sorted edge tuples, in the deterministic order
     produced by always matching the lowest uncovered vertex.
+
+    Raises ValueError for snakes of more than MAX_ENUMERATION_BOXES boxes.
     """
+    if len(g.boxes) > MAX_ENUMERATION_BOXES:
+        raise ValueError(f"matching enumeration is limited to snakes of at most "
+                         f"{MAX_ENUMERATION_BOXES} boxes, got {len(g.boxes)}")
     vertices = g.vertices
-    adjacency = {v: g.neighbors(v) for v in vertices}
+    adjacency = g.adjacency
     covered: set = set()
     chosen: list[Edge] = []
     found: list[Matching] = []

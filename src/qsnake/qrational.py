@@ -8,6 +8,8 @@ The four routes implemented here are:
 * ``q_matrix_eval``  -- 2x2 matrix products of the deformed generators,
 * ``q_continuant``   -- tridiagonal determinant (numerator only),
 * ``q_map_general``  -- the recurrences [x+1] = q[x] + 1, [-1/x] = -1/(q[x]).
+
+``all_routes`` runs all four on one continued fraction and compares them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import ONE, ZERO, LaurentFraction, LaurentPoly
+from .laurent import ONE, Q, ZERO, LaurentFraction, LaurentPoly
 
 CF = tuple[int, ...]
 
@@ -126,7 +128,7 @@ class QMatrix:
     def l_power(cls, n: int) -> QMatrix:
         """n-th power of the deformed lower generator [[q, 0], [q, 1]]."""
         qn = LaurentPoly.monomial(n)
-        return cls(qn, ZERO, LaurentPoly.monomial(1) * q_int(n), ONE)
+        return cls(qn, ZERO, Q * q_int(n), ONE)
 
 
 def cf_matrix_word(cf: CF) -> QMatrix:
@@ -144,8 +146,7 @@ def q_matrix_eval(cf: CF) -> QRational:
     """
     m = cf_matrix_word(cf)
     if len(cf) % 2 == 0:
-        q = LaurentPoly.monomial(1)
-        return QRational(m.a.div_exact(q), m.c.div_exact(q))
+        return QRational(m.a.div_exact(Q), m.c.div_exact(Q))
     return QRational(m.b, m.d)
 
 
@@ -165,14 +166,15 @@ def q_cf_eval(cf: CF) -> QRational:
         prefactor = LaurentPoly.monomial(a if odd else -a)
         num, den = _level_bracket(a, i) * num + prefactor * den, num
     frac = LaurentFraction(num, den).reduced()
-    return _canonical_qrational(frac)
+    return canonical_fraction(frac)
 
 
 def _level_bracket(a: int, position: int) -> LaurentPoly:
     return q_int(a, inverted=(position % 2 == 0))
 
 
-def _canonical_qrational(frac: LaurentFraction) -> QRational:
+def canonical_fraction(frac: LaurentFraction) -> QRational:
+    """The min-degree normalization under which the routes are compared."""
     num, den = frac.num, frac.den
     shift = min(num.min_deg, den.min_deg) if not num.is_zero() else den.min_deg
     return QRational(num.shifted(-shift), den.shifted(-shift))
@@ -222,7 +224,6 @@ def q_map_general(x) -> LaurentFraction:
 
 
 def _q_map(x: Fraction) -> LaurentFraction:
-    q = LaurentPoly.monomial(1)
     if x.denominator == 1:
         n = x.numerator
         if n >= 0:
@@ -237,7 +238,7 @@ def _q_map(x: Fraction) -> LaurentFraction:
             return tail.scaled(LaurentPoly.monomial(a)) + LaurentFraction.from_poly(q_int(a))
         # x in (0, 1): invert through [-1/y] with y = -1/x
         inner = _q_map(-1 / x)
-        return -(inner.scaled(q).reciprocal())
+        return -(inner.scaled(Q).reciprocal())
     # x < 0: shift up into [0, 1) and undo the shift
     m = -(x.numerator // x.denominator)
     shifted = _q_map(x + m)
@@ -247,30 +248,36 @@ def _q_map(x: Fraction) -> LaurentFraction:
 
 # -- the public map ------------------------------------------------------------
 
-def q_rational(r: int, s: int, verify: bool = False) -> QRational:
+def q_rational(r: int, s: int) -> QRational:
+    """The deformation of r/s >= 1, computed by the matrix route (authoritative)."""
+    return q_matrix_eval(cf_expand(r, s))
+
+
+@dataclass(frozen=True)
+class RouteTable:
     """
-    The deformation of r/s >= 1, computed by the matrix route (authoritative).
-
-    With verify=True the nested-fraction and continuant routes are recomputed
-    and must agree exactly.
+    Every route to one deformed rational: the full fractions keyed by route
+    name (``matrix``, ``nested-fraction``, ``recurrence-map``), the
+    continuant numerator, and whether they all agree exactly.
     """
-    cf = cf_expand(r, s)
-    result = q_matrix_eval(cf)
-    if verify:
-        alt = q_cf_eval(cf)
-        if alt != result:
-            raise AssertionError(f"route disagreement for {r}/{s}: {alt} vs {result}")
-        if q_continuant(cf) != result.num:
-            raise AssertionError(f"continuant disagrees for {r}/{s}")
-        general = _canonical_qrational(q_map_general(Fraction(r, s)))
-        if general != result:
-            raise AssertionError(f"recurrence route disagrees for {r}/{s}")
-    return result
+
+    fractions: dict[str, QRational]
+    continuant: LaurentPoly
+    agree: bool
 
 
-def canonical_fraction(frac: LaurentFraction) -> QRational:
-    """Public form of the min-degree normalization used when comparing routes."""
-    return _canonical_qrational(frac)
+def all_routes(cf: CF) -> RouteTable:
+    """Compute [r/s]_q by every route from the continued fraction of r/s and compare."""
+    matrix = q_matrix_eval(cf)
+    fractions = {
+        "matrix": matrix,
+        "nested-fraction": q_cf_eval(cf),
+        "recurrence-map": canonical_fraction(q_map_general(cf_value(cf))),
+    }
+    continuant = q_continuant(cf)
+    agree = (all(v == matrix for v in fractions.values())
+             and continuant == matrix.num)
+    return RouteTable(fractions, continuant, agree)
 
 
 # -- Fibonacci family ----------------------------------------------------------

@@ -20,7 +20,6 @@ _LABEL = {1: "q", -1: "q^-1"}
 def ascii_render(g: SnakeGraph) -> str:
     """Character-grid picture; weighted vertical edges carry their label
     just inside the box, horizontal ones inline in the edge."""
-    assert g.weight_exp is not None
     max_x = max(v[0] for v in g.vertices)
     max_y = max(v[1] for v in g.vertices)
     width = max_x * CELL_W + 1
@@ -48,7 +47,6 @@ def ascii_render(g: SnakeGraph) -> str:
 
 
 def svg_render(g: SnakeGraph, scale: int = 40, margin: int = 20) -> str:
-    assert g.weight_exp is not None
     max_x = max(v[0] for v in g.vertices)
     max_y = max(v[1] for v in g.vertices)
     width = max_x * scale + 2 * margin
@@ -82,7 +80,6 @@ def svg_render(g: SnakeGraph, scale: int = 40, margin: int = 20) -> str:
 
 
 def tikz_render(g: SnakeGraph) -> str:
-    assert g.weight_exp is not None
     lines = ["\\begin{tikzpicture}[scale=0.7]"]
     for e in g.edges:
         (x1, y1), (x2, y2) = e
@@ -100,7 +97,6 @@ def tikz_render(g: SnakeGraph) -> str:
 
 
 def graph_json(g: SnakeGraph) -> dict:
-    assert g.weight_exp is not None and g.orientation is not None
     return {
         "boxes": [list(b) for b in g.boxes],
         "black": [list(v) for v in g.black_vertices],
@@ -110,8 +106,8 @@ def graph_json(g: SnakeGraph) -> dict:
                 "u": list(e[0]),
                 "v": list(e[1]),
                 "weight_exp": g.weight_exp[e],
-                "tail": list(g.orientation[e][0]),
-                "head": list(g.orientation[e][1]),
+                "tail": list(g.arrow(e)[0]),
+                "head": list(g.arrow(e)[1]),
             }
             for e in g.edges
         ],

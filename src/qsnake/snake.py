@@ -10,7 +10,7 @@ orientation below a Kasteleyn orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .laurent import LaurentPoly
 
@@ -71,24 +71,30 @@ def box_edges(box: Box) -> dict[str, Edge]:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SnakeGraph:
     """
-    A snake graph embedded in the grid.  ``weight_exp`` maps each edge to the
-    exponent k of its weight q^k (None until assigned); ``orientation`` maps
-    each edge to its (tail, head) pair (None until assigned).  Instances are
-    treated as immutable once built.
+    A weighted snake graph embedded in the grid, built complete by
+    ``snake_graph``.  ``weight_exp`` maps each edge to the exponent k of its
+    weight q^k.  The sorted vertex list and the sorted neighbours of each
+    vertex are derived from the edges once, at construction.
     """
 
     boxes: tuple[Box, ...]
     edges: tuple[Edge, ...]
-    weight_exp: dict[Edge, int] | None = None
-    orientation: dict[Edge, tuple[Vertex, Vertex]] | None = None
+    weight_exp: dict[Edge, int]
+    vertices: tuple[Vertex, ...] = field(init=False)
+    adjacency: dict[Vertex, tuple[Vertex, ...]] = field(init=False)
 
-    @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        seen = sorted({v for e in self.edges for v in e})
-        return tuple(seen)
+    def __post_init__(self):
+        adjacency: dict[Vertex, list[Vertex]] = {}
+        for a, b in self.edges:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        vertices = tuple(sorted(adjacency))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "adjacency",
+                           {v: tuple(sorted(adjacency[v])) for v in vertices})
 
     def is_black(self, v: Vertex) -> bool:
         return (v[0] + v[1]) % 2 == 0
@@ -102,33 +108,18 @@ class SnakeGraph:
         return tuple(v for v in self.vertices if not self.is_black(v))
 
     def weight(self, edge: Edge) -> LaurentPoly:
-        assert self.weight_exp is not None
         return LaurentPoly.monomial(self.weight_exp[edge])
 
-    def neighbors(self, v: Vertex) -> list[Vertex]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
-
-def build_snake(cf: tuple[int, ...]) -> SnakeGraph:
-    """
-    The unweighted skeleton of the snake of [a1, ..., ak].
-
-    The degenerate single-coefficient [1] (the rational 1) is the one-edge
-    graph consisting of the south border only.
-    """
-    if not cf or sum(cf) < 1:
-        raise ValueError("continued fraction must have positive sum")
-    boxes = box_path(cf)
-    if not boxes:
-        return SnakeGraph(boxes=(), edges=(((0, 0), (1, 0)),))
-    edge_set = {e for b in boxes for e in box_edges(b).values()}
-    return SnakeGraph(boxes=boxes, edges=tuple(sorted(edge_set)))
+    def arrow(self, edge: Edge) -> tuple[Vertex, Vertex]:
+        """
+        The (tail, head) of an edge under the canonical Kasteleyn orientation:
+        weighted edges run black -> white, weight-1 edges run white -> black.
+        Each box has exactly one weighted edge, so every unit face sees an
+        odd number of black -> white arrows.
+        """
+        u, v = edge
+        black, white = (u, v) if self.is_black(u) else (v, u)
+        return (black, white) if self.weight_exp[edge] != 0 else (white, black)
 
 
 def _grid_exponent(edge: Edge) -> int:
@@ -141,41 +132,30 @@ def _grid_exponent(edge: Edge) -> int:
     return 1 if (x + y) % 2 == 1 else -1
 
 
-def assign_weights(g: SnakeGraph) -> SnakeGraph:
+def snake_graph(cf: tuple[int, ...]) -> SnakeGraph:
     """
-    Weight the western and southern borders from the grid coloring; all other
-    edges (northern/eastern borders and interior rungs) get weight 1.
+    The weighted snake of [a1, ..., ak].  The western and southern borders
+    are weighted from the grid coloring; all other edges (northern/eastern
+    borders and interior rungs) get weight 1.
+
+    The degenerate single-coefficient [1] (the rational 1) is the one-edge
+    graph consisting of the south border only.
     """
-    weights = {e: 0 for e in g.edges}
-    boxes = g.boxes
+    if not cf or sum(cf) < 1:
+        raise ValueError("continued fraction must have positive sum")
+    boxes = box_path(cf)
+    if not boxes:
+        edge = ((0, 0), (1, 0))
+        return SnakeGraph(boxes=(), edges=(edge,), weight_exp={edge: 0})
+    edges = tuple(sorted({e for b in boxes for e in box_edges(b).values()}))
+    weights = dict.fromkeys(edges, 0)
     for i, box in enumerate(boxes):
         sides = box_edges(box)
         if i == 0 or boxes[i][1] == boxes[i - 1][1] + 1:  # west border exposed
             weights[sides["W"]] = _grid_exponent(sides["W"])
         if i == 0 or boxes[i][0] == boxes[i - 1][0] + 1:  # south border exposed
             weights[sides["S"]] = _grid_exponent(sides["S"])
-    return replace(g, weight_exp=weights)
-
-
-def orient_kasteleyn(g: SnakeGraph) -> SnakeGraph:
-    """
-    Canonical Kasteleyn orientation: weighted edges run black -> white,
-    weight-1 edges run white -> black.  Each box has exactly one weighted
-    edge, so every unit face sees an odd number of black -> white arrows.
-    """
-    if g.weight_exp is None:
-        raise ValueError("assign weights before orienting")
-    orientation = {}
-    for e in g.edges:
-        u, v = e
-        black, white = (u, v) if g.is_black(u) else (v, u)
-        orientation[e] = (black, white) if g.weight_exp[e] != 0 else (white, black)
-    return replace(g, orientation=orientation)
-
-
-def snake_graph(cf: tuple[int, ...]) -> SnakeGraph:
-    """The fully equipped snake: skeleton, weights and orientation."""
-    return orient_kasteleyn(assign_weights(build_snake(cf)))
+    return SnakeGraph(boxes=boxes, edges=edges, weight_exp=weights)
 
 
 def denominator_snake(cf: tuple[int, ...]) -> SnakeGraph:
@@ -187,12 +167,11 @@ def denominator_snake(cf: tuple[int, ...]) -> SnakeGraph:
 
 def face_arrow_counts(g: SnakeGraph) -> list[int]:
     """Black -> white arrow count around each unit box (must all be odd)."""
-    assert g.orientation is not None
     counts = []
     for box in g.boxes:
         n = 0
         for e in box_edges(box).values():
-            tail, head = g.orientation[e]
+            tail, head = g.arrow(e)
             if g.is_black(tail):
                 n += 1
         counts.append(n)
@@ -201,5 +180,4 @@ def face_arrow_counts(g: SnakeGraph) -> list[int]:
 
 def colored_edges(g: SnakeGraph) -> dict[Edge, int]:
     """The weighted (non-unit) edges and their exponents."""
-    assert g.weight_exp is not None
     return {e: k for e, k in g.weight_exp.items() if k != 0}

@@ -12,13 +12,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .kasteleyn import verify_kasteleyn
+from .kasteleyn import kasteleyn_report
 from .matching import (case_recurrences_check, denominator_via_matchings,
-                       matching_stat_dp, numerator_via_matchings)
-from .qrational import (canonical_fraction, cf_expand, q_cf_eval,
-                        q_continuant, q_map_general, q_matrix_eval)
+                       matching_stat_dp)
+from .qrational import all_routes, cf_expand
 from .snake import snake_graph
 
 CHECK_NAMES = ("routes", "theorem", "counts", "kasteleyn", "cases")
@@ -42,28 +40,28 @@ def coprime_pairs(max_r: int) -> list[tuple[int, int]]:
 
 
 def check_pair(pair: tuple[int, int]) -> PairResult:
+    """
+    Every check on one pair, from one continued fraction, one route table
+    and one snake with its statistic.  The Kasteleyn report carries the
+    scaling identity q^n * statistic = numerator, which is the theorem check.
+    """
     r, s = pair
     cf = cf_expand(r, s)
-    ref = q_matrix_eval(cf)
+    routes = all_routes(cf)
+    g = snake_graph(cf)
+    stat = matching_stat_dp(g)
+    kasteleyn = kasteleyn_report(r, s, g, stat, routes.fractions["matrix"].num)
 
-    routes_ok = (q_cf_eval(cf) == ref
-                 and q_continuant(cf) == ref.num
-                 and canonical_fraction(q_map_general(Fraction(r, s))) == ref)
-
-    theorem_ok = numerator_via_matchings(r, s) == ref.num
-
-    stat = matching_stat_dp(snake_graph(cf))
     counts_ok = (stat.eval_at_one() == r
                  and denominator_via_matchings(r, s).eval_at_one() == s)
-
-    kasteleyn_ok = verify_kasteleyn(r, s).ok
 
     case = case_recurrences_check(cf)
     cases_ok = case.holds if case.applicable else True
 
     return PairResult(r=r, s=s, cases_applicable=case.applicable,
-                      passed={"routes": routes_ok, "theorem": theorem_ok,
-                              "counts": counts_ok, "kasteleyn": kasteleyn_ok,
+                      passed={"routes": routes.agree,
+                              "theorem": kasteleyn.scaled_matches_numerator,
+                              "counts": counts_ok, "kasteleyn": kasteleyn.ok,
                               "cases": cases_ok})
 
 

@@ -172,6 +172,23 @@ def test_verify_env_jobs(capsys, monkeypatch):
     assert code == 0 and "all checks passed" in out
 
 
+def test_bad_env_jobs_is_a_verify_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QSNAKE_JOBS", "abc")
+    code, out = run(capsys, "compute", "3", "2")
+    assert code == 0 and "[3/2]_q" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-r", "8"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_matchings_refuses_snakes_above_the_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["matchings", "1500", "1"])
+    assert exc.value.code == 2
+    assert "at most 600 boxes" in capsys.readouterr().err
+
+
 def test_renders_are_pure():
     g = snake_graph((4, 3))
     assert ascii_render(g) == ascii_render(g)

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qsnake.laurent import LaurentPoly, ONE, ZERO
-from qsnake.qrational import (QMatrix, canonical_fraction, cf_even_form,
-                              cf_expand, cf_matrix_word, cf_odd_form, cf_value,
+from qsnake.qrational import (QMatrix, all_routes, canonical_fraction,
+                              cf_even_form, cf_expand, cf_matrix_word,
+                              cf_odd_form, cf_value,
                               continuant_det, fibonacci_number,
                               fibonacci_polys, q_cf_eval, q_continuant,
                               q_int, q_map_general, q_matrix_eval, q_rational)
@@ -94,8 +95,9 @@ def test_q_continuant_golden():
 
 def test_q_rational_golden_and_verify():
     for (r, s), (num, den) in GOLDEN.items():
-        got = q_rational(r, s, verify=True)
+        got = q_rational(r, s)
         assert (got.num, got.den) == (num, den)
+        assert all_routes(cf_expand(r, s)).agree
     triv = q_rational(1, 1)
     assert (triv.num, triv.den) == (ONE, ONE)
 

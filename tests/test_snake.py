@@ -1,11 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 from qsnake.qrational import cf_expand
-from qsnake.snake import (assign_weights, box_path, build_snake,
-                          colored_edges, denominator_snake, face_arrow_counts,
-                          orient_kasteleyn, sign_sequence, snake_graph)
+from qsnake.snake import (box_path, colored_edges, denominator_snake,
+                          face_arrow_counts, sign_sequence, snake_graph)
 
 SWEEP = [(r, s) for r in range(2, 41) for s in range(1, r) if math.gcd(r, s) == 1]
 
@@ -133,7 +133,7 @@ def test_bipartite():
 
 def test_orientation_golden_13_3():
     g = snake_graph((4, 3))
-    arrows = set(g.orientation.values())
+    arrows = {g.arrow(e) for e in g.edges}
     expected = {
         # weighted edges, black to white
         ((0, 0), (0, 1)), ((2, 0), (1, 0)), ((1, 1), (1, 2)),
@@ -167,15 +167,15 @@ def test_denominator_snake():
         denominator_snake((5,))
 
 
-def test_build_pipeline_stages():
-    skel = build_snake((2, 2))
-    assert skel.weight_exp is None and skel.orientation is None
+def test_snake_graph_built_complete():
+    g = snake_graph((2, 2))
+    assert set(g.weight_exp) == set(g.edges)
+    assert all(set(g.arrow(e)) == set(e) for e in g.edges)
+    assert g.adjacency[(1, 0)] == ((0, 0), (1, 1), (2, 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.weight_exp = {}
     with pytest.raises(ValueError):
-        orient_kasteleyn(skel)
-    weighted = assign_weights(skel)
-    assert weighted.orientation is None
-    full = orient_kasteleyn(weighted)
-    assert set(full.orientation) == set(full.edges)
+        snake_graph(())
 
 
 def test_degenerate_unit_snake():
@@ -183,4 +183,4 @@ def test_degenerate_unit_snake():
     assert g.boxes == ()
     assert g.edges == (((0, 0), (1, 0)),)
     assert g.weight_exp[((0, 0), (1, 0))] == 0
-    assert g.orientation[((0, 0), (1, 0))] == ((1, 0), (0, 0))
+    assert g.arrow(((0, 0), (1, 0))) == ((1, 0), (0, 0))
