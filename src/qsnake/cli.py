@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -12,23 +11,23 @@ from .kasteleyn import (fibonacci_kasteleyn, fibonacci_kasteleyn_numerator,
                         verify_kasteleyn)
 from .matching import (enumerate_matchings, matching_stat_dp,
                        matching_weight_exp)
-from .qrational import (all_routes, cf_expand, fibonacci_number,
+from .qrational import (CF, all_routes, cf_expand, fibonacci_number,
                         fibonacci_polys, q_rational)
 from .render import render
 from .snake import snake_graph
 from .verify import run_sweep, summarize
 
 
-def _pair(parser: argparse.ArgumentParser, r: int, s: int) -> None:
-    if s < 1 or r < s:
-        parser.error(f"need r >= s >= 1, got {r}/{s}")
-    if math.gcd(r, s) != 1:
-        parser.error(f"{r}/{s} is not in lowest terms")
+def _cf(parser: argparse.ArgumentParser, r: int, s: int) -> CF:
+    """The continued fraction of r/s; a pair it refuses is a usage error."""
+    try:
+        return cf_expand(r, s)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def cmd_compute(args, parser) -> int:
-    _pair(parser, args.r, args.s)
-    cf = cf_expand(args.r, args.s)
+    cf = _cf(parser, args.r, args.s)
     if args.all_routes:
         table = all_routes(cf)
         if args.format == "json":
@@ -57,8 +56,7 @@ def cmd_compute(args, parser) -> int:
 
 
 def cmd_snake(args, parser) -> int:
-    _pair(parser, args.r, args.s)
-    g = snake_graph(cf_expand(args.r, args.s))
+    g = snake_graph(_cf(parser, args.r, args.s))
     out = render(g, args.render)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -69,8 +67,7 @@ def cmd_snake(args, parser) -> int:
 
 
 def cmd_matchings(args, parser) -> int:
-    _pair(parser, args.r, args.s)
-    g = snake_graph(cf_expand(args.r, args.s))
+    g = snake_graph(_cf(parser, args.r, args.s))
     try:
         matchings = enumerate_matchings(g)
     except ValueError as exc:
@@ -92,7 +89,7 @@ def cmd_matchings(args, parser) -> int:
 
 
 def cmd_kasteleyn(args, parser) -> int:
-    _pair(parser, args.r, args.s)
+    _cf(parser, args.r, args.s)
     report = verify_kasteleyn(args.r, args.s)
     blob = report.matrix.to_json()
     blob.update({

@@ -83,48 +83,45 @@ def kasteleyn_matrix(g: SnakeGraph) -> KasteleynMatrix:
 
 # -- exact determinants ------------------------------------------------------
 
+def bandwidth_ok(m: KasteleynMatrix | Entries) -> bool:
+    """Nonzero entries confined to |i - j| <= 2, as under the path numbering."""
+    entries = m.entries if isinstance(m, KasteleynMatrix) else m
+    return all(e.is_zero() or abs(i - j) <= 2
+               for i, row in enumerate(entries) for j, e in enumerate(row))
+
+
 def det_exact(m: KasteleynMatrix | Entries) -> LaurentPoly:
     """
-    Fraction-free Bareiss determinant over the Laurent ring.  Each row first
-    sheds its monomial factor q^min, keeping every intermediate entry an
-    honest polynomial so all divisions stay exact.
+    Division-free Laplace expansion along the rows of a bandwidth-2 matrix.
+
+    Row i can only use columns i-2 .. i+2, so before it every column left of
+    i-2 is taken and exactly two of i-2 .. i+1 are.  The partial expansions
+    are keyed by those two, as bits 0..3 of a mask; columns outside the
+    matrix count as taken.  Choosing column i-2+k skips the free columns
+    below it, each an inversion.  Raises ValueError on a wider band.
     """
     entries = m.entries if isinstance(m, KasteleynMatrix) else m
+    if not bandwidth_ok(entries):
+        raise ValueError("det_exact needs nonzero entries only at |i - j| <= 2")
     n = len(entries)
-    if n == 0:
-        return ONE
-    shift = 0
-    rows = []
-    for row in entries:
-        degs = [e.min_deg for e in row if not e.is_zero()]
-        if not degs:
-            return ZERO
-        k = min(degs)
-        shift += k
-        rows.append([e.shifted(-k) for e in row])
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if rows[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not rows[i][k].is_zero()), None)
-            if pivot_row is None:
-                return ZERO
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        piv = rows[k][k]
-        for i in range(k + 1, n):
-            low = rows[i][k]
-            for j in range(k + 1, n):
-                a, b = rows[i][j], rows[k][j]
-                if a.is_zero() and (low.is_zero() or b.is_zero()):
+    partial = {0b0011: ONE}
+    for i, row in enumerate(entries):
+        step: dict[int, LaurentPoly] = {}
+        for used, value in partial.items():
+            for k in range(5):
+                j = i - 2 + k
+                if used >> k & 1 or j >= n or row[j].is_zero():
                     continue
-                rows[i][j] = (piv * a - low * b).div_exact(prev)
-            rows[i][k] = ZERO
-        prev = piv
-    det = rows[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det.shifted(shift)
+                taken = used | 1 << k
+                if not taken & 1:
+                    continue  # column i-2 would stay free for good
+                term = value * row[j]
+                if (~used & ((1 << k) - 1)).bit_count() % 2:
+                    term = -term
+                key = taken >> 1
+                step[key] = step[key] + term if key in step else term
+        partial = step
+    return partial.get(0b0011, ZERO)
 
 
 def det_expansion(m: KasteleynMatrix | Entries) -> LaurentPoly:
@@ -215,15 +212,6 @@ def kasteleyn_report(r: int, s: int, g: SnakeGraph, stat: LaurentPoly,
                            sign=sign, scalar=n, numerator=num,
                            det_matches_statistic=sign != 0,
                            scaled_matches_numerator=scaled == num)
-
-
-def bandwidth_ok(m: KasteleynMatrix) -> bool:
-    """Nonzero entries confined to |i - j| <= 2 under the path numbering."""
-    for i, row in enumerate(m.entries):
-        for j, e in enumerate(row):
-            if abs(i - j) >= 3 and not e.is_zero():
-                return False
-    return True
 
 
 # -- the Fibonacci band family -------------------------------------------------

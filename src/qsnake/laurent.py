@@ -157,8 +157,7 @@ class LaurentPoly:
         """
         Exact quotient self / other in Z[q, 1/q].
 
-        Raises ValueError when other is zero or does not divide exactly; an
-        inexact division inside Bareiss elimination indicates a logic error.
+        Raises ValueError when other is zero or does not divide exactly.
         """
         if other.is_zero():
             raise ValueError("division by zero polynomial")

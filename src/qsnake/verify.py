@@ -10,7 +10,6 @@ processes; results are merged in (r, s) order either way.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .kasteleyn import kasteleyn_report
@@ -69,6 +68,9 @@ def run_sweep(max_r: int, jobs: int = 1) -> list[PairResult]:
     pairs = coprime_pairs(max_r)
     if jobs <= 1:
         return [check_pair(p) for p in pairs]
+    # imported here: the multiprocessing machinery adds about 2.5 MiB to
+    # every process that imports qsnake, and only a pool needs it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(check_pair, pairs, chunksize=16))
 

@@ -110,7 +110,7 @@ def test_criterion_5_oracle_equivalence():
             mat = kasteleyn_matrix(g)
             ok = ok and det_exact(mat) == det_expansion(mat)
     report(5, ok, f"DP = enumeration on {checked_dp} snakes (<= 14 boxes); "
-                  f"Bareiss = expansion on {checked_det} matrices (size <= 8)")
+                  f"band det = expansion on {checked_det} matrices (size <= 8)")
 
 
 def test_criterion_6_classical_counts():

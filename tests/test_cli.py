@@ -74,6 +74,7 @@ def test_compute_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "4", "2"])
     assert exc.value.code == 2
+    assert "error: 4/2 is not in lowest terms" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["compute", "3", "0"])
     assert exc.value.code == 2

@@ -1,12 +1,14 @@
 import math
 
+import pytest
+
 from qsnake.kasteleyn import (bandwidth_ok, det_exact,
                               det_expansion, fibonacci_band_matrix,
                               fibonacci_kasteleyn,
                               fibonacci_kasteleyn_numerator, kasteleyn_matrix,
                               number_vertices, permutation_term_signs,
                               verify_kasteleyn)
-from qsnake.laurent import LaurentPoly, ONE
+from qsnake.laurent import LaurentPoly, ONE, ZERO
 from qsnake.matching import matching_stat_dp
 from qsnake.qrational import cf_expand, fibonacci_number, fibonacci_polys, q_int
 from qsnake.snake import snake_graph
@@ -125,6 +127,16 @@ def test_bandwidth():
         assert bandwidth_ok(mat), (r, s)
 
 
+def test_det_refuses_a_wider_band():
+    # the 4x4 identity plus one entry at |i - j| = 3
+    rows = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    rows[0][3] = ONE
+    wide = tuple(tuple(row) for row in rows)
+    assert not bandwidth_ok(wide)
+    with pytest.raises(ValueError):
+        det_exact(wide)
+
+
 def test_permutation_terms_single_sign():
     for r, s in SWEEP:
         cf = cf_expand(r, s)
@@ -144,6 +156,7 @@ def test_verify_kasteleyn_reports():
     assert rep.ok and rep.scalar == 1
     for r in range(2, 11):
         assert verify_kasteleyn(r, 1).ok
+    assert verify_kasteleyn(1001, 3).ok
 
 
 def test_verify_sweep():

@@ -1,10 +1,12 @@
-"""Property tests past the hand-picked sweeps: random pairs up to r = 1000 and
-random rationals of either sign for the recurrence map."""
+"""Property tests past the hand-picked sweeps: random pairs up to r = 1000,
+with the matching and Kasteleyn identities, and random rationals of either
+sign for the recurrence map."""
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
+from qsnake.kasteleyn import det_exact, kasteleyn_matrix
 from qsnake.laurent import ONE, Q, ZERO, LaurentFraction
 from qsnake.matching import matching_stat_dp, scalar_exponent
 from qsnake.qrational import all_routes, cf_expand, q_map_general
@@ -26,8 +28,11 @@ def test_routes_and_matchings_agree(pair):
     cf = cf_expand(*pair)
     table = all_routes(cf)
     assert table.agree
-    stat = matching_stat_dp(snake_graph(cf))
+    g = snake_graph(cf)
+    stat = matching_stat_dp(g)
     assert Q ** scalar_exponent(cf) * stat == table.fractions["matrix"].num
+    det = det_exact(kasteleyn_matrix(g))
+    assert det in (stat, -stat)
 
 
 @REPRODUCIBLE

@@ -1,9 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "qsnake").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "qsnake").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -13,3 +16,17 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert SOURCES and not found, found
+
+
+def test_traced_names_resolve():
+    # bench/tracing.py wraps qsnake functions by name; a renamed or deleted
+    # one must fail here rather than break the traced benchmark run
+    tracing = runpy.run_path(str(ROOT / "bench" / "tracing.py"))
+    missing = []
+    for _layer, module, attribute, _kernel, _measure in tracing["LAYERS"]:
+        owner = importlib.import_module(f"qsnake.{module}")
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"qsnake.{module}.{attribute}")
+    assert tracing["LAYERS"] and not missing, missing
