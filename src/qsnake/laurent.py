@@ -101,7 +101,9 @@ class LaurentPoly:
         return LaurentPoly(lo, out)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.min_deg, tuple(-c for c in self.coeffs))
+        # tuple() of a list is made at its final size; of a generator it is
+        # resized, and the resized tuples pile up in CPython's tuple free lists
+        return LaurentPoly(self.min_deg, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
@@ -110,9 +112,15 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero()
-            return LaurentPoly(self.min_deg, tuple(other * c for c in self.coeffs))
+            return LaurentPoly(self.min_deg, tuple([other * c for c in self.coeffs]))
         if self.is_zero() or other.is_zero():
             return LaurentPoly.zero()
+        if len(other.coeffs) == 1 or len(self.coeffs) == 1:
+            # c*q^k times p: scale p by c and shift it by k
+            mono, poly = (other, self) if len(other.coeffs) == 1 else (self, other)
+            c = mono.coeffs[0]
+            coeffs = poly.coeffs if c == 1 else tuple([c * x for x in poly.coeffs])
+            return LaurentPoly(poly.min_deg + mono.min_deg, coeffs)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -260,7 +268,7 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
-def _poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Gcd in Z[q] of two dense coefficient lists, primitive PRS."""
     A = _trimmed(list(a))
     B = _trimmed(list(b))
@@ -284,11 +292,46 @@ def _positive_lead(p: list[int]) -> list[int]:
     return p
 
 
+# the Mersenne prime 2**61 - 1: images stay one or two machine words wide
+P = 2**61 - 1
+
+
+def _coprime_mod_p(a: Sequence[int], b: Sequence[int]) -> bool:
+    """
+    True when P divides the leading coefficient of at most one of the
+    nonzero dense lists a, b and their images in F_P[q] have a constant gcd.
+    """
+    A = _trimmed([c % P for c in a])
+    B = _trimmed([c % P for c in b])
+    if len(A) < len(a) and len(B) < len(b):
+        return False
+    if len(A) < len(B):
+        A, B = B, A
+    while B:
+        inv = pow(B[-1], -1, P)
+        B = [x * inv % P for x in B]
+        n = len(B)
+        while len(A) >= n:
+            lead, k = A[-1], len(A) - n
+            A[k:] = [(x - lead * y) % P for x, y in zip(A[k:], B)]
+            _trimmed(A)
+        A, B = B, A
+    return len(A) == 1
+
+
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """
     Canonical gcd of two Laurent polynomials: the gcd of the polynomial parts
     (monomial factors stripped), normalized to min_deg 0 and positive leading
     coefficient.  Monomials are units in Z[q, 1/q] so they never enter.
+
+    Coprime polynomial parts are certified modulo the prime ``P = 2**61 - 1``.
+    If P does not divide the leading coefficient of A, one of the parts, and
+    the images of both parts in F_P[q] have a constant gcd, the answer is the
+    gcd of all coefficients: any common factor g in Z[q] has lc(g) | lc(A),
+    so g mod P keeps the degree of g and divides both images, so deg g = 0.
+    Otherwise (P divides both leading coefficients, or the image gcd has
+    positive degree) the primitive PRS computes the gcd over Z.
     """
     if a.is_zero() and b.is_zero():
         return ZERO
@@ -296,7 +339,9 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LaurentPoly(0, _positive_lead(list(b.coeffs)))
     if b.is_zero():
         return LaurentPoly(0, _positive_lead(list(a.coeffs)))
-    return LaurentPoly(0, _poly_gcd(a.coeffs, b.coeffs))
+    if _coprime_mod_p(a.coeffs, b.coeffs):
+        return LaurentPoly(0, (math.gcd(*a.coeffs, *b.coeffs),))
+    return LaurentPoly(0, _prs_gcd(a.coeffs, b.coeffs))
 
 
 @dataclass(frozen=True)
@@ -373,8 +418,8 @@ class LaurentFraction:
             den = den.div_exact(g)
         c = math.gcd(_content(num.coeffs), _content(den.coeffs))
         if c > 1:
-            num = LaurentPoly(num.min_deg, tuple(x // c for x in num.coeffs))
-            den = LaurentPoly(den.min_deg, tuple(x // c for x in den.coeffs))
+            num = LaurentPoly(num.min_deg, tuple([x // c for x in num.coeffs]))
+            den = LaurentPoly(den.min_deg, tuple([x // c for x in den.coeffs]))
         return LaurentFraction(num, den)
 
     def __str__(self) -> str:

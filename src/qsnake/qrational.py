@@ -224,26 +224,33 @@ def q_map_general(x) -> LaurentFraction:
 
 
 def _q_map(x: Fraction) -> LaurentFraction:
-    if x.denominator == 1:
-        n = x.numerator
-        if n >= 0:
-            return LaurentFraction.from_poly(q_int(n))
-        # [-m] = -q^-m [m]
-        return LaurentFraction.from_poly(LaurentPoly.monomial(n, -1) * q_int(-n))
-    if x > 0:
+    # Descend to an integer with one step per floor a of x, then undo the
+    # steps innermost first.  A loop, so deep continued fractions cannot
+    # exhaust the interpreter's recursion limit.
+    steps = []
+    while x.denominator != 1:
         a = x.numerator // x.denominator
+        steps.append(a)
+        # a > 0: x - a in (0, 1); a == 0: -1/x < -1; a < 0: x - a in (0, 1)
+        x = -1 / x if a == 0 else x - a
+    n = x.numerator
+    if n >= 0:
+        val = LaurentFraction.from_poly(q_int(n))
+    else:
+        # [-m] = -q^-m [m]
+        val = LaurentFraction.from_poly(LaurentPoly.monomial(n, -1) * q_int(-n))
+    for a in reversed(steps):
         if a > 0:
             # [x] = q^a [x - a] + [a]
-            tail = _q_map(x - a)
-            return tail.scaled(LaurentPoly.monomial(a)) + LaurentFraction.from_poly(q_int(a))
-        # x in (0, 1): invert through [-1/y] with y = -1/x
-        inner = _q_map(-1 / x)
-        return -(inner.scaled(Q).reciprocal())
-    # x < 0: shift up into [0, 1) and undo the shift
-    m = -(x.numerator // x.denominator)
-    shifted = _q_map(x + m)
-    unshift = shifted - LaurentFraction.from_poly(q_int(m))
-    return LaurentFraction(unshift.num, unshift.den * LaurentPoly.monomial(m))
+            val = val.scaled(LaurentPoly.monomial(a)) + LaurentFraction.from_poly(q_int(a))
+        elif a == 0:
+            # x in (0, 1): [x] = -1/(q [-1/x])
+            val = -(val.scaled(Q).reciprocal())
+        else:
+            # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m
+            unshift = val - LaurentFraction.from_poly(q_int(-a))
+            val = LaurentFraction(unshift.num, unshift.den * LaurentPoly.monomial(-a))
+    return val
 
 
 # -- the public map ------------------------------------------------------------

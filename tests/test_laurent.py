@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from qsnake.laurent import (LaurentFraction, LaurentPoly, ONE, Q, ZERO,
-                            laurent_gcd)
+from qsnake.laurent import (LaurentFraction, LaurentPoly, ONE, P, Q, ZERO,
+                            _coprime_mod_p, laurent_gcd)
 
 
 def lp(min_deg, *coeffs):
@@ -51,6 +51,26 @@ def test_degree_multiplicativity():
         p = a * b
         assert p.min_deg == a.min_deg + b.min_deg
         assert p.top_deg == a.top_deg + b.top_deg
+
+
+def schoolbook(a, b):
+    if a.is_zero() or b.is_zero():
+        return ZERO
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return LaurentPoly(a.min_deg + b.min_deg, out)
+
+
+def test_monomial_multiplication_is_schoolbook():
+    for c, k, p in itertools.product((1, -1, 7), (-3, 0, 2), POOL):
+        m = LaurentPoly.monomial(k, c)
+        assert m * p == p * m == schoolbook(m, p)
+    for p in POOL:
+        assert 7 * p == p * 7 == schoolbook(lp(0, 7), p)
+        assert -1 * p == -p
+        assert 0 * p == ZERO
 
 
 def test_eval_at_one_is_ring_hom():
@@ -128,6 +148,24 @@ def test_gcd():
         (p * s).div_exact(g)
         g.div_exact(laurent_gcd(p, ONE))  # p's polynomial part divides g
         assert not g.is_zero()
+
+
+def test_gcd_falls_back_when_p_divides_both_leads():
+    a, b = lp(0, 1, P), lp(0, 3, P)  # P*q + 1, P*q + 3
+    assert not _coprime_mod_p(a.coeffs, b.coeffs)
+    assert laurent_gcd(a, b) == ONE
+    # the images of (q + 2)(P*q + 1) and (q + 5)(P*q + 1) are coprime, yet
+    # P*q + 1 divides both
+    x, y = lp(0, 2, 1) * a, lp(0, 5, 1) * a
+    assert not _coprime_mod_p(x.coeffs, y.coeffs)
+    assert laurent_gcd(x, y) == a
+
+
+def test_gcd_unlucky_prime_still_coprime():
+    # q + 1 and q + 1 + P are coprime over Z but equal modulo P
+    a, b = lp(0, 1, 1), lp(0, 1 + P, 1)
+    assert not _coprime_mod_p(a.coeffs, b.coeffs)
+    assert laurent_gcd(a, b) == ONE
 
 
 def test_fraction_normalization():

@@ -1,13 +1,14 @@
 """Property tests past the hand-picked sweeps: random pairs up to r = 1000,
-with the matching and Kasteleyn identities, and random rationals of either
-sign for the recurrence map."""
+with the matching and Kasteleyn identities, random rationals of either
+sign for the recurrence map, and the gcd against the primitive PRS."""
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from qsnake.kasteleyn import det_exact, kasteleyn_matrix
-from qsnake.laurent import ONE, Q, ZERO, LaurentFraction
+from qsnake.laurent import (ONE, P, Q, ZERO, LaurentFraction, LaurentPoly, _prs_gcd,
+                            laurent_gcd)
 from qsnake.matching import matching_stat_dp, scalar_exponent
 from qsnake.qrational import all_routes, cf_expand, q_map_general
 from qsnake.snake import snake_graph
@@ -21,8 +22,14 @@ coprime_pairs = (st.integers(2, 1000)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=200)
 
+# signed, non-monic, with some coefficients that vanish or collide modulo P
+coefficients = st.integers(-50, 50) | st.sampled_from([P, -P, 2 * P, P + 1])
+laurent_polys = st.builds(LaurentPoly, st.integers(-3, 3),
+                          st.lists(coefficients, min_size=1, max_size=6))
 
-@REPRODUCIBLE
+
+# no shrinking: a failing pair is reported as found, without minutes of search
+@settings(REPRODUCIBLE, phases=(Phase.explicit, Phase.generate))
 @given(coprime_pairs)
 def test_routes_and_matchings_agree(pair):
     cf = cf_expand(*pair)
@@ -48,6 +55,13 @@ def test_translation_recurrence(x):
 def test_inversion_recurrence(x):
     # [-1/x] = -1/(q[x])
     assert q_map_general(-1 / x) == (-q_map_general(x).scaled(Q).reciprocal()).reduced()
+
+
+@REPRODUCIBLE
+@given(laurent_polys, laurent_polys, laurent_polys)
+def test_gcd_equals_prs(a, b, g):
+    for x, y in ((a, b), (a * g, b * g)):
+        assert laurent_gcd(x, y) == LaurentPoly(0, _prs_gcd(x.coeffs, y.coeffs))
 
 
 def test_infinity_is_one_over_zero():

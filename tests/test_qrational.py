@@ -177,6 +177,14 @@ def test_q_map_general_values():
     assert minus_two.num == lp(-2, -1, -1) and minus_two.den == ONE
 
 
+def test_deep_routes_agree():
+    # 1000 Euclidean steps: the recurrence map once exceeded the recursion
+    # limit here, and the gcd of the nested route took minutes
+    cf = cf_expand(fibonacci_number(1001), fibonacci_number(1000))
+    assert cf == (1,) * 998 + (2,)
+    assert all_routes(cf).agree
+
+
 def test_fibonacci_polys():
     num5, den4 = fibonacci_polys(5)[0], fibonacci_polys(4)[1]
     assert num5 == poly(1, 1, 2, 1)

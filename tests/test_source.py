@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -30,3 +33,13 @@ def test_traced_names_resolve():
         if not callable(owner):
             missing.append(f"qsnake.{module}.{attribute}")
     assert tracing["LAYERS"] and not missing, missing
+
+
+def test_import_loads_no_test_helpers():
+    # a fresh interpreter: this one has hypothesis loaded by the test suite
+    code = ("import sys, qsnake, qsnake.cli, qsnake.verify; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'hypothesis'}))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]", out.stdout
