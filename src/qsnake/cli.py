@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -127,12 +128,22 @@ def cmd_fibonacci(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     if args.max_r < 2:
         parser.error("--max-r must be >= 2")
-    results = run_sweep(args.max_r, jobs=args.jobs)
+    jobs = args.jobs
+    if jobs is None:
+        # read per call: the parser is built once, the environment may change
+        env = os.environ.get("QSNAKE_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            parser.error(f"argument --jobs: invalid int value: {env!r}")
+    results = run_sweep(args.max_r, jobs=jobs)
     print(summarize(results))
     return 0 if all(res.ok for res in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="qsnake",
         description="q-deformed rationals via continued fractions, snake graphs "
@@ -166,10 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every identity over a sweep of pairs")
     p.add_argument("--max-r", type=int, required=True)
-    # a string default goes through type=int only when --jobs is not given,
-    # so a bad QSNAKE_JOBS is a usage error of verify alone
-    p.add_argument("--jobs", type=int,
-                   default=os.environ.get("QSNAKE_JOBS", "1"))
+    p.add_argument("--jobs", type=int)
     return parser
 
 

@@ -292,55 +292,12 @@ def _positive_lead(p: list[int]) -> list[int]:
     return p
 
 
-# the Mersenne prime 2**61 - 1: images stay one or two machine words wide
-P = 2**61 - 1
-
-
-def _coprime_mod_p(a: Sequence[int], b: Sequence[int]) -> bool:
-    """
-    True when P divides the leading coefficient of at most one of the
-    nonzero dense lists a, b and their images in F_P[q] have a constant gcd.
-    """
-    A = _trimmed([c % P for c in a])
-    B = _trimmed([c % P for c in b])
-    if len(A) < len(a) and len(B) < len(b):
-        return False
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        inv = pow(B[-1], -1, P)
-        B = [x * inv % P for x in B]
-        n = len(B)
-        while len(A) >= n:
-            lead, k = A[-1], len(A) - n
-            A[k:] = [(x - lead * y) % P for x, y in zip(A[k:], B)]
-            _trimmed(A)
-        A, B = B, A
-    return len(A) == 1
-
-
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """
     Canonical gcd of two Laurent polynomials: the gcd of the polynomial parts
     (monomial factors stripped), normalized to min_deg 0 and positive leading
     coefficient.  Monomials are units in Z[q, 1/q] so they never enter.
-
-    Coprime polynomial parts are certified modulo the prime ``P = 2**61 - 1``.
-    If P does not divide the leading coefficient of A, one of the parts, and
-    the images of both parts in F_P[q] have a constant gcd, the answer is the
-    gcd of all coefficients: any common factor g in Z[q] has lc(g) | lc(A),
-    so g mod P keeps the degree of g and divides both images, so deg g = 0.
-    Otherwise (P divides both leading coefficients, or the image gcd has
-    positive degree) the primitive PRS computes the gcd over Z.
     """
-    if a.is_zero() and b.is_zero():
-        return ZERO
-    if a.is_zero():
-        return LaurentPoly(0, _positive_lead(list(b.coeffs)))
-    if b.is_zero():
-        return LaurentPoly(0, _positive_lead(list(a.coeffs)))
-    if _coprime_mod_p(a.coeffs, b.coeffs):
-        return LaurentPoly(0, (math.gcd(*a.coeffs, *b.coeffs),))
     return LaurentPoly(0, _prs_gcd(a.coeffs, b.coeffs))
 
 

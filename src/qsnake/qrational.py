@@ -10,6 +10,13 @@ The four routes implemented here are:
 * ``q_map_general``  -- the recurrences [x+1] = q[x] + 1, [-1/x] = -1/(q[x]).
 
 ``all_routes`` runs all four on one continued fraction and compares them.
+
+The nested-fraction and recurrence routes need no gcd: each step sends
+(num, den) to M (num, den) for a matrix M whose determinant is a monomial,
+a unit of Z[q, 1/q].  The nested step is [[ [a]_{q^{+-1}}, q^{+-a} ], [1, 0]];
+the recurrence steps are [[q^a, [a]], [0, 1]], [[0, -1], [q, 0]] and
+[[1, -[m]], [0, q^m]].  A common factor of the new pair divides det M times
+the old pair, so the pair stays coprime from its start ([a], 1) or ([n], 1).
 """
 
 from __future__ import annotations
@@ -157,7 +164,8 @@ def q_cf_eval(cf: CF) -> QRational:
     Evaluate the deformed nested fraction bottom-up in the fraction field.
 
     Odd positions contribute [a]_q with numerator prefactor q^a over the tail;
-    even positions contribute [a]_{1/q} with prefactor q^-a.
+    even positions contribute [a]_{1/q} with prefactor q^-a.  The result is
+    reduced by construction (see the module docstring).
     """
     k = len(cf)
     num, den = _level_bracket(cf[-1], k), ONE
@@ -165,8 +173,7 @@ def q_cf_eval(cf: CF) -> QRational:
         a, odd = cf[i - 1], (i % 2 == 1)
         prefactor = LaurentPoly.monomial(a if odd else -a)
         num, den = _level_bracket(a, i) * num + prefactor * den, num
-    frac = LaurentFraction(num, den).reduced()
-    return canonical_fraction(frac)
+    return canonical_fraction(LaurentFraction(num, den))
 
 
 def _level_bracket(a: int, position: int) -> LaurentPoly:
@@ -216,14 +223,12 @@ def q_map_general(x) -> LaurentFraction:
         [x + 1] = q [x] + 1        [-1/x] = -1 / (q [x]).
 
     Infinity is represented by the canonical fraction 1/0.  Termination
-    follows from the Euclidean descent of denominators.
+    follows from the Euclidean descent of denominators.  The result is
+    reduced by construction (see the module docstring).
     """
     if x == math.inf:
         return LaurentFraction.infinity()
-    return _q_map(Fraction(x)).reduced()
-
-
-def _q_map(x: Fraction) -> LaurentFraction:
+    x = Fraction(x)
     # Descend to an integer with one step per floor a of x, then undo the
     # steps innermost first.  A loop, so deep continued fractions cannot
     # exhaust the interpreter's recursion limit.

@@ -7,10 +7,10 @@ import math
 from hypothesis import Phase, given, settings, strategies as st
 
 from qsnake.kasteleyn import det_exact, kasteleyn_matrix
-from qsnake.laurent import (ONE, P, Q, ZERO, LaurentFraction, LaurentPoly, _prs_gcd,
+from qsnake.laurent import (ONE, Q, ZERO, LaurentFraction, LaurentPoly, _prs_gcd,
                             laurent_gcd)
 from qsnake.matching import matching_stat_dp, scalar_exponent
-from qsnake.qrational import all_routes, cf_expand, q_map_general
+from qsnake.qrational import all_routes, cf_expand, cf_matrix_word, q_map_general
 from qsnake.snake import snake_graph
 
 # reproducible and writes no example database
@@ -22,7 +22,9 @@ coprime_pairs = (st.integers(2, 1000)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=200)
 
-# signed, non-monic, with some coefficients that vanish or collide modulo P
+# signed, non-monic, with some coefficients that vanish or collide modulo
+# the prime P
+P = 2**61 - 1
 coefficients = st.integers(-50, 50) | st.sampled_from([P, -P, 2 * P, P + 1])
 laurent_polys = st.builds(LaurentPoly, st.integers(-3, 3),
                           st.lists(coefficients, min_size=1, max_size=6))
@@ -35,6 +37,9 @@ def test_routes_and_matchings_agree(pair):
     cf = cf_expand(*pair)
     table = all_routes(cf)
     assert table.agree
+    # a monomial determinant is a Bezout certificate: the matrix pair, and so
+    # every route that agrees with it, is in lowest terms
+    assert cf_matrix_word(cf).det() == Q ** sum(cf)
     g = snake_graph(cf)
     stat = matching_stat_dp(g)
     assert Q ** scalar_exponent(cf) * stat == table.fractions["matrix"].num

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qsnake import laurent
 from qsnake.laurent import LaurentPoly, ONE, ZERO
 from qsnake.qrational import (QMatrix, all_routes, canonical_fraction,
                               cf_even_form, cf_expand, cf_matrix_word,
@@ -10,6 +11,7 @@ from qsnake.qrational import (QMatrix, all_routes, canonical_fraction,
                               continuant_det, fibonacci_number,
                               fibonacci_polys, q_cf_eval, q_continuant,
                               q_int, q_map_general, q_matrix_eval, q_rational)
+from qsnake.verify import check_pair
 
 
 def lp(min_deg, *coeffs):
@@ -178,11 +180,25 @@ def test_q_map_general_values():
 
 
 def test_deep_routes_agree():
-    # 1000 Euclidean steps: the recurrence map once exceeded the recursion
-    # limit here, and the gcd of the nested route took minutes
+    # 1000 Euclidean steps: deeper than the recursion limit, so the recurrence
+    # map must loop, and of degree about 1000, where a gcd on a route would
+    # take minutes
     cf = cf_expand(fibonacci_number(1001), fibonacci_number(1000))
     assert cf == (1,) * 998 + (2,)
     assert all_routes(cf).agree
+
+
+def test_routes_call_no_gcd(monkeypatch):
+    # every route is reduced by construction, so a gcd on its path is waste
+    def no_gcd(a, b):
+        raise AssertionError(f"laurent_gcd({a}, {b}) on the route path")
+
+    monkeypatch.setattr(laurent, "laurent_gcd", no_gcd)
+    pairs = [(fibonacci_number(201), fibonacci_number(200)),
+             (64, 1), (64, 63), (29, 12), (61, 27)]
+    for r, s in pairs:
+        assert all_routes(cf_expand(r, s)).agree, (r, s)
+    assert check_pair((13, 3)).ok
 
 
 def test_fibonacci_polys():
