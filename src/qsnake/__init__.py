@@ -8,17 +8,16 @@ from .kasteleyn import (KasteleynMatrix, det_exact, det_expansion,
                         fibonacci_kasteleyn, fibonacci_kasteleyn_numerator,
                         kasteleyn_matrix, kasteleyn_report, number_vertices,
                         verify_kasteleyn)
-from .qrational import (QRational, RouteTable, all_routes, cf_even_form,
-                        cf_expand, cf_odd_form, fibonacci_polys, q_cf_eval,
-                        q_continuant, q_int, q_map_general, q_matrix_eval,
-                        q_rational)
+from .qrational import (RouteTable, all_routes, cf_even_form, cf_expand,
+                        cf_odd_form, fibonacci_polys, q_cf_eval, q_continuant,
+                        q_int, q_map_general, q_matrix_eval, q_rational)
 from .snake import SnakeGraph, denominator_snake, sign_sequence, snake_graph
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LaurentFraction", "LaurentPoly", "laurent_gcd",
-    "QRational", "cf_expand", "cf_even_form", "cf_odd_form", "q_int",
+    "cf_expand", "cf_even_form", "cf_odd_form", "q_int",
     "q_cf_eval", "q_matrix_eval", "q_continuant", "q_map_general",
     "q_rational", "RouteTable", "all_routes", "fibonacci_polys",
     "SnakeGraph", "snake_graph", "denominator_snake", "sign_sequence",

@@ -305,7 +305,8 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 class LaurentFraction:
     """
     A quotient of Laurent polynomials, normalized so the denominator has
-    min_deg 0 and a positive lowest coefficient.  The projective infinity is
+    min_deg 0 and a positive lowest coefficient; the one fraction type, which
+    every route to a deformed rational returns.  The projective infinity is
     the single admissible zero-denominator value 1/0.  Full cancellation of
     common polynomial factors is done by :meth:`reduced`.
     """
@@ -331,36 +332,8 @@ class LaurentFraction:
     def infinity(cls) -> LaurentFraction:
         return cls(ONE, ZERO)
 
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> LaurentFraction:
-        return cls(p, ONE)
-
     def is_infinity(self) -> bool:
         return self.den.is_zero()
-
-    def __add__(self, other: LaurentFraction) -> LaurentFraction:
-        return LaurentFraction(self.num * other.den + other.num * self.den,
-                               self.den * other.den)
-
-    def __neg__(self) -> LaurentFraction:
-        return LaurentFraction(-self.num, self.den)
-
-    def __sub__(self, other: LaurentFraction) -> LaurentFraction:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentFraction) -> LaurentFraction:
-        return LaurentFraction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: LaurentFraction) -> LaurentFraction:
-        return self * other.reciprocal()
-
-    def reciprocal(self) -> LaurentFraction:
-        if self.num.is_zero():
-            raise ZeroDivisionError("reciprocal of zero")
-        return LaurentFraction(self.den, self.num)
-
-    def scaled(self, mono: LaurentPoly) -> LaurentFraction:
-        return LaurentFraction(self.num * mono, self.den)
 
     def reduced(self) -> LaurentFraction:
         """Cancel the polynomial gcd and the integer content gcd."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .laurent import ONE, LaurentPoly
 from .qrational import cf_even_form, cf_expand
-from .snake import RIGHT, UP, Edge, SnakeGraph, box_edges, snake_graph
+from .snake import (RIGHT, UP, Edge, SnakeGraph, box_edges, denominator_snake,
+                    snake_graph)
 
 Matching = tuple[Edge, ...]
 
@@ -136,9 +137,8 @@ def denominator_via_matchings(r: int, s: int) -> LaurentPoly:
     cf = cf_expand(r, s)
     if len(cf) == 1:
         return ONE
-    tail = cf[1:]
-    stat = matching_stat_dp(snake_graph(tail))
-    return LaurentPoly.monomial(scalar_exponent(tail)) * stat
+    stat = matching_stat_dp(denominator_snake(cf))
+    return LaurentPoly.monomial(scalar_exponent(cf[1:])) * stat
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,18 @@ The four routes implemented here are:
 
 ``all_routes`` runs all four on one continued fraction and compares them.
 
-The nested-fraction and recurrence routes need no gcd: each step sends
-(num, den) to M (num, den) for a matrix M whose determinant is a monomial,
-a unit of Z[q, 1/q].  The nested step is [[ [a]_{q^{+-1}}, q^{+-a} ], [1, 0]];
-the recurrence steps are [[q^a, [a]], [0, 1]], [[0, -1], [q, 0]] and
-[[1, -[m]], [0, q^m]].  A common factor of the new pair divides det M times
-the old pair, so the pair stays coprime from its start ([a], 1) or ([n], 1).
+Every route but the continuant is a recurrence on the pair (num, den) and
+applies exactly the steps listed here, each a matrix M whose determinant is
+a monomial, a unit of Z[q, 1/q].  The matrix route multiplies its word on
+the right by R^n = [[q^n, [n]], [0, 1]] or L^n = [[q^n, 0], [q[n], 1]],
+updating the two columns.  The nested step sends (num, den) to M (num, den)
+with M = [[ [a]_{q^{+-1}}, q^{+-a} ], [1, 0]]; the recurrence steps are
+[[q^a, [a]], [0, 1]], [[0, -1], [q, 0]] and [[1, -[m]], [0, q^m]].  No route
+needs a gcd: a common factor of the new pair divides det M times the old
+pair, so the pair stays coprime from its start ([a], 1) or ([n], 1), and the
+columns of a word of determinant q^(a1 + ... + ak) are coprime.  Each route
+returns a ``LaurentFraction``, whose constructor fixes the remaining unit:
+the denominator has min_deg 0 and a positive lowest coefficient.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import ONE, Q, ZERO, LaurentFraction, LaurentPoly
+from .laurent import ONE, ZERO, LaurentFraction, LaurentPoly
 
 CF = tuple[int, ...]
 
@@ -88,22 +94,6 @@ def q_int(n: int, inverted: bool = False) -> LaurentPoly:
     return p.subs_q_inv() if inverted else p
 
 
-# -- the deformed fraction -----------------------------------------------------
-
-@dataclass(frozen=True)
-class QRational:
-    """Reduced numerator/denominator pair of a deformed rational."""
-
-    num: LaurentPoly
-    den: LaurentPoly
-
-    def at_one(self) -> tuple[int, int]:
-        return self.num.eval_at_one(), self.den.eval_at_one()
-
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-
 # -- matrix route ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -115,51 +105,43 @@ class QMatrix:
     c: LaurentPoly
     d: LaurentPoly
 
-    def __mul__(self, o: QMatrix) -> QMatrix:
-        return QMatrix(self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
-                       self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
-
     def det(self) -> LaurentPoly:
         return self.a * self.d - self.b * self.c
 
-    @classmethod
-    def identity(cls) -> QMatrix:
-        return cls(ONE, ZERO, ZERO, ONE)
-
-    @classmethod
-    def r_power(cls, n: int) -> QMatrix:
-        """n-th power of the deformed upper generator [[q, 1], [0, 1]]."""
-        return cls(LaurentPoly.monomial(n), q_int(n), ZERO, ONE)
-
-    @classmethod
-    def l_power(cls, n: int) -> QMatrix:
-        """n-th power of the deformed lower generator [[q, 0], [q, 1]]."""
-        qn = LaurentPoly.monomial(n)
-        return cls(qn, ZERO, Q * q_int(n), ONE)
-
 
 def cf_matrix_word(cf: CF) -> QMatrix:
-    """Product R^a1 L^a2 R^a3 ... over the coefficients (R on odd positions)."""
-    m = QMatrix.identity()
-    for i, a in enumerate(cf):
-        m = m * (QMatrix.r_power(a) if i % 2 == 0 else QMatrix.l_power(a))
-    return m
+    """
+    Product R^a1 L^a2 R^a3 ... over the coefficients (R on odd positions) of
+    the deformed generators R = [[q, 1], [0, 1]] and L = [[q, 0], [q, 1]].
+    Right multiplication by R^n = [[q^n, [n]], [0, 1]] or by
+    L^n = [[q^n, 0], [q[n], 1]] is applied as an update of the two columns.
+    """
+    a, b, c, d = ONE, ZERO, ZERO, ONE
+    for i, n in enumerate(cf):
+        if i % 2 == 0:
+            qn = q_int(n)
+            a, b, c, d = a.shifted(n), a * qn + b, c.shifted(n), c * qn + d
+        else:
+            q_qn = q_int(n).shifted(1)
+            a, c = a.shifted(n) + b * q_qn, c.shifted(n) + d * q_qn
+    return QMatrix(a, b, c, d)
 
 
-def q_matrix_eval(cf: CF) -> QRational:
+def q_matrix_eval(cf: CF) -> LaurentFraction:
     """
     Matrix route.  For even length the first column of the word is
-    (q*num, q*den); for odd length the second column is (num, den) directly.
+    (q*num, q*den), whose common q the fraction's normalization drops; for
+    odd length the second column is (num, den) directly.
     """
     m = cf_matrix_word(cf)
     if len(cf) % 2 == 0:
-        return QRational(m.a.div_exact(Q), m.c.div_exact(Q))
-    return QRational(m.b, m.d)
+        return LaurentFraction(m.a, m.c)
+    return LaurentFraction(m.b, m.d)
 
 
 # -- nested-fraction route -----------------------------------------------------
 
-def q_cf_eval(cf: CF) -> QRational:
+def q_cf_eval(cf: CF) -> LaurentFraction:
     """
     Evaluate the deformed nested fraction bottom-up in the fraction field.
 
@@ -173,18 +155,11 @@ def q_cf_eval(cf: CF) -> QRational:
         a, odd = cf[i - 1], (i % 2 == 1)
         prefactor = LaurentPoly.monomial(a if odd else -a)
         num, den = _level_bracket(a, i) * num + prefactor * den, num
-    return canonical_fraction(LaurentFraction(num, den))
+    return LaurentFraction(num, den)
 
 
 def _level_bracket(a: int, position: int) -> LaurentPoly:
     return q_int(a, inverted=(position % 2 == 0))
-
-
-def canonical_fraction(frac: LaurentFraction) -> QRational:
-    """The min-degree normalization under which the routes are compared."""
-    num, den = frac.num, frac.den
-    shift = min(num.min_deg, den.min_deg) if not num.is_zero() else den.min_deg
-    return QRational(num.shifted(-shift), den.shifted(-shift))
 
 
 # -- continuant route ----------------------------------------------------------
@@ -239,28 +214,24 @@ def q_map_general(x) -> LaurentFraction:
         # a > 0: x - a in (0, 1); a == 0: -1/x < -1; a < 0: x - a in (0, 1)
         x = -1 / x if a == 0 else x - a
     n = x.numerator
-    if n >= 0:
-        val = LaurentFraction.from_poly(q_int(n))
-    else:
-        # [-m] = -q^-m [m]
-        val = LaurentFraction.from_poly(LaurentPoly.monomial(n, -1) * q_int(-n))
+    # [-m] = -q^-m [m]
+    num, den = (q_int(n) if n >= 0 else -q_int(-n).shifted(n)), ONE
     for a in reversed(steps):
         if a > 0:
             # [x] = q^a [x - a] + [a]
-            val = val.scaled(LaurentPoly.monomial(a)) + LaurentFraction.from_poly(q_int(a))
+            num = num.shifted(a) + q_int(a) * den
         elif a == 0:
             # x in (0, 1): [x] = -1/(q [-1/x])
-            val = -(val.scaled(Q).reciprocal())
+            num, den = -den, num.shifted(1)
         else:
             # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m
-            unshift = val - LaurentFraction.from_poly(q_int(-a))
-            val = LaurentFraction(unshift.num, unshift.den * LaurentPoly.monomial(-a))
-    return val
+            num, den = num - q_int(-a) * den, den.shifted(-a)
+    return LaurentFraction(num, den)
 
 
 # -- the public map ------------------------------------------------------------
 
-def q_rational(r: int, s: int) -> QRational:
+def q_rational(r: int, s: int) -> LaurentFraction:
     """The deformation of r/s >= 1, computed by the matrix route (authoritative)."""
     return q_matrix_eval(cf_expand(r, s))
 
@@ -273,7 +244,7 @@ class RouteTable:
     continuant numerator, and whether they all agree exactly.
     """
 
-    fractions: dict[str, QRational]
+    fractions: dict[str, LaurentFraction]
     continuant: LaurentPoly
     agree: bool
 
@@ -284,7 +255,7 @@ def all_routes(cf: CF) -> RouteTable:
     fractions = {
         "matrix": matrix,
         "nested-fraction": q_cf_eval(cf),
-        "recurrence-map": canonical_fraction(q_map_general(cf_value(cf))),
+        "recurrence-map": q_map_general(cf_value(cf)),
     }
     continuant = q_continuant(cf)
     agree = (all(v == matrix for v in fractions.values())

@@ -10,12 +10,12 @@ import time
 
 from qsnake.kasteleyn import (det_exact, det_expansion, fibonacci_kasteleyn,
                               kasteleyn_matrix, verify_kasteleyn)
-from qsnake.laurent import LaurentPoly
+from qsnake.laurent import LaurentFraction, LaurentPoly
 from qsnake.matching import (case_recurrences_check, denominator_via_matchings,
                              matching_stat, matching_stat_dp,
                              numerator_via_matchings)
-from qsnake.qrational import (QRational, cf_expand, fibonacci_number,
-                              fibonacci_polys, q_int, q_rational)
+from qsnake.qrational import (cf_expand, fibonacci_number, fibonacci_polys,
+                              q_int, q_rational)
 from qsnake.snake import face_arrow_counts, snake_graph
 
 
@@ -45,7 +45,7 @@ def test_criterion_1_golden_fractions():
         (13, 3): (lp(0, 1, 2, 3, 3, 2, 1, 1), lp(0, 1, 1, 1)),
     }
     start = time.time()
-    ok = all(q_rational(r, s) == QRational(num, den)
+    ok = all(q_rational(r, s) == LaurentFraction(num, den)
              for (r, s), (num, den) in golden.items())
     elapsed = time.time() - start
     report(1, ok and elapsed < 1.0,

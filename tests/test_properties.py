@@ -51,7 +51,8 @@ def test_routes_and_matchings_agree(pair):
 @given(rationals)
 def test_translation_recurrence(x):
     # [x + 1] = q[x] + 1
-    shifted = q_map_general(x).scaled(Q) + LaurentFraction.from_poly(ONE)
+    fx = q_map_general(x)
+    shifted = LaurentFraction(fx.num.shifted(1) + fx.den, fx.den)
     assert q_map_general(x + 1) == shifted.reduced()
 
 
@@ -59,7 +60,8 @@ def test_translation_recurrence(x):
 @given(rationals.filter(lambda x: x != 0))
 def test_inversion_recurrence(x):
     # [-1/x] = -1/(q[x])
-    assert q_map_general(-1 / x) == (-q_map_general(x).scaled(Q).reciprocal()).reduced()
+    fx = q_map_general(x)
+    assert q_map_general(-1 / x) == LaurentFraction(-fx.den, fx.num.shifted(1)).reduced()
 
 
 @REPRODUCIBLE

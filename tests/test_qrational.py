@@ -5,9 +5,8 @@ import pytest
 
 from qsnake import laurent
 from qsnake.laurent import LaurentPoly, ONE, ZERO
-from qsnake.qrational import (QMatrix, all_routes, canonical_fraction,
-                              cf_even_form, cf_expand, cf_matrix_word,
-                              cf_odd_form, cf_value,
+from qsnake.qrational import (all_routes, cf_even_form, cf_expand,
+                              cf_matrix_word, cf_odd_form, cf_value,
                               continuant_det, fibonacci_number,
                               fibonacci_polys, q_cf_eval, q_continuant,
                               q_int, q_map_general, q_matrix_eval, q_rational)
@@ -110,8 +109,10 @@ def test_four_route_agreement_sweep():
         ref = q_matrix_eval(cf)
         assert q_cf_eval(cf) == ref, (r, s)
         assert q_continuant(cf) == ref.num, (r, s)
-        via_map = canonical_fraction(q_map_general(Fraction(r, s)))
-        assert via_map == ref, (r, s)
+        assert q_map_general(Fraction(r, s)) == ref, (r, s)
+        # the normalization the routes are compared under
+        assert ref.num.min_deg == ref.den.min_deg == 0, (r, s)
+        assert ref.num.coeffs[0] == ref.den.coeffs[0] == 1, (r, s)
 
 
 def test_classical_specialization_and_positivity():
@@ -154,9 +155,8 @@ def test_denominator_from_truncated_word():
 
 
 def cf_matrix_word_offset(cf):
-    m = QMatrix.identity()
-    for i, a in enumerate(cf[1:], start=1):
-        m = m * (QMatrix.r_power(a) if i % 2 == 0 else QMatrix.l_power(a))
+    # R^0 is the identity, so this is the word without its leading power
+    m = cf_matrix_word((0,) + cf[1:])
     if len(cf) % 2 == 0:
         return m.c.div_exact(LaurentPoly.monomial(1))
     return m.d

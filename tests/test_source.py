@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import doctest
 import importlib
 import os
 import runpy
@@ -43,3 +44,41 @@ def test_import_loads_no_test_helpers():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_no_unused_imports():
+    # no linter is required to run the tests, so the check is made on the ast;
+    # __init__.py imports to re-export
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert SOURCES and not unused, unused
+
+
+def test_public_names_resolve():
+    import qsnake
+    missing = [name for name in qsnake.__all__ if not hasattr(qsnake, name)]
+    assert qsnake.__all__ and not missing, missing
+
+
+def test_docstring_examples():
+    attempted = 0
+    for path in SOURCES:
+        name = "qsnake" if path.name == "__init__.py" else f"qsnake.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted += result.attempted
+    assert attempted, "no docstring examples ran"
