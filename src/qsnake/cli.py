@@ -8,23 +8,29 @@ import json
 import os
 import sys
 
-from .kasteleyn import (fibonacci_kasteleyn, fibonacci_kasteleyn_numerator,
-                        verify_kasteleyn)
+from .kasteleyn import fibonacci_kasteleyn_numerator, verify_kasteleyn
 from .matching import (enumerate_matchings, matching_stat_dp,
                        matching_weight_exp)
 from .qrational import (CF, all_routes, cf_expand, fibonacci_number,
-                        fibonacci_polys, q_rational)
+                        fibonacci_polys, q_matrix_eval, q_rational)
 from .render import render
 from .snake import snake_graph
 from .verify import run_sweep, summarize
 
 
+# Largest continued-fraction sum (snake boxes + 1) a single-pair command accepts.
+MAX_CF_SUM = 10**6
+
+
 def _cf(parser: argparse.ArgumentParser, r: int, s: int) -> CF:
     """The continued fraction of r/s; a pair it refuses is a usage error."""
     try:
-        return cf_expand(r, s)
+        cf = cf_expand(r, s)
     except ValueError as exc:
         parser.error(str(exc))
+    if sum(cf) > MAX_CF_SUM:
+        parser.error(f"the continued fraction of {r}/{s} sums to more than {MAX_CF_SUM}")
+    return cf
 
 
 def cmd_compute(args, parser) -> int:
@@ -46,7 +52,7 @@ def cmd_compute(args, parser) -> int:
             print(f"{'continuant':<16} {table.continuant}   (numerator route)")
             print("agreement: " + ("all routes identical" if table.agree else "MISMATCH"))
         return 0 if table.agree else 1
-    qr = q_rational(args.r, args.s)
+    qr = q_matrix_eval(cf)
     if args.format == "json":
         print(json.dumps({"r": args.r, "s": args.s, "cf": list(cf),
                           "num": qr.num.to_json(), "den": qr.den.to_json()},
@@ -116,8 +122,8 @@ def cmd_fibonacci(args, parser) -> int:
         qr = q_rational(fr, fs)
         row_ok = (num, den) == (qr.num, qr.den)
         if k >= 2:
-            row_ok = row_ok and fibonacci_kasteleyn(k).eval_at_one() == fr
-            row_ok = row_ok and fibonacci_kasteleyn_numerator(k) == num
+            det = fibonacci_kasteleyn_numerator(k)
+            row_ok = row_ok and det.eval_at_one() == fr and det == num
         ok = ok and row_ok
         mark = "ok" if row_ok else "FAIL"
         print(f"{k:>3}  {fr:>6}/{fs:<5}  ({num}) / ({den})  [{mark}]")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .laurent import ONE, Q, ZERO, LaurentPoly
 from .matching import matching_stat_dp, scalar_exponent
-from .qrational import cf_expand, q_rational
+from .qrational import CF, cf_expand, q_matrix_eval
 from .snake import SnakeGraph, snake_graph
 
 Entries = tuple[tuple[LaurentPoly, ...], ...]
@@ -174,8 +174,6 @@ def permutation_term_signs(m: KasteleynMatrix | Entries) -> list[int]:
 
 @dataclass(frozen=True)
 class KasteleynReport:
-    r: int
-    s: int
     matrix: KasteleynMatrix
     det: LaurentPoly
     statistic: LaurentPoly
@@ -192,51 +190,47 @@ class KasteleynReport:
 
 def verify_kasteleyn(r: int, s: int) -> KasteleynReport:
     """Build the snake of r/s, its statistic and numerator, and report on them."""
-    g = snake_graph(cf_expand(r, s))
-    return kasteleyn_report(r, s, g, matching_stat_dp(g), q_rational(r, s).num)
+    cf = cf_expand(r, s)
+    g = snake_graph(cf)
+    return kasteleyn_report(cf, g, matching_stat_dp(g), q_matrix_eval(cf).num)
 
 
-def kasteleyn_report(r: int, s: int, g: SnakeGraph, stat: LaurentPoly,
+def kasteleyn_report(cf: CF, g: SnakeGraph, stat: LaurentPoly,
                      num: LaurentPoly) -> KasteleynReport:
     """
-    For the snake g of r/s with matching statistic stat and the numerator
-    num of [r/s]_q: |det| must equal the statistic, q^n times the statistic
-    the numerator.
+    For the snake g of the continued fraction cf, with matching statistic
+    stat and the numerator num of its deformation: |det| must equal the
+    statistic, q^n times the statistic the numerator.
     """
     mat = kasteleyn_matrix(g)
     det = det_exact(mat)
     sign = 1 if det == stat else (-1 if -det == stat else 0)
-    n = scalar_exponent(cf_expand(r, s))
-    scaled = LaurentPoly.monomial(n) * stat
-    return KasteleynReport(r=r, s=s, matrix=mat, det=det, statistic=stat,
-                           sign=sign, scalar=n, numerator=num,
+    n = scalar_exponent(cf)
+    return KasteleynReport(matrix=mat, det=det, statistic=stat, sign=sign,
+                           scalar=n, numerator=num,
                            det_matches_statistic=sign != 0,
-                           scaled_matches_numerator=scaled == num)
+                           scaled_matches_numerator=stat.shifted(n) == num)
 
 
 # -- the Fibonacci band family -------------------------------------------------
 
-def fibonacci_band_matrix(n: int, numerator_variant: bool = False) -> Entries:
+def fibonacci_band_matrix(n: int) -> Entries:
     """
     The n x n tridiagonal band whose determinant counts the weighted matchings
     of the vertical strip of n - 1 boxes.  Odd rows are (1, 1, 1); even rows
-    are (-q, 1, -1/q), or (-q^2, q, -1) for the numerator-family variant.
+    are (-q, 1, -1/q).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if numerator_variant:
-        sub, diag_even, sup = -(Q * Q), Q, -ONE
-    else:
-        sub, diag_even, sup = -Q, ONE, -LaurentPoly.monomial(-1)
     rows = []
     for i in range(1, n + 1):
         row = [ZERO] * n
         even = i % 2 == 0
         if i > 1:
-            row[i - 2] = sub if even else ONE
-        row[i - 1] = diag_even if even else ONE
+            row[i - 2] = -Q if even else ONE
+        row[i - 1] = ONE
         if i < n:
-            row[i] = sup if even else ONE
+            row[i] = -LaurentPoly.monomial(-1) if even else ONE
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -263,8 +257,8 @@ def fibonacci_kasteleyn(n: int) -> LaurentPoly:
 
 def fibonacci_kasteleyn_numerator(n: int) -> LaurentPoly:
     """
-    Determinant of the numerator-family variant, normalized so its lowest
-    term is the constant; equals the numerator-family polynomial of index n+1.
+    The band determinant normalized so its lowest term is the constant;
+    equals the numerator-family polynomial of index n+1.
     """
-    det = _band_det(fibonacci_band_matrix(n, numerator_variant=True))
+    det = _band_det(fibonacci_band_matrix(n))
     return det.shifted(-det.min_deg)

@@ -122,8 +122,7 @@ def scalar_exponent(cf: tuple[int, ...]) -> int:
 def numerator_via_matchings(r: int, s: int) -> LaurentPoly:
     """q^n times the statistic of the snake of r/s; equals the numerator."""
     cf = cf_expand(r, s)
-    stat = matching_stat_dp(snake_graph(cf))
-    return LaurentPoly.monomial(scalar_exponent(cf)) * stat
+    return matching_stat_dp(snake_graph(cf)).shifted(scalar_exponent(cf))
 
 
 def denominator_via_matchings(r: int, s: int) -> LaurentPoly:
@@ -137,8 +136,7 @@ def denominator_via_matchings(r: int, s: int) -> LaurentPoly:
     cf = cf_expand(r, s)
     if len(cf) == 1:
         return ONE
-    stat = matching_stat_dp(denominator_snake(cf))
-    return LaurentPoly.monomial(scalar_exponent(cf[1:])) * stat
+    return matching_stat_dp(denominator_snake(cf)).shifted(scalar_exponent(cf[1:]))
 
 
 @dataclass(frozen=True)
@@ -155,9 +153,11 @@ class CaseReport:
     factor_exp: int | None = None
 
 
-def case_recurrences_check(cf: tuple[int, ...]) -> CaseReport:
+def case_recurrences_check(cf: tuple[int, ...], whole: LaurentPoly) -> CaseReport:
     """
-    Verify the applicable removal recurrence by computing all three statistics
+    Verify the applicable removal recurrence: the given statistic whole of
+    the snake of cf (either parity form, both build the same snake) against
+    the statistics of the shorter and truncated snakes, each computed
     independently.  With k coefficients and canonical a_k >= 2:
 
       k even:  M([a1..ak]) = M([a1..ak - 1]) + q^(1-ak) * M([a1..a(k-1)])
@@ -170,14 +170,13 @@ def case_recurrences_check(cf: tuple[int, ...]) -> CaseReport:
     if len(cf) >= 2 and cf[-1] == 1:  # recurrence needs the canonical a_k >= 2
         cf = cf[:-2] + (cf[-2] + 1,)
     k = len(cf)
-    whole = matching_stat_dp(snake_graph(cf))
     shorter_cf = cf[:-1] + (cf[-1] - 1,)
     if shorter_cf[-1] == 0:
         shorter_cf = shorter_cf[:-1]
     shorter = matching_stat_dp(snake_graph(shorter_cf))
     truncated = (matching_stat_dp(snake_graph(cf[:-1])) if k > 1 else ONE)
     factor_exp = (1 - cf[-1]) if k % 2 == 0 else (cf[-1] - 1)
-    rhs = shorter + LaurentPoly.monomial(factor_exp) * truncated
+    rhs = shorter + truncated.shifted(factor_exp)
     return CaseReport(cf=cf, applicable=True, case=1 if k % 2 == 0 else 2,
                       holds=(whole == rhs), whole=whole, shorter=shorter,
                       truncated=truncated, factor_exp=factor_exp)

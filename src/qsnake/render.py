@@ -13,6 +13,8 @@ from .snake import SnakeGraph
 
 CELL_W = 6
 CELL_H = 2
+SVG_SCALE = 40
+SVG_MARGIN = 20
 
 _LABEL = {1: "q", -1: "q^-1"}
 
@@ -46,14 +48,14 @@ def ascii_render(g: SnakeGraph) -> str:
     return "\n".join("".join(line).rstrip() for line in canvas)
 
 
-def svg_render(g: SnakeGraph, scale: int = 40, margin: int = 20) -> str:
+def svg_render(g: SnakeGraph) -> str:
     max_x = max(v[0] for v in g.vertices)
     max_y = max(v[1] for v in g.vertices)
-    width = max_x * scale + 2 * margin
-    height = max_y * scale + 2 * margin
+    width = max_x * SVG_SCALE + 2 * SVG_MARGIN
+    height = max_y * SVG_SCALE + 2 * SVG_MARGIN
 
     def pt(v):
-        return margin + v[0] * scale, margin + (max_y - v[1]) * scale
+        return SVG_MARGIN + v[0] * SVG_SCALE, SVG_MARGIN + (max_y - v[1]) * SVG_SCALE
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
@@ -97,20 +99,17 @@ def tikz_render(g: SnakeGraph) -> str:
 
 
 def graph_json(g: SnakeGraph) -> dict:
+    edges = []
+    for e in g.edges:
+        tail, head = g.arrow(e)
+        edges.append({"u": list(e[0]), "v": list(e[1]),
+                      "weight_exp": g.weight_exp[e],
+                      "tail": list(tail), "head": list(head)})
     return {
         "boxes": [list(b) for b in g.boxes],
         "black": [list(v) for v in g.black_vertices],
         "white": [list(v) for v in g.white_vertices],
-        "edges": [
-            {
-                "u": list(e[0]),
-                "v": list(e[1]),
-                "weight_exp": g.weight_exp[e],
-                "tail": list(g.arrow(e)[0]),
-                "head": list(g.arrow(e)[1]),
-            }
-            for e in g.edges
-        ],
+        "edges": edges,
     }
 
 

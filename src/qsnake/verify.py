@@ -41,26 +41,27 @@ def coprime_pairs(max_r: int) -> list[tuple[int, int]]:
 def check_pair(pair: tuple[int, int]) -> PairResult:
     """
     Every check on one pair, from one continued fraction, one route table
-    and one snake with its statistic.  The Kasteleyn report carries the
-    scaling identity q^n * statistic = numerator, which is the theorem check.
+    and one snake with its statistic.  The Kasteleyn report gives both the
+    theorem check and the kasteleyn check (|det| = statistic).
     """
     r, s = pair
     cf = cf_expand(r, s)
     routes = all_routes(cf)
     g = snake_graph(cf)
     stat = matching_stat_dp(g)
-    kasteleyn = kasteleyn_report(r, s, g, stat, routes.fractions["matrix"].num)
+    kasteleyn = kasteleyn_report(cf, g, stat, routes.fractions["matrix"].num)
 
     counts_ok = (stat.eval_at_one() == r
                  and denominator_via_matchings(r, s).eval_at_one() == s)
 
-    case = case_recurrences_check(cf)
+    case = case_recurrences_check(cf, stat)
     cases_ok = case.holds if case.applicable else True
 
     return PairResult(r=r, s=s, cases_applicable=case.applicable,
                       passed={"routes": routes.agree,
                               "theorem": kasteleyn.scaled_matches_numerator,
-                              "counts": counts_ok, "kasteleyn": kasteleyn.ok,
+                              "counts": counts_ok,
+                              "kasteleyn": kasteleyn.det_matches_statistic,
                               "cases": cases_ok})
 
 

@@ -151,7 +151,8 @@ def test_criterion_9_case_recurrences():
     applicable = 0
     ok = True
     for r, s in PAIRS_60:
-        rep = case_recurrences_check(cf_expand(r, s))
+        cf = cf_expand(r, s)
+        rep = case_recurrences_check(cf, matching_stat_dp(snake_graph(cf)))
         if rep.applicable:
             applicable += 1
             ok = ok and rep.holds

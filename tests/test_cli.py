@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from qsnake import cli
 from qsnake.cli import main
 from qsnake.laurent import LaurentPoly
 from qsnake.render import ascii_render, graph_json, svg_render, tikz_render
@@ -188,6 +189,28 @@ def test_matchings_refuses_snakes_above_the_bound(capsys):
         main(["matchings", "1500", "1"])
     assert exc.value.code == 2
     assert "at most 600 boxes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "compute 1000000000000000000000 1",  # used to raise OverflowError
+    "compute 100000000000 1",  # used to raise MemoryError
+    "snake 100000000 1",  # used to raise MemoryError
+    "matchings 1000001 1",
+    "kasteleyn 1000001 1000000",  # [1, 1000000]
+])
+def test_pairs_above_the_cf_sum_bound_are_usage_errors(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    assert "sums to more than 1000000" in capsys.readouterr().err
+
+
+def test_cf_sum_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CF_SUM", 7)
+    assert run(capsys, "compute", "13", "3")[0] == 0  # [4, 3]
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "16", "3"])  # [5, 3]
+    assert exc.value.code == 2
 
 
 def test_renders_are_pure():

@@ -118,23 +118,31 @@ def test_denominator_candidate_is_mirror_of_denominator():
     assert equal < len(SWEEP)  # and mirror-only cases do occur
 
 
+def cases_check(cf):
+    return case_recurrences_check(cf, matching_stat_dp(snake_graph(cf)))
+
+
 def test_case_recurrences_examples():
-    rep = case_recurrences_check((2, 2))
+    rep = cases_check((2, 2))
     assert rep.applicable and rep.case == 1 and rep.holds
     assert rep.whole == lp(-1, 1, 2, 1, 1)
-    rep = case_recurrences_check((4, 3))
+    assert not case_recurrences_check((2, 2), rep.whole + ONE).holds
+    rep = cases_check((4, 3))
     assert rep.case == 1 and rep.holds
-    rep = case_recurrences_check((1, 1, 3))
+    # the odd form of 13/3 builds the same snake, and is canonicalized
+    rep = cases_check((4, 2, 1))
+    assert rep.cf == (4, 3) and rep.case == 1 and rep.holds
+    rep = cases_check((1, 1, 3))
     assert rep.case == 2 and rep.holds
-    rep = case_recurrences_check((3,))
+    rep = cases_check((3,))
     assert rep.case == 2 and rep.holds
-    rep = case_recurrences_check((2,))
+    rep = cases_check((2,))
     assert not rep.applicable
 
 
 def test_case_recurrences_sweep():
     for r, s in SWEEP:
-        rep = case_recurrences_check(cf_expand(r, s))
+        rep = cases_check(cf_expand(r, s))
         assert not rep.applicable or rep.holds, (r, s)
 
 

@@ -69,6 +69,14 @@ def test_inversion_recurrence(x):
 def test_gcd_equals_prs(a, b, g):
     for x, y in ((a, b), (a * g, b * g)):
         assert laurent_gcd(x, y) == LaurentPoly(0, _prs_gcd(x.coeffs, y.coeffs))
+    if a.is_zero() or b.is_zero() or g.is_zero():
+        return
+    # a common divisor: div_exact raises unless the division is exact
+    d = laurent_gcd(a, b)
+    assert a.div_exact(d) * d == a and b.div_exact(d) * d == b
+    # and the greatest: every common factor divides it
+    dg = laurent_gcd(a * g, b * g)
+    assert dg.div_exact(g) * g == dg
 
 
 def test_infinity_is_one_over_zero():
