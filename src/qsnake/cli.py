@@ -11,8 +11,8 @@ import sys
 from .kasteleyn import fibonacci_kasteleyn_numerator, verify_kasteleyn
 from .matching import (enumerate_matchings, matching_stat_dp,
                        matching_weight_exp)
-from .qrational import (CF, all_routes, cf_expand, fibonacci_number,
-                        fibonacci_polys, q_matrix_eval, q_rational)
+from .qrational import (CF, _fibonacci_families, all_routes, cf_expand,
+                        fibonacci_number, q_matrix_eval, q_rational)
 from .render import render
 from .snake import snake_graph
 from .verify import run_sweep, summarize
@@ -20,6 +20,15 @@ from .verify import run_sweep, summarize
 
 # Largest continued-fraction sum (snake boxes + 1) a single-pair command accepts.
 MAX_CF_SUM = 10**6
+
+# Largest snake `kasteleyn` accepts.  It prints the matrix dense, so its time,
+# output and memory grow with the square of the box count: the 600-box
+# `kasteleyn 601 1` took 3.2 s, printed 21.8 MB and peaked at 298 MiB.
+MAX_KASTELEYN_BOXES = 600
+
+# Largest table `fibonacci` prints.  Each row computes q_rational and a band
+# determinant, so the table takes time cubic in n: 300 rows took 4.9 s.
+MAX_FIBONACCI_ROWS = 300
 
 
 def _cf(parser: argparse.ArgumentParser, r: int, s: int) -> CF:
@@ -64,7 +73,10 @@ def cmd_compute(args, parser) -> int:
 
 def cmd_snake(args, parser) -> int:
     g = snake_graph(_cf(parser, args.r, args.s))
-    out = render(g, args.render)
+    try:
+        out = render(g, args.render)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -96,7 +108,10 @@ def cmd_matchings(args, parser) -> int:
 
 
 def cmd_kasteleyn(args, parser) -> int:
-    _cf(parser, args.r, args.s)
+    boxes = sum(_cf(parser, args.r, args.s)) - 1
+    if boxes > MAX_KASTELEYN_BOXES:
+        parser.error(f"kasteleyn is limited to snakes of at most "
+                     f"{MAX_KASTELEYN_BOXES} boxes, got {boxes}")
     report = verify_kasteleyn(args.r, args.s)
     blob = report.matrix.to_json()
     blob.update({
@@ -111,14 +126,14 @@ def cmd_kasteleyn(args, parser) -> int:
 
 
 def cmd_fibonacci(args, parser) -> int:
-    if args.n < 1:
-        parser.error("n must be >= 1")
+    if not 1 <= args.n <= MAX_FIBONACCI_ROWS:
+        parser.error(f"n must be between 1 and {MAX_FIBONACCI_ROWS}")
     ok = True
+    nums, dens = _fibonacci_families(args.n + 1)
     print(f"{'k':>3}  {'ratio':>12}  numerator / denominator")
     for k in range(1, args.n + 1):
         fr, fs = fibonacci_number(k + 1), fibonacci_number(k)
-        num = fibonacci_polys(k + 1)[0]
-        den = fibonacci_polys(k)[1]
+        num, den = nums[k + 1], dens[k]
         qr = q_rational(fr, fs)
         row_ok = (num, den) == (qr.num, qr.den)
         if k >= 2:

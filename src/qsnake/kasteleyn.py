@@ -75,9 +75,9 @@ def kasteleyn_matrix(g: SnakeGraph) -> KasteleynMatrix:
         u, v = e
         b, w = (u, v) if g.is_black(u) else (v, u)
         tail, _ = g.arrow(e)
-        weight = g.weight(e)
-        rows[row_of[b]][col_of[w]] = weight if tail == b else -weight
-    return KasteleynMatrix(tuple(tuple(r) for r in rows),
+        rows[row_of[b]][col_of[w]] = LaurentPoly.monomial(g.weight_exp[e],
+                                                          1 if tail == b else -1)
+    return KasteleynMatrix(tuple([tuple(r) for r in rows]),
                            tuple(black), tuple(white))
 
 

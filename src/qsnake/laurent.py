@@ -57,7 +57,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> LaurentPoly:
-        return cls(int(obj["min_deg"]), tuple(int(c) for c in obj["coeffs"]))
+        return cls(int(obj["min_deg"]), tuple([int(c) for c in obj["coeffs"]]))
 
     # -- inspection --------------------------------------------------------
 

@@ -82,34 +82,36 @@ def matching_stat_dp(g: SnakeGraph) -> LaurentPoly:
     The statistic in one linear pass.  State after box i: the statistic of the
     prefix graph, and the statistic of the prefix with the two vertices where
     box i+1 attaches removed (on that reduced graph the last ladder step is
-    forced, contributing the opposite side edge's weight on turns).
+    forced, contributing the opposite side edge's weight on turns).  Weights
+    stay exponents: each weight q^k is applied as a shift by k.
     """
     boxes = g.boxes
+    k = g.weight_exp
     if not boxes:
-        return g.weight(g.edges[0])
-    w = g.weight
+        return LaurentPoly.monomial(k[g.edges[0]])
     sides0 = box_edges(boxes[0])
-    prefix = w(sides0["W"]) * w(sides0["E"]) + w(sides0["N"]) * w(sides0["S"])
+    prefix = (LaurentPoly.monomial(k[sides0["W"]] + k[sides0["E"]])
+              + LaurentPoly.monomial(k[sides0["N"]] + k[sides0["S"]]))
     if len(boxes) == 1:
         return prefix
     dirs = [RIGHT if boxes[i][0] > boxes[i - 1][0] else UP
             for i in range(1, len(boxes))]
-    reduced = w(sides0["W"]) if dirs[0] == RIGHT else w(sides0["S"])
+    reduced = LaurentPoly.monomial(k[sides0["W" if dirs[0] == RIGHT else "S"]])
     for i in range(1, len(boxes)):
         sides = box_edges(boxes[i])
         if dirs[i - 1] == RIGHT:
             far, side_a, side_b = sides["E"], sides["N"], sides["S"]
         else:
             far, side_a, side_b = sides["N"], sides["W"], sides["E"]
-        prefix, prev_prefix = (w(far) * prefix + w(side_a) * w(side_b) * reduced,
-                               prefix)
+        prefix, prev_prefix = (prefix.shifted(k[far])
+                               + reduced.shifted(k[side_a] + k[side_b]), prefix)
         if i < len(boxes) - 1:
             if dirs[i] == dirs[i - 1]:
                 reduced = prev_prefix
             elif dirs[i - 1] == RIGHT:  # turning up: south edge forced
-                reduced = w(sides["S"]) * reduced
+                reduced = reduced.shifted(k[sides["S"]])
             else:  # turning right: west edge forced
-                reduced = w(sides["W"]) * reduced
+                reduced = reduced.shifted(k[sides["W"]])
     return prefix
 
 

@@ -153,8 +153,7 @@ def q_cf_eval(cf: CF) -> LaurentFraction:
     num, den = _level_bracket(cf[-1], k), ONE
     for i in range(k - 1, 0, -1):
         a, odd = cf[i - 1], (i % 2 == 1)
-        prefactor = LaurentPoly.monomial(a if odd else -a)
-        num, den = _level_bracket(a, i) * num + prefactor * den, num
+        num, den = _level_bracket(a, i) * num + den.shifted(a if odd else -a), num
     return LaurentFraction(num, den)
 
 
@@ -173,8 +172,8 @@ def continuant_det(cf: CF) -> LaurentPoly:
     prev2, prev = ONE, _level_bracket(cf[0], 1)
     for i in range(2, len(cf) + 1):
         a_prev = cf[i - 2]
-        sub = LaurentPoly.monomial(a_prev if (i - 1) % 2 == 1 else -a_prev)
-        prev2, prev = prev, _level_bracket(cf[i - 1], i) * prev + sub * prev2
+        sub_exp = a_prev if (i - 1) % 2 == 1 else -a_prev
+        prev2, prev = prev, _level_bracket(cf[i - 1], i) * prev + prev2.shifted(sub_exp)
     return prev
 
 
@@ -276,25 +275,25 @@ def fibonacci_polys(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return ONE, ONE
-    den_seeds = [ONE, ONE, q_int(2), q_int(3)]
+    nums, dens = _fibonacci_families(n)
+    return nums[n], dens[n]
+
+
+def _fibonacci_families(n: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
+    """Both families at every index 0 .. n, from one run of each."""
+    den = _fib_family(n, [ONE, ONE, q_int(2), q_int(3)])
     # mirror-consistent seed at index 1 is q^-1; index 1 is reported as 1
-    num_seeds = [LaurentPoly.monomial(-1), ONE, q_int(2), q_int(3)]
-    den = _fib_family(n, den_seeds)
-    num = ONE if n == 1 else _fib_family(n, num_seeds)
-    return num, den
+    num = _fib_family(n, [LaurentPoly.monomial(-1), ONE, q_int(2), q_int(3)])
+    return [ONE, ONE] + num[1:], [ONE] + den
 
 
-def _fib_family(n: int, seeds: list[LaurentPoly]) -> LaurentPoly:
-    if n <= 4:
-        return seeds[n - 1]
+def _fib_family(n: int, seeds: list[LaurentPoly]) -> list[LaurentPoly]:
+    """A family at indices 1 .. n: its seeds, then the recurrence."""
     three = q_int(3)
-    qsq = LaurentPoly.monomial(2)
     vals = list(seeds)
     for k in range(5, n + 1):
-        vals.append(three * vals[k - 3] - qsq * vals[k - 5])
-    return vals[n - 1]
+        vals.append(three * vals[k - 3] - vals[k - 5].shifted(2))
+    return vals[:n]
 
 
 def fibonacci_number(n: int) -> int:

@@ -16,16 +16,25 @@ CELL_H = 2
 SVG_SCALE = 40
 SVG_MARGIN = 20
 
+# Largest character grid ascii_render allocates, about 9 bytes of memory per
+# cell: the 2000-box zigzag of `snake 2001 1` needs 1.2e7 cells and 122 MiB.
+MAX_ASCII_CELLS = 10**7
+
 _LABEL = {1: "q", -1: "q^-1"}
 
 
 def ascii_render(g: SnakeGraph) -> str:
     """Character-grid picture; weighted vertical edges carry their label
-    just inside the box, horizontal ones inline in the edge."""
+    just inside the box, horizontal ones inline in the edge.
+
+    Raises ValueError when the grid would exceed MAX_ASCII_CELLS cells."""
     max_x = max(v[0] for v in g.vertices)
     max_y = max(v[1] for v in g.vertices)
     width = max_x * CELL_W + 1
     height = max_y * CELL_H + 1
+    if width * height > MAX_ASCII_CELLS:
+        raise ValueError(f"the ascii render is limited to {MAX_ASCII_CELLS} "
+                         f"cells, this snake needs {width * height}")
     canvas = [[" "] * width for _ in range(height)]
 
     def at(x, y):

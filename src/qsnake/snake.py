@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .laurent import LaurentPoly
-
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
 Box = tuple[int, int]
@@ -101,14 +99,11 @@ class SnakeGraph:
 
     @property
     def black_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if self.is_black(v))
+        return tuple([v for v in self.vertices if self.is_black(v)])
 
     @property
     def white_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if not self.is_black(v))
-
-    def weight(self, edge: Edge) -> LaurentPoly:
-        return LaurentPoly.monomial(self.weight_exp[edge])
+        return tuple([v for v in self.vertices if not self.is_black(v)])
 
     def arrow(self, edge: Edge) -> tuple[Vertex, Vertex]:
         """

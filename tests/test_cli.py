@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qsnake import cli
+from qsnake import cli, render
 from qsnake.cli import main
 from qsnake.laurent import LaurentPoly
 from qsnake.render import ascii_render, graph_json, svg_render, tikz_render
@@ -211,6 +211,37 @@ def test_cf_sum_bound_is_inclusive(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "16", "3"])  # [5, 3]
     assert exc.value.code == 2
+
+
+def test_kasteleyn_box_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_KASTELEYN_BOXES", 6)
+    assert run(capsys, "kasteleyn", "13", "3")[0] == 0  # [4, 3]: 6 boxes
+    with pytest.raises(SystemExit) as exc:
+        main(["kasteleyn", "16", "3"])  # [5, 3]: 7 boxes
+    assert exc.value.code == 2
+    assert "at most 6 boxes, got 7" in capsys.readouterr().err
+
+
+def test_ascii_canvas_bound_is_inclusive(capsys, monkeypatch):
+    # the one box of 2/1 is the 7 x 3 grid of test_snake_ascii_golden
+    monkeypatch.setattr(render, "MAX_ASCII_CELLS", 21)
+    assert run(capsys, "snake", "2", "1", "--render", "ascii")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["snake", "3", "1", "--render", "ascii"])  # 13 x 3
+    assert exc.value.code == 2
+    assert "limited to 21 cells, this snake needs 39" in capsys.readouterr().err
+    # only the ascii render has a canvas
+    assert run(capsys, "snake", "3", "1", "--render", "svg")[0] == 0
+
+
+def test_fibonacci_row_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_FIBONACCI_ROWS", 7)
+    assert run(capsys, "fibonacci", "7")[0] == 0
+    for n in ("8", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["fibonacci", n])
+        assert exc.value.code == 2
+        assert "n must be between 1 and 7" in capsys.readouterr().err
 
 
 def test_renders_are_pure():

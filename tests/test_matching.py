@@ -51,6 +51,20 @@ def test_dp_equals_oracle_sweep():
             assert matching_stat_dp(g) == matching_stat(g), (r, s)
 
 
+def test_dp_multiplies_no_polynomials(monkeypatch):
+    # each weight q^k is applied as a shift by its exponent k
+    def refuse(self, other):
+        raise AssertionError("matching_stat_dp multiplied two polynomials")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+    words = [(1,)] + [cf_expand(r, s) for r in range(2, 31) for s in range(1, r)
+                      if math.gcd(r, s) == 1]
+    for cf in words:
+        g = snake_graph(cf)
+        assert matching_stat_dp(g) == matching_stat(g), cf
+
+
 def test_dp_fibonacci_long_strip():
     r, s = fibonacci_number(21), fibonacci_number(20)
     g = snake_graph(cf_expand(r, s))

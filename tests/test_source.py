@@ -22,6 +22,18 @@ def test_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def test_no_tuple_from_generator():
+    # tuple() of a generator is resized as it grows, and the resized tuples
+    # pile up in CPython's tuple free lists; build the tuple from a list
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "tuple" and node.args
+             and isinstance(node.args[0], ast.GeneratorExp)]
+    assert SOURCES and not found, found
+
+
 def test_traced_names_resolve():
     # bench/tracing.py wraps qsnake functions by name; a renamed or deleted
     # one must fail here rather than break the traced benchmark run
