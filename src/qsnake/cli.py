@@ -8,9 +8,9 @@ import json
 import os
 import sys
 
-from .kasteleyn import fibonacci_kasteleyn_numerator, verify_kasteleyn
-from .matching import (enumerate_matchings, matching_stat_dp,
-                       matching_weight_exp)
+from .kasteleyn import fibonacci_band_matrix, leading_minors, verify_kasteleyn
+from .matching import (MAX_ENUMERATION_BOXES, enumerate_matchings,
+                       matching_stat_dp, matching_weight_exp)
 from .qrational import (CF, _fibonacci_families, all_routes, cf_expand,
                         fibonacci_number, q_matrix_eval, q_rational)
 from .render import render
@@ -26,8 +26,15 @@ MAX_CF_SUM = 10**6
 # `kasteleyn 601 1` took 3.2 s, printed 21.8 MB and peaked at 298 MiB.
 MAX_KASTELEYN_BOXES = 600
 
-# Largest table `fibonacci` prints.  Each row computes q_rational and a band
-# determinant, so the table takes time cubic in n: 300 rows took 4.9 s.
+# Most edges `matchings` prints: the matching count times the boxes + 1 edges
+# of each matching.  The count is r, exponential in the box count when the
+# quotients are small; `matchings 601 1` (361201 edges) took 12.7 s, printed
+# 48.6 MB and peaked at 420 MiB, `matchings 17711 10946` (371931) 5.6 s.
+MAX_MATCHING_EDGES = 400_000
+
+# Largest table `fibonacci` prints.  The band determinants come from one
+# expansion, but each row still computes q_rational, so the table takes time
+# cubic in n: 300 rows took 2.3-3.5 s.
 MAX_FIBONACCI_ROWS = 300
 
 
@@ -86,12 +93,19 @@ def cmd_snake(args, parser) -> int:
 
 
 def cmd_matchings(args, parser) -> int:
-    g = snake_graph(_cf(parser, args.r, args.s))
-    try:
-        matchings = enumerate_matchings(g)
-    except ValueError as exc:
-        parser.error(str(exc))
+    cf = _cf(parser, args.r, args.s)
+    boxes = sum(cf) - 1
+    # checked before the statistic too, whose sweep is quadratic in the boxes
+    if boxes > MAX_ENUMERATION_BOXES:
+        parser.error(f"matchings is limited to snakes of at most "
+                     f"{MAX_ENUMERATION_BOXES} boxes, got {boxes}")
+    g = snake_graph(cf)
     stat = matching_stat_dp(g)
+    count = stat.eval_at_one()
+    if count * (boxes + 1) > MAX_MATCHING_EDGES:
+        parser.error(f"matchings prints at most {MAX_MATCHING_EDGES} edges; "
+                     f"{args.r}/{args.s} has {count} matchings of {boxes + 1} edges")
+    matchings = enumerate_matchings(g)
     blob = {
         "r": args.r, "s": args.s,
         "count": len(matchings),
@@ -130,6 +144,8 @@ def cmd_fibonacci(args, parser) -> int:
         parser.error(f"n must be between 1 and {MAX_FIBONACCI_ROWS}")
     ok = True
     nums, dens = _fibonacci_families(args.n + 1)
+    # row k's band is the leading k x k block: only row k's superdiagonal is cut
+    minors = leading_minors(fibonacci_band_matrix(args.n))
     print(f"{'k':>3}  {'ratio':>12}  numerator / denominator")
     for k in range(1, args.n + 1):
         fr, fs = fibonacci_number(k + 1), fibonacci_number(k)
@@ -137,7 +153,7 @@ def cmd_fibonacci(args, parser) -> int:
         qr = q_rational(fr, fs)
         row_ok = (num, den) == (qr.num, qr.den)
         if k >= 2:
-            det = fibonacci_kasteleyn_numerator(k)
+            det = minors[k].shifted(-minors[k].min_deg)
             row_ok = row_ok and det.eval_at_one() == fr and det == num
         ok = ok and row_ok
         mark = "ok" if row_ok else "FAIL"

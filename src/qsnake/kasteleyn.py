@@ -90,9 +90,10 @@ def bandwidth_ok(m: KasteleynMatrix | Entries) -> bool:
                for i, row in enumerate(entries) for j, e in enumerate(row))
 
 
-def det_exact(m: KasteleynMatrix | Entries) -> LaurentPoly:
+def leading_minors(m: KasteleynMatrix | Entries) -> list[LaurentPoly]:
     """
-    Division-free Laplace expansion along the rows of a bandwidth-2 matrix.
+    Division-free Laplace expansion along the rows of a bandwidth-2 matrix,
+    returning every leading principal minor: entry k is the k x k one.
 
     Row i can only use columns i-2 .. i+2, so before it every column left of
     i-2 is taken and exactly two of i-2 .. i+1 are.  The partial expansions
@@ -105,6 +106,7 @@ def det_exact(m: KasteleynMatrix | Entries) -> LaurentPoly:
         raise ValueError("det_exact needs nonzero entries only at |i - j| <= 2")
     n = len(entries)
     partial = {0b0011: ONE}
+    minors = [ONE]
     for i, row in enumerate(entries):
         step: dict[int, LaurentPoly] = {}
         for used, value in partial.items():
@@ -121,7 +123,13 @@ def det_exact(m: KasteleynMatrix | Entries) -> LaurentPoly:
                 key = taken >> 1
                 step[key] = step[key] + term if key in step else term
         partial = step
-    return partial.get(0b0011, ZERO)
+        minors.append(partial.get(0b0011, ZERO))  # minor of rows, columns 0 .. i
+    return minors
+
+
+def det_exact(m: KasteleynMatrix | Entries) -> LaurentPoly:
+    """The determinant of a bandwidth-2 matrix: its last leading minor."""
+    return leading_minors(m)[-1]
 
 
 def det_expansion(m: KasteleynMatrix | Entries) -> LaurentPoly:
@@ -235,16 +243,6 @@ def fibonacci_band_matrix(n: int) -> Entries:
     return tuple(rows)
 
 
-def _band_det(entries: Entries) -> LaurentPoly:
-    """Three-term recurrence along a tridiagonal band."""
-    n = len(entries)
-    prev2, prev = ONE, entries[0][0]
-    for i in range(1, n):
-        term = entries[i][i] * prev - entries[i][i - 1] * entries[i - 1][i] * prev2
-        prev2, prev = prev, term
-    return prev
-
-
 def fibonacci_kasteleyn(n: int) -> LaurentPoly:
     """
     Determinant of the weighted Fibonacci band; equals the matching statistic
@@ -252,7 +250,7 @@ def fibonacci_kasteleyn(n: int) -> LaurentPoly:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    return _band_det(fibonacci_band_matrix(n))
+    return det_exact(fibonacci_band_matrix(n))
 
 
 def fibonacci_kasteleyn_numerator(n: int) -> LaurentPoly:
@@ -260,5 +258,5 @@ def fibonacci_kasteleyn_numerator(n: int) -> LaurentPoly:
     The band determinant normalized so its lowest term is the constant;
     equals the numerator-family polynomial of index n+1.
     """
-    det = _band_det(fibonacci_band_matrix(n))
+    det = det_exact(fibonacci_band_matrix(n))
     return det.shifted(-det.min_deg)

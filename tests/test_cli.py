@@ -5,15 +5,17 @@ import pytest
 
 from qsnake import cli, render
 from qsnake.cli import main
+from qsnake.kasteleyn import fibonacci_band_matrix
 from qsnake.laurent import LaurentPoly
 from qsnake.render import ascii_render, graph_json, svg_render, tikz_render
 from qsnake.snake import snake_graph
+from test_verify import count_calls
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# stdout and exit code of each command, captured before the snake/route
-# refactor; the bytes must never change
+# stdout and exit code of each command, each captured before a refactor of
+# the code it runs; the bytes must never change
 GOLDEN_COMMANDS = [
     ("compute 29 12", 0),
     ("compute 29 12 --format json", 0),
@@ -28,6 +30,7 @@ GOLDEN_COMMANDS = [
     ("matchings 5 2", 0),
     ("kasteleyn 13 3", 0),
     ("fibonacci 7", 0),
+    ("fibonacci 40", 0),
     ("verify --max-r 12", 0),
 ]
 
@@ -191,6 +194,20 @@ def test_matchings_refuses_snakes_above_the_bound(capsys):
     assert "at most 600 boxes" in capsys.readouterr().err
 
 
+def test_matching_edge_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_MATCHING_EDGES", 20)
+    assert run(capsys, "matchings", "5", "2")[0] == 0  # 5 matchings of 4 edges
+
+    def refuse(g):
+        raise AssertionError("enumerated an over-bound snake")
+
+    monkeypatch.setattr(cli, "enumerate_matchings", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["matchings", "7", "3"])  # [2, 3]: 7 matchings of 5 edges
+    assert exc.value.code == 2
+    assert "at most 20 edges; 7/3 has 7 matchings of 5 edges" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     "compute 1000000000000000000000 1",  # used to raise OverflowError
     "compute 100000000000 1",  # used to raise MemoryError
@@ -242,6 +259,12 @@ def test_fibonacci_row_bound_is_inclusive(capsys, monkeypatch):
             main(["fibonacci", n])
         assert exc.value.code == 2
         assert "n must be between 1 and 7" in capsys.readouterr().err
+
+
+def test_fibonacci_table_builds_one_band(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, fibonacci_band_matrix)
+    assert run(capsys, "fibonacci", "7")[0] == 0
+    assert calls["fibonacci_band_matrix"] == 1
 
 
 def test_renders_are_pure():

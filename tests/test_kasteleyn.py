@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,8 +7,8 @@ from qsnake.kasteleyn import (bandwidth_ok, det_exact,
                               det_expansion, fibonacci_band_matrix,
                               fibonacci_kasteleyn,
                               fibonacci_kasteleyn_numerator, kasteleyn_matrix,
-                              number_vertices, permutation_term_signs,
-                              verify_kasteleyn)
+                              leading_minors, number_vertices,
+                              permutation_term_signs, verify_kasteleyn)
 from qsnake.laurent import LaurentPoly, ONE, ZERO
 from qsnake.matching import matching_stat_dp
 from qsnake.qrational import cf_expand, fibonacci_number, fibonacci_polys, q_int
@@ -119,6 +120,49 @@ def test_bareiss_equals_expansion():
         mat = kasteleyn_matrix(snake_graph(cf))
         assert det_exact(mat) == det_expansion(mat), (r, s)
     assert det_expansion(_parse(THREE_DIAG_13_3)) == DET_13_3
+
+
+def _cut(cf, total):
+    """The prefix of cf whose sum is total, its last quotient shortened."""
+    out = []
+    for a in cf:
+        out.append(min(a, total - sum(out)))
+        if sum(out) == total:
+            return tuple(out)
+
+
+def test_leading_minors_are_prefix_snake_statistics():
+    # under the path numbering the leading (b+1) x (b+1) block is the
+    # Kasteleyn matrix of the snake's first b boxes, the snake of the cf cut
+    # to sum b + 1
+    for r in range(2, 31):
+        for s in range(1, r):
+            if math.gcd(r, s) != 1:
+                continue
+            cf = cf_expand(r, s)
+            minors = leading_minors(kasteleyn_matrix(snake_graph(cf)))
+            assert len(minors) == sum(cf) + 1
+            for b in range(1, sum(cf)):
+                stat = matching_stat_dp(snake_graph(_cut(cf, b + 1)))
+                assert minors[b + 1] in (stat, -stat), (r, s, b)
+
+
+def test_leading_minors_of_random_bands():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        entries = tuple(tuple(
+            LaurentPoly(rng.randint(-2, 2),
+                        [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+            if abs(i - j) <= 2 else ZERO
+            for j in range(n)) for i in range(n))
+        minors = leading_minors(entries)
+        assert len(minors) == n + 1
+        for k, minor in enumerate(minors):
+            block = tuple(row[:k] for row in entries[:k])
+            assert minor == det_expansion(block), (entries, k)
+        assert det_exact(entries) == minors[-1]
+    assert leading_minors(()) == [ONE]
 
 
 def test_bandwidth():

@@ -94,3 +94,17 @@ def test_docstring_examples():
         assert result.failed == 0, name
         attempted += result.attempted
     assert attempted, "no docstring examples ran"
+
+
+def test_limits_are_documented():
+    # every module-level MAX_* limit is named in the formats document
+    formats = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    limits = [f"qsnake.{path.stem}.{target.id}"
+              for path in SOURCES
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign)
+                             else [node.target])
+              if isinstance(target, ast.Name) and target.id.startswith("MAX_")]
+    missing = [name for name in limits if f"`{name}`" not in formats]
+    assert limits and not missing, missing
