@@ -34,7 +34,7 @@ MAX_MATCHING_EDGES = 400_000
 
 # Largest table `fibonacci` prints.  The band determinants come from one
 # expansion, but each row still computes q_rational, so the table takes time
-# cubic in n: 300 rows took 2.3-3.5 s.
+# cubic in n: 300 rows took 1.0-1.2 s.
 MAX_FIBONACCI_ROWS = 300
 
 

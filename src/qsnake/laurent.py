@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterator, Sequence
 
 
@@ -91,14 +93,13 @@ class LaurentPoly:
             return other
         if other.is_zero():
             return self
-        lo = min(self.min_deg, other.min_deg)
-        hi = max(self.top_deg, other.top_deg)
-        out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_deg + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_deg + i - lo] += c
-        return LaurentPoly(lo, out)
+        a, b = (self, other) if self.min_deg <= other.min_deg else (other, self)
+        lo = b.min_deg - a.min_deg
+        hi = lo + len(b.coeffs)
+        out = list(a.coeffs)
+        out += [0] * (hi - len(out))
+        out[lo:hi] = map(add, out[lo:hi], b.coeffs)
+        return LaurentPoly(a.min_deg, out)
 
     def __neg__(self) -> LaurentPoly:
         # tuple() of a list is made at its final size; of a generator it is
@@ -140,6 +141,25 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return result
+
+    def times_qint(self, n: int) -> LaurentPoly:
+        """
+        Multiply by the q-integer [n]_q = 1 + q + ... + q^(n-1) as a running
+        sum of width n: coefficient k is S[k] - S[k-n], S the prefix sums.
+
+        >>> LaurentPoly(-1, (1, -2)).times_qint(3)
+        LaurentPoly('q^-1 - 1 - q - 2q^2')
+        """
+        if n < 0:
+            raise ValueError("times_qint needs n >= 0")
+        if n == 1:
+            return self
+        if n == 0 or self.is_zero():
+            return ZERO
+        sums = [0] * n
+        sums += accumulate(self.coeffs)
+        sums += [sums[-1]] * (n - 1)
+        return LaurentPoly(self.min_deg, list(map(sub, sums[n:], sums)))
 
     def shifted(self, k: int) -> LaurentPoly:
         """Multiply by q**k."""

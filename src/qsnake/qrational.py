@@ -22,7 +22,9 @@ needs a gcd: a common factor of the new pair divides det M times the old
 pair, so the pair stays coprime from its start ([a], 1) or ([n], 1), and the
 columns of a word of determinant q^(a1 + ... + ak) are coprime.  Each route
 returns a ``LaurentFraction``, whose constructor fixes the remaining unit:
-the denominator has min_deg 0 and a positive lowest coefficient.
+the denominator has min_deg 0 and a positive lowest coefficient.  Every
+product by [n]_q, here and in the Fibonacci families, goes through
+``LaurentPoly.times_qint``, with [n]_{1/q} = q^(1-n) [n]_q as a shift.
 """
 
 from __future__ import annotations
@@ -119,11 +121,10 @@ def cf_matrix_word(cf: CF) -> QMatrix:
     a, b, c, d = ONE, ZERO, ZERO, ONE
     for i, n in enumerate(cf):
         if i % 2 == 0:
-            qn = q_int(n)
-            a, b, c, d = a.shifted(n), a * qn + b, c.shifted(n), c * qn + d
+            a, b, c, d = a.shifted(n), a.times_qint(n) + b, c.shifted(n), c.times_qint(n) + d
         else:
-            q_qn = q_int(n).shifted(1)
-            a, c = a.shifted(n) + b * q_qn, c.shifted(n) + d * q_qn
+            a = a.shifted(n) + b.times_qint(n).shifted(1)
+            c = c.shifted(n) + d.times_qint(n).shifted(1)
     return QMatrix(a, b, c, d)
 
 
@@ -150,15 +151,13 @@ def q_cf_eval(cf: CF) -> LaurentFraction:
     reduced by construction (see the module docstring).
     """
     k = len(cf)
-    num, den = _level_bracket(cf[-1], k), ONE
+    num, den = q_int(cf[-1], inverted=(k % 2 == 0)), ONE
     for i in range(k - 1, 0, -1):
-        a, odd = cf[i - 1], (i % 2 == 1)
-        num, den = _level_bracket(a, i) * num + den.shifted(a if odd else -a), num
+        a = cf[i - 1]
+        # an even position has [a]_{1/q} = q^(1-a) [a]_q and prefactor q^-a
+        shift, pre = (0, a) if i % 2 == 1 else (1 - a, -a)
+        num, den = num.times_qint(a).shifted(shift) + den.shifted(pre), num
     return LaurentFraction(num, den)
-
-
-def _level_bracket(a: int, position: int) -> LaurentPoly:
-    return q_int(a, inverted=(position % 2 == 0))
 
 
 # -- continuant route ----------------------------------------------------------
@@ -169,11 +168,12 @@ def continuant_det(cf: CF) -> LaurentPoly:
     superdiagonal -1 and subdiagonal q^a1, q^-a2, q^a3, ....  Expanding along
     the last row gives the three-term recurrence used here.
     """
-    prev2, prev = ONE, _level_bracket(cf[0], 1)
+    prev2, prev = ONE, q_int(cf[0])
     for i in range(2, len(cf) + 1):
-        a_prev = cf[i - 2]
-        sub_exp = a_prev if (i - 1) % 2 == 1 else -a_prev
-        prev2, prev = prev, _level_bracket(cf[i - 1], i) * prev + prev2.shifted(sub_exp)
+        a, a_prev = cf[i - 1], cf[i - 2]
+        # an even position has [a]_{1/q} = q^(1-a) [a]_q and subdiagonal q^a_prev
+        shift, sub_exp = (0, -a_prev) if i % 2 == 1 else (1 - a, a_prev)
+        prev2, prev = prev, prev.times_qint(a).shifted(shift) + prev2.shifted(sub_exp)
     return prev
 
 
@@ -218,13 +218,13 @@ def q_map_general(x) -> LaurentFraction:
     for a in reversed(steps):
         if a > 0:
             # [x] = q^a [x - a] + [a]
-            num = num.shifted(a) + q_int(a) * den
+            num = num.shifted(a) + den.times_qint(a)
         elif a == 0:
             # x in (0, 1): [x] = -1/(q [-1/x])
             num, den = -den, num.shifted(1)
         else:
             # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m
-            num, den = num - q_int(-a) * den, den.shifted(-a)
+            num, den = num - den.times_qint(-a), den.shifted(-a)
     return LaurentFraction(num, den)
 
 
@@ -289,10 +289,9 @@ def _fibonacci_families(n: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
 
 def _fib_family(n: int, seeds: list[LaurentPoly]) -> list[LaurentPoly]:
     """A family at indices 1 .. n: its seeds, then the recurrence."""
-    three = q_int(3)
     vals = list(seeds)
     for k in range(5, n + 1):
-        vals.append(three * vals[k - 3] - vals[k - 5].shifted(2))
+        vals.append(vals[k - 3].times_qint(3) - vals[k - 5].shifted(2))
     return vals[:n]
 
 

@@ -36,6 +36,16 @@ def test_multiplication_examples():
     assert p * ZERO == ZERO
 
 
+def test_times_qint_edges():
+    p = lp(-2, 3, 0, -1)
+    with pytest.raises(ValueError):
+        p.times_qint(-1)
+    assert p.times_qint(0) == ZERO
+    assert p.times_qint(1) is p
+    assert ZERO.times_qint(4) == ZERO
+    assert p.times_qint(2) == lp(-2, 3, 3, -1, -1)
+
+
 def test_ring_axioms_exhaustive():
     for a, b in itertools.product(POOL, repeat=2):
         assert a + b == b + a

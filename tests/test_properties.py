@@ -1,6 +1,7 @@
 """Property tests past the hand-picked sweeps: random pairs up to r = 1000,
 with the matching and Kasteleyn identities, random rationals of either
-sign for the recurrence map, and the gcd against the primitive PRS."""
+sign for the recurrence map, the gcd against the primitive PRS, and the
+running-sum product and slice addition against their references."""
 
 import math
 
@@ -10,7 +11,7 @@ from qsnake.kasteleyn import det_exact, kasteleyn_matrix
 from qsnake.laurent import (ONE, Q, ZERO, LaurentFraction, LaurentPoly, _prs_gcd,
                             laurent_gcd)
 from qsnake.matching import matching_stat_dp, scalar_exponent
-from qsnake.qrational import all_routes, cf_expand, cf_matrix_word, q_map_general
+from qsnake.qrational import all_routes, cf_expand, cf_matrix_word, q_int, q_map_general
 from qsnake.snake import snake_graph
 
 # reproducible and writes no example database
@@ -81,3 +82,48 @@ def test_gcd_equals_prs(a, b, g):
 
 def test_infinity_is_one_over_zero():
     assert q_map_general(math.inf) == LaurentFraction(ONE, ZERO)
+
+
+@settings(REPRODUCIBLE, phases=(Phase.explicit, Phase.generate))
+@given(laurent_polys | st.just(ZERO), st.integers(-50, 50), st.integers(-5, 5),
+       st.integers(0, 50))
+def test_times_qint_is_schoolbook(p, c, k, n):
+    a = (c * p).shifted(k)
+    assert a.times_qint(n) == a * q_int(n)
+
+
+def exponent_dict(p):
+    return dict(p.terms())
+
+
+def dict_sum(x, y, sign=1):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def is_canonical(p):
+    if p.is_zero():
+        return p.min_deg == 0 and p.coeffs == ()
+    return p.coeffs[0] != 0 and p.coeffs[-1] != 0
+
+
+@settings(REPRODUCIBLE, phases=(Phase.explicit, Phase.generate))
+@given(laurent_polys.filter(lambda p: not p.is_zero()), laurent_polys | st.just(ZERO),
+       st.integers(-10, 10))
+def test_add_and_sub_match_exponent_dicts(p, r, k):
+    r = r.shifted(k)
+    lowest = LaurentPoly.monomial(p.min_deg, p.coeffs[0])
+    highest = LaurentPoly.monomial(p.top_deg, p.coeffs[-1])
+    # a two-term polynomial whose span holds p's with room on both sides
+    wide = LaurentPoly(p.min_deg - 2, [1] + [0] * (len(p.coeffs) + 2) + [1])
+    gapped = r.shifted(p.top_deg + 2 - r.min_deg)
+    pairs = [(p, r), (p, gapped), (p, wide), (p, -p), (p, -lowest), (p, -highest),
+             (p, r - lowest - highest)]
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        for sign, got in ((1, a + b), (-1, a - b)):
+            assert is_canonical(got), (a, b, sign)
+            assert exponent_dict(got) == dict_sum(exponent_dict(a), exponent_dict(b), sign), \
+                (a, b, sign)
+    assert p + (-p) == ZERO and (p + (-p)).min_deg == 0 and (p - p).coeffs == ()

@@ -201,6 +201,28 @@ def test_routes_call_no_gcd(monkeypatch):
     assert check_pair((13, 3)).ok
 
 
+def test_routes_multiply_no_polynomials(monkeypatch):
+    # every product on a route is by a q-integer, applied by times_qint as a
+    # running sum; the schoolbook product is left to general operands
+    pairs = [(13, 3), (29, 12), (64, 1), (64, 63),
+             (fibonacci_number(201), fibonacci_number(200))]
+    words = [cf_expand(r, s) for r, s in pairs] + [(30, 1, 17, 2, 25, 3, 30, 12)]
+    values = [Fraction(-7, 3), Fraction(5, 12), 0]
+    routes = [all_routes(cf) for cf in words]
+    maps = [q_map_general(x) for x in values]
+    fibonacci = fibonacci_polys(40)
+
+    def refuse(self, other):
+        raise AssertionError("a route multiplied two polynomials")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+    assert [all_routes(cf) for cf in words] == routes
+    assert all(table.agree for table in routes)
+    assert [q_map_general(x) for x in values] == maps
+    assert fibonacci_polys(40) == fibonacci
+
+
 def test_fibonacci_polys():
     num5, den4 = fibonacci_polys(5)[0], fibonacci_polys(4)[1]
     assert num5 == poly(1, 1, 2, 1)
