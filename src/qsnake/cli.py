@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from .kasteleyn import fibonacci_band_matrix, leading_minors, verify_kasteleyn
+from .kasteleyn import kasteleyn_matrix, leading_minors, verify_kasteleyn
 from .matching import (MAX_ENUMERATION_BOXES, enumerate_matchings,
                        matching_stat_dp, matching_weight_exp)
 from .qrational import (CF, _fibonacci_families, all_routes, cf_expand,
@@ -32,10 +32,16 @@ MAX_KASTELEYN_BOXES = 600
 # 48.6 MB and peaked at 420 MiB, `matchings 17711 10946` (371931) 5.6 s.
 MAX_MATCHING_EDGES = 400_000
 
-# Largest table `fibonacci` prints.  The band determinants come from one
-# expansion, but each row still computes q_rational, so the table takes time
-# cubic in n: 300 rows took 1.0-1.2 s.
+# Largest table `fibonacci` prints.  The rows' determinants come from one
+# expansion of the strip's matrix, but each row still computes q_rational, so
+# the table takes time cubic in n: 300 rows took 1.1-1.3 s.
 MAX_FIBONACCI_ROWS = 300
+
+# Most worker processes `verify` starts.  The pool starts every worker at
+# once, each a forked interpreter that peaked at 15 MiB RSS in `verify
+# --max-r 100 --jobs 2`, and the sweep is CPU-bound, so workers beyond the
+# core count add memory and no speed; 64 covers large machines.
+MAX_JOBS = 64
 
 
 def _cf(parser: argparse.ArgumentParser, r: int, s: int) -> CF:
@@ -85,8 +91,11 @@ def cmd_snake(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            parser.error(f"argument --out: cannot write {args.out!r}: {exc.strerror}")
     else:
         print(out)
     return 0
@@ -144,8 +153,9 @@ def cmd_fibonacci(args, parser) -> int:
         parser.error(f"n must be between 1 and {MAX_FIBONACCI_ROWS}")
     ok = True
     nums, dens = _fibonacci_families(args.n + 1)
-    # row k's band is the leading k x k block: only row k's superdiagonal is cut
-    minors = leading_minors(fibonacci_band_matrix(args.n))
+    # the snake of k ones is the strip's first k - 1 boxes, and under the path
+    # numbering its matrix is the strip's leading k x k block
+    minors = leading_minors(kasteleyn_matrix(snake_graph((1,) * args.n)))
     print(f"{'k':>3}  {'ratio':>12}  numerator / denominator")
     for k in range(1, args.n + 1):
         fr, fs = fibonacci_number(k + 1), fibonacci_number(k)
@@ -154,7 +164,7 @@ def cmd_fibonacci(args, parser) -> int:
         row_ok = (num, den) == (qr.num, qr.den)
         if k >= 2:
             det = minors[k].shifted(-minors[k].min_deg)
-            row_ok = row_ok and det.eval_at_one() == fr and det == num
+            row_ok = row_ok and abs(det.eval_at_one()) == fr and num in (det, -det)
         ok = ok and row_ok
         mark = "ok" if row_ok else "FAIL"
         print(f"{k:>3}  {fr:>6}/{fs:<5}  ({num}) / ({den})  [{mark}]")
@@ -165,14 +175,17 @@ def cmd_fibonacci(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     if args.max_r < 2:
         parser.error("--max-r must be >= 2")
-    jobs = args.jobs
+    jobs, source = args.jobs, "argument --jobs"
     if jobs is None:
         # read per call: the parser is built once, the environment may change
         env = os.environ.get("QSNAKE_JOBS", "1")
+        source = "QSNAKE_JOBS"
         try:
             jobs = int(env)
         except ValueError:
             parser.error(f"argument --jobs: invalid int value: {env!r}")
+    if not 1 <= jobs <= MAX_JOBS:  # before any pool exists
+        parser.error(f"{source} must be between 1 and {MAX_JOBS}, got {jobs}")
     results = run_sweep(args.max_r, jobs=jobs)
     print(summarize(results))
     return 0 if all(res.ok for res in results) else 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import ONE, Q, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly
 from .matching import matching_stat_dp, scalar_exponent
 from .qrational import CF, cf_expand, q_matrix_eval
 from .snake import SnakeGraph, snake_graph
@@ -220,43 +220,24 @@ def kasteleyn_report(cf: CF, g: SnakeGraph, stat: LaurentPoly,
                            scaled_matches_numerator=stat.shifted(n) == num)
 
 
-# -- the Fibonacci band family -------------------------------------------------
-
-def fibonacci_band_matrix(n: int) -> Entries:
-    """
-    The n x n tridiagonal band whose determinant counts the weighted matchings
-    of the vertical strip of n - 1 boxes.  Odd rows are (1, 1, 1); even rows
-    are (-q, 1, -1/q).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rows = []
-    for i in range(1, n + 1):
-        row = [ZERO] * n
-        even = i % 2 == 0
-        if i > 1:
-            row[i - 2] = -Q if even else ONE
-        row[i - 1] = ONE
-        if i < n:
-            row[i] = -LaurentPoly.monomial(-1) if even else ONE
-        rows.append(tuple(row))
-    return tuple(rows)
-
+# -- the Fibonacci strip -------------------------------------------------------
 
 def fibonacci_kasteleyn(n: int) -> LaurentPoly:
     """
-    Determinant of the weighted Fibonacci band; equals the matching statistic
-    of the vertical (n-1)-box snake, so its value at q = 1 is F(n+1).
+    Kasteleyn determinant of the vertical strip of n - 1 boxes, the snake of
+    n ones, signed so its lowest coefficient is positive.  It equals the
+    strip's matching statistic, so its value at q = 1 is F(n+1).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    return det_exact(fibonacci_band_matrix(n))
+    det = det_exact(kasteleyn_matrix(snake_graph((1,) * n)))
+    return det if det.coeffs[0] > 0 else -det
 
 
 def fibonacci_kasteleyn_numerator(n: int) -> LaurentPoly:
     """
-    The band determinant normalized so its lowest term is the constant;
+    The strip determinant normalized so its lowest term is the constant;
     equals the numerator-family polynomial of index n+1.
     """
-    det = det_exact(fibonacci_band_matrix(n))
+    det = fibonacci_kasteleyn(n)
     return det.shifted(-det.min_deg)

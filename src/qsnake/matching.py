@@ -77,23 +77,26 @@ def matching_stat(g: SnakeGraph) -> LaurentPoly:
     return LaurentPoly(lo, [acc.get(e, 0) for e in range(lo, hi + 1)])
 
 
-def matching_stat_dp(g: SnakeGraph) -> LaurentPoly:
+def prefix_statistics(g: SnakeGraph) -> list[LaurentPoly]:
     """
-    The statistic in one linear pass.  State after box i: the statistic of the
-    prefix graph, and the statistic of the prefix with the two vertices where
-    box i+1 attaches removed (on that reduced graph the last ladder step is
-    forced, contributing the opposite side edge's weight on turns).  Weights
-    stay exponents: each weight q^k is applied as a shift by k.
+    The statistic of every prefix in one linear pass: entry m (m = 0 ..
+    sum(cf)) is that of the first m - 1 boxes, the snake of cf cut to sum m;
+    entries 0 (empty) and 1 (the lone unweighted edge) are 1.  State after
+    box i: the statistic of the prefix graph, and the statistic of the
+    prefix with the two vertices where box i+1 attaches removed (on that
+    reduced graph the last ladder step is forced, contributing the opposite
+    side edge's weight on turns).  Weights stay exponents: each weight q^k
+    is applied as a shift by k.
     """
     boxes = g.boxes
     k = g.weight_exp
     if not boxes:
-        return LaurentPoly.monomial(k[g.edges[0]])
+        return [ONE, LaurentPoly.monomial(k[g.edges[0]])]
     sides0 = box_edges(boxes[0])
-    prefix = (LaurentPoly.monomial(k[sides0["W"]] + k[sides0["E"]])
-              + LaurentPoly.monomial(k[sides0["N"]] + k[sides0["S"]]))
+    stats = [ONE, ONE, LaurentPoly.monomial(k[sides0["W"]] + k[sides0["E"]])
+             + LaurentPoly.monomial(k[sides0["N"]] + k[sides0["S"]])]
     if len(boxes) == 1:
-        return prefix
+        return stats
     dirs = [RIGHT if boxes[i][0] > boxes[i - 1][0] else UP
             for i in range(1, len(boxes))]
     reduced = LaurentPoly.monomial(k[sides0["W" if dirs[0] == RIGHT else "S"]])
@@ -103,16 +106,21 @@ def matching_stat_dp(g: SnakeGraph) -> LaurentPoly:
             far, side_a, side_b = sides["E"], sides["N"], sides["S"]
         else:
             far, side_a, side_b = sides["N"], sides["W"], sides["E"]
-        prefix, prev_prefix = (prefix.shifted(k[far])
-                               + reduced.shifted(k[side_a] + k[side_b]), prefix)
+        stats.append(stats[-1].shifted(k[far])
+                     + reduced.shifted(k[side_a] + k[side_b]))
         if i < len(boxes) - 1:
             if dirs[i] == dirs[i - 1]:
-                reduced = prev_prefix
+                reduced = stats[-2]
             elif dirs[i - 1] == RIGHT:  # turning up: south edge forced
                 reduced = reduced.shifted(k[sides["S"]])
             else:  # turning right: west edge forced
                 reduced = reduced.shifted(k[sides["W"]])
-    return prefix
+    return stats
+
+
+def matching_stat_dp(g: SnakeGraph) -> LaurentPoly:
+    """The statistic in one linear pass: the last of the prefix statistics."""
+    return prefix_statistics(g)[-1]
 
 
 def scalar_exponent(cf: tuple[int, ...]) -> int:
@@ -155,12 +163,12 @@ class CaseReport:
     factor_exp: int | None = None
 
 
-def case_recurrences_check(cf: tuple[int, ...], whole: LaurentPoly) -> CaseReport:
+def case_recurrences_check(cf: tuple[int, ...], stats: list[LaurentPoly]) -> CaseReport:
     """
-    Verify the applicable removal recurrence: the given statistic whole of
-    the snake of cf (either parity form, both build the same snake) against
-    the statistics of the shorter and truncated snakes, each computed
-    independently.  With k coefficients and canonical a_k >= 2:
+    Verify the applicable removal recurrence on the snake of cf (either
+    parity form, both build the same snake) from its prefix statistics
+    stats: the shorter and truncated snakes are prefixes of the whole one.
+    With k coefficients and canonical a_k >= 2:
 
       k even:  M([a1..ak]) = M([a1..ak - 1]) + q^(1-ak) * M([a1..a(k-1)])
       k odd:   M([a1..ak]) = M([a1..ak - 1]) + q^(ak-1) * M([a1..a(k-1)])
@@ -172,11 +180,8 @@ def case_recurrences_check(cf: tuple[int, ...], whole: LaurentPoly) -> CaseRepor
     if len(cf) >= 2 and cf[-1] == 1:  # recurrence needs the canonical a_k >= 2
         cf = cf[:-2] + (cf[-2] + 1,)
     k = len(cf)
-    shorter_cf = cf[:-1] + (cf[-1] - 1,)
-    if shorter_cf[-1] == 0:
-        shorter_cf = shorter_cf[:-1]
-    shorter = matching_stat_dp(snake_graph(shorter_cf))
-    truncated = (matching_stat_dp(snake_graph(cf[:-1])) if k > 1 else ONE)
+    whole, shorter = stats[-1], stats[-2]
+    truncated = stats[sum(cf) - cf[-1]]
     factor_exp = (1 - cf[-1]) if k % 2 == 0 else (cf[-1] - 1)
     rhs = shorter + truncated.shifted(factor_exp)
     return CaseReport(cf=cf, applicable=True, case=1 if k % 2 == 0 else 2,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .kasteleyn import kasteleyn_report
 from .matching import (case_recurrences_check, denominator_via_matchings,
-                       matching_stat_dp)
+                       prefix_statistics)
 from .qrational import all_routes, cf_expand
 from .snake import snake_graph
 
@@ -41,20 +41,21 @@ def coprime_pairs(max_r: int) -> list[tuple[int, int]]:
 def check_pair(pair: tuple[int, int]) -> PairResult:
     """
     Every check on one pair, from one continued fraction, one route table
-    and one snake with its statistic.  The Kasteleyn report gives both the
-    theorem check and the kasteleyn check (|det| = statistic).
+    and one snake with its prefix statistics.  The Kasteleyn report gives
+    both the theorem check and the kasteleyn check (|det| = statistic).
     """
     r, s = pair
     cf = cf_expand(r, s)
     routes = all_routes(cf)
     g = snake_graph(cf)
-    stat = matching_stat_dp(g)
+    stats = prefix_statistics(g)
+    stat = stats[-1]
     kasteleyn = kasteleyn_report(cf, g, stat, routes.fractions["matrix"].num)
 
     counts_ok = (stat.eval_at_one() == r
                  and denominator_via_matchings(r, s).eval_at_one() == s)
 
-    case = case_recurrences_check(cf, stat)
+    case = case_recurrences_check(cf, stats)
     cases_ok = case.holds if case.applicable else True
 
     return PairResult(r=r, s=s, cases_applicable=case.applicable,

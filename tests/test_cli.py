@@ -5,7 +5,7 @@ import pytest
 
 from qsnake import cli, render
 from qsnake.cli import main
-from qsnake.kasteleyn import fibonacci_band_matrix
+from qsnake.kasteleyn import kasteleyn_matrix
 from qsnake.laurent import LaurentPoly
 from qsnake.render import ascii_render, graph_json, svg_render, tikz_render
 from qsnake.snake import snake_graph
@@ -187,6 +187,31 @@ def test_bad_env_jobs_is_a_verify_usage_error(capsys, monkeypatch):
     assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
+def test_jobs_bound_is_inclusive(capsys, monkeypatch):
+    # patched small: never start an over-bound pool
+    monkeypatch.setattr(cli, "MAX_JOBS", 2)
+    assert run(capsys, "verify", "--max-r", "5", "--jobs", "2")[0] == 0
+    for jobs in ("3", "0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-r", "5", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"argument --jobs must be between 1 and 2, got {jobs}" in capsys.readouterr().err
+    monkeypatch.setenv("QSNAKE_JOBS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-r", "5"])
+    assert exc.value.code == 2
+    assert "QSNAKE_JOBS must be between 1 and 2, got 0" in capsys.readouterr().err
+
+
+def test_snake_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    for path in (tmp_path / "missing" / "x.svg", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["snake", "5", "2", "--render", "svg", "--out", str(path)])
+        assert exc.value.code == 2
+        assert f"cannot write {str(path)!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_matchings_refuses_snakes_above_the_bound(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matchings", "1500", "1"])
@@ -262,9 +287,9 @@ def test_fibonacci_row_bound_is_inclusive(capsys, monkeypatch):
 
 
 def test_fibonacci_table_builds_one_band(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, fibonacci_band_matrix)
+    calls = count_calls(monkeypatch, kasteleyn_matrix)
     assert run(capsys, "fibonacci", "7")[0] == 0
-    assert calls["fibonacci_band_matrix"] == 1
+    assert calls["kasteleyn_matrix"] == 1
 
 
 def test_renders_are_pure():

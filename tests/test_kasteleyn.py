@@ -4,8 +4,7 @@ import random
 import pytest
 
 from qsnake.kasteleyn import (bandwidth_ok, det_exact,
-                              det_expansion, fibonacci_band_matrix,
-                              fibonacci_kasteleyn,
+                              det_expansion, fibonacci_kasteleyn,
                               fibonacci_kasteleyn_numerator, kasteleyn_matrix,
                               leading_minors, number_vertices,
                               permutation_term_signs, verify_kasteleyn)
@@ -210,21 +209,12 @@ def test_verify_sweep():
         assert rep.sign in (1, -1)
 
 
-def test_fibonacci_band_matrix_small():
-    rows = fibonacci_band_matrix(3)
-    assert rows[0] == (ONE, ONE, LaurentPoly.zero())
-    assert rows[1] == (-M(1), ONE, -M(-1))
-    assert rows[2] == (LaurentPoly.zero(), ONE, ONE)
-    assert det_expansion(fibonacci_band_matrix(4)).eval_at_one() == 5
-
-
 def test_fibonacci_kasteleyn_matches_strip_statistic():
     for n in range(2, 15):
         r, s = fibonacci_number(n + 1), fibonacci_number(n)
         strip = snake_graph(cf_expand(r, s))
         stat = matching_stat_dp(strip)
         assert fibonacci_kasteleyn(n) == stat, n
-        assert det_exact(fibonacci_band_matrix(n)) == stat, n
 
 
 def test_fibonacci_kasteleyn_at_one():

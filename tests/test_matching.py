@@ -1,12 +1,18 @@
 import math
 
+import pytest
+
+from qsnake import matching
 from qsnake.laurent import LaurentPoly, ONE
-from qsnake.matching import (case_recurrences_check, denominator_via_matchings,
+from qsnake.matching import (CaseReport, case_recurrences_check,
+                             denominator_via_matchings,
                              enumerate_matchings, matching_stat,
                              matching_stat_dp, matching_weight_exp,
-                             numerator_via_matchings, scalar_exponent)
+                             numerator_via_matchings, prefix_statistics,
+                             scalar_exponent)
 from qsnake.qrational import cf_expand, fibonacci_number, q_rational
 from qsnake.snake import denominator_snake, snake_graph
+from test_kasteleyn import _cut
 
 
 def lp(min_deg, *coeffs):
@@ -14,6 +20,7 @@ def lp(min_deg, *coeffs):
 
 
 SWEEP = [(r, s) for r in range(2, 41) for s in range(1, r) if math.gcd(r, s) == 1]
+SWEEP_60 = [(r, s) for r in range(2, 61) for s in range(1, r) if math.gcd(r, s) == 1]
 
 
 def test_enumerate_single_box():
@@ -63,6 +70,26 @@ def test_dp_multiplies_no_polynomials(monkeypatch):
     for cf in words:
         g = snake_graph(cf)
         assert matching_stat_dp(g) == matching_stat(g), cf
+
+
+def test_enumeration_box_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(matching, "MAX_ENUMERATION_BOXES", 3)
+    assert len(enumerate_matchings(snake_graph((4,)))) == 4  # 3 boxes
+    with pytest.raises(ValueError, match="at most 3 boxes, got 4"):
+        enumerate_matchings(snake_graph((5,)))
+
+
+def test_prefix_statistics_are_prefix_snake_statistics():
+    # entry m is the statistic of the snake of the cf cut to sum m, built
+    # from its own continued fraction: this cross-checks snake construction
+    # across continued fractions
+    for r, s in SWEEP:
+        cf = cf_expand(r, s)
+        stats = prefix_statistics(snake_graph(cf))
+        assert len(stats) == sum(cf) + 1
+        assert stats[0] == stats[1] == ONE
+        for m in range(1, sum(cf) + 1):
+            assert stats[m] == matching_stat_dp(snake_graph(_cut(cf, m))), (r, s, m)
 
 
 def test_dp_fibonacci_long_strip():
@@ -133,14 +160,15 @@ def test_denominator_candidate_is_mirror_of_denominator():
 
 
 def cases_check(cf):
-    return case_recurrences_check(cf, matching_stat_dp(snake_graph(cf)))
+    return case_recurrences_check(cf, prefix_statistics(snake_graph(cf)))
 
 
 def test_case_recurrences_examples():
     rep = cases_check((2, 2))
     assert rep.applicable and rep.case == 1 and rep.holds
     assert rep.whole == lp(-1, 1, 2, 1, 1)
-    assert not case_recurrences_check((2, 2), rep.whole + ONE).holds
+    stats = prefix_statistics(snake_graph((2, 2)))
+    assert not case_recurrences_check((2, 2), stats[:-1] + [stats[-1] + ONE]).holds
     rep = cases_check((4, 3))
     assert rep.case == 1 and rep.holds
     # the odd form of 13/3 builds the same snake, and is canonicalized
@@ -152,6 +180,31 @@ def test_case_recurrences_examples():
     assert rep.case == 2 and rep.holds
     rep = cases_check((2,))
     assert not rep.applicable
+
+
+def test_case_reports_match_separately_built_snakes():
+    # each CaseReport field against the shorter and truncated snakes built
+    # from their own continued fractions
+    for r, s in SWEEP_60:
+        cf = cf_expand(r, s)
+        rep = cases_check(cf)
+        if sum(cf) < 3:
+            assert rep == CaseReport(cf=cf, applicable=False), (r, s)
+            continue
+        if len(cf) >= 2 and cf[-1] == 1:
+            cf = cf[:-2] + (cf[-2] + 1,)
+        k = len(cf)
+        shorter_cf = cf[:-1] + (cf[-1] - 1,)
+        if shorter_cf[-1] == 0:
+            shorter_cf = shorter_cf[:-1]
+        whole = matching_stat_dp(snake_graph(cf))
+        shorter = matching_stat_dp(snake_graph(shorter_cf))
+        truncated = matching_stat_dp(snake_graph(cf[:-1])) if k > 1 else ONE
+        factor_exp = (1 - cf[-1]) if k % 2 == 0 else (cf[-1] - 1)
+        assert rep == CaseReport(
+            cf=cf, applicable=True, case=1 if k % 2 == 0 else 2,
+            holds=whole == shorter + truncated.shifted(factor_exp), whole=whole,
+            shorter=shorter, truncated=truncated, factor_exp=factor_exp), (r, s)
 
 
 def test_case_recurrences_sweep():

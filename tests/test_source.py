@@ -96,15 +96,36 @@ def test_docstring_examples():
     assert attempted, "no docstring examples ran"
 
 
+def _limits():
+    """Every module-level MAX_* limit, as (module stem, name)."""
+    return [(path.stem, target.id)
+            for path in SOURCES
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name) and target.id.startswith("MAX_")]
+
+
+def test_limits_are_tested():
+    # every limit has a bound test: some test patches it by name with
+    # monkeypatch.setattr(module, "MAX_...", value)
+    patched = {node.args[1].value
+               for path in (ROOT / "tests").glob("test_*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "setattr"
+               and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "monkeypatch"
+               and len(node.args) == 3 and isinstance(node.args[1], ast.Constant)}
+    limits = _limits()
+    missing = [f"qsnake.{stem}.{name}" for stem, name in limits if name not in patched]
+    assert limits and not missing, missing
+
+
 def test_limits_are_documented():
     # every module-level MAX_* limit is named in the formats document
     formats = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
-    limits = [f"qsnake.{path.stem}.{target.id}"
-              for path in SOURCES
-              for node in ast.parse(path.read_text(encoding="utf-8")).body
-              if isinstance(node, (ast.Assign, ast.AnnAssign))
-              for target in (node.targets if isinstance(node, ast.Assign)
-                             else [node.target])
-              if isinstance(target, ast.Name) and target.id.startswith("MAX_")]
+    limits = [f"qsnake.{stem}.{name}" for stem, name in _limits()]
     missing = [name for name in limits if f"`{name}`" not in formats]
     assert limits and not missing, missing

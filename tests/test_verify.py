@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 
 import qsnake.kasteleyn
-from qsnake.matching import matching_stat_dp
+from qsnake.matching import prefix_statistics
 from qsnake.qrational import cf_expand
 from qsnake.snake import snake_graph
 from qsnake.verify import CHECK_NAMES, check_pair
@@ -34,13 +34,14 @@ def count_calls(monkeypatch, *functions):
 
 
 def test_check_pair_derives_each_snake_and_statistic_once(monkeypatch):
-    calls = count_calls(monkeypatch, cf_expand, snake_graph, matching_stat_dp)
+    calls = count_calls(monkeypatch, cf_expand, snake_graph, prefix_statistics)
     result = check_pair((13, 3))
     assert result.ok and result.cases_applicable
-    # 13/3 = [4, 3]: the whole snake, the tail [3] for the denominator, and
-    # the shorter [4, 2] and truncated [4] snakes of the removal recurrence
-    assert calls["snake_graph"] == 4
-    assert calls["matching_stat_dp"] == 4
+    # 13/3 = [4, 3]: the whole snake, whose prefixes hold the shorter [4, 2]
+    # and truncated [4] snakes of the removal recurrence, and the tail [3]
+    # for the denominator
+    assert calls["snake_graph"] == 2
+    assert calls["prefix_statistics"] == 2
     # one expansion for the pair, one inside denominator_via_matchings(r, s)
     assert calls["cf_expand"] == 2
 
