@@ -5,7 +5,7 @@ import pytest
 
 from qsnake import cli, render
 from qsnake.cli import main
-from qsnake.kasteleyn import kasteleyn_matrix
+from qsnake.kasteleyn import kasteleyn_matrix, verify_kasteleyn
 from qsnake.laurent import LaurentPoly
 from qsnake.render import ascii_render, graph_json, svg_render, tikz_render
 from qsnake.snake import snake_graph
@@ -147,6 +147,18 @@ def test_kasteleyn_json(capsys):
     assert blob["scalar_exponent"] == 2
     det = LaurentPoly.from_json(blob["det"])
     assert det == blob["sign"] * LaurentPoly(-2, (1, 2, 3, 3, 2, 1, 1))
+
+
+def test_kasteleyn_json_is_the_dense_blob(capsys):
+    # the row-by-row writer against json.dumps of the dense matrix's to_json
+    for r, s in [(1, 1), (2, 1), (13, 3), (61, 27), (34, 21)]:
+        code, out = run(capsys, "kasteleyn", str(r), str(s))
+        report = verify_kasteleyn(r, s)
+        blob = report.matrix.to_json()
+        blob.update({"det": report.det.to_json(), "det_text": report.det.text(),
+                     "sign": report.sign, "scalar_exponent": report.scalar,
+                     "verified": report.ok})
+        assert code == 0 and out == json.dumps(blob, indent=2) + "\n", (r, s)
 
 
 def test_fibonacci_table(capsys):

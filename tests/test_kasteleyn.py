@@ -3,15 +3,16 @@ import random
 
 import pytest
 
-from qsnake.kasteleyn import (bandwidth_ok, det_exact,
+from qsnake.kasteleyn import (KasteleynMatrix, bandwidth_ok, det_exact,
                               det_expansion, fibonacci_kasteleyn,
                               fibonacci_kasteleyn_numerator, kasteleyn_matrix,
-                              leading_minors, number_vertices,
+                              kasteleyn_report, leading_minors, number_vertices,
                               permutation_term_signs, verify_kasteleyn)
 from qsnake.laurent import LaurentPoly, ONE, ZERO
 from qsnake.matching import matching_stat_dp
-from qsnake.qrational import cf_expand, fibonacci_number, fibonacci_polys, q_int
-from qsnake.snake import snake_graph
+from qsnake.qrational import (cf_expand, fibonacci_number, fibonacci_polys, q_int,
+                              q_matrix_eval)
+from qsnake.snake import SnakeGraph, snake_graph
 
 
 def lp(min_deg, *coeffs):
@@ -162,6 +163,72 @@ def test_leading_minors_of_random_bands():
             assert minor == det_expansion(block), (entries, k)
         assert det_exact(entries) == minors[-1]
     assert leading_minors(()) == [ONE]
+
+
+def _coprime(max_r):
+    return [(r, s) for r in range(2, max_r + 1) for s in range(1, r) if math.gcd(r, s) == 1]
+
+
+def test_band_equals_dense_matrix():
+    # the dense view of the band against the matrix built here entry by entry
+    # from the numbering, the orientation and the weights
+    for r, s in _coprime(40):
+        g = snake_graph(cf_expand(r, s))
+        black, white = number_vertices(g)
+        dense = [[ZERO] * len(white) for _ in black]
+        for e in g.edges:
+            tail, head = g.arrow(e)
+            if g.is_black(tail):
+                i, j, sign = black.index(tail), white.index(head), 1
+            else:
+                i, j, sign = black.index(head), white.index(tail), -1
+            dense[i][j] = M(g.weight_exp[e], sign)
+        mat = kasteleyn_matrix(g)
+        assert mat.entries == tuple(tuple(row) for row in dense), (r, s)
+        assert mat.size == len(black)
+        assert sum(len(row) for row in mat.band) == len(g.edges)
+
+
+def test_determinant_multiplies_no_polynomials(monkeypatch):
+    # each entry +-q^k is applied as a shift by k and a sign
+    cases = []
+    for r, s in _coprime(30):
+        cf = cf_expand(r, s)
+        g = snake_graph(cf)
+        args = (cf, g, matching_stat_dp(g), q_matrix_eval(cf).num)
+        cases.append((args, kasteleyn_report(*args)))
+    strip = fibonacci_kasteleyn(40)
+
+    def refuse(self, other):
+        raise AssertionError("the Kasteleyn determinant multiplied two polynomials")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+    for args, before in cases:
+        assert kasteleyn_report(*args) == before, args[0]
+    assert fibonacci_kasteleyn(40) == strip
+
+
+def test_large_strip_builds_no_dense_matrix(monkeypatch):
+    # (4001, 1) is a 4000-box strip: its dense matrix would hold 4001^2 entries
+    def refuse(self):
+        raise AssertionError("the dense view was built")
+
+    monkeypatch.setattr(KasteleynMatrix, "entries", property(refuse))
+    rep = verify_kasteleyn(4001, 1)
+    assert rep.ok and rep.matrix.size == 4001
+    assert rep.det.eval_at_one() in (4001, -4001)
+
+
+def test_matrix_refuses_an_edge_outside_the_band():
+    # a chord from the first black vertex to the last white one of 13/3
+    g = snake_graph((4, 3))
+    black, white = number_vertices(g)
+    chord = tuple(sorted((black[0], white[-1])))
+    wide = SnakeGraph(boxes=g.boxes, edges=g.edges + (chord,),
+                      weight_exp={**g.weight_exp, chord: 0})
+    with pytest.raises(ValueError, match="outside the band"):
+        kasteleyn_matrix(wide)
 
 
 def test_bandwidth():
