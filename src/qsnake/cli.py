@@ -41,6 +41,14 @@ MAX_MATCHING_EDGES = 400_000
 # the table takes time cubic in n: 300 rows took 1.1-1.3 s.
 MAX_FIBONACCI_ROWS = 300
 
+# Largest `verify --max-r`.  The sweep checks every coprime pair s < r <= N,
+# about 0.3 N^2 pairs, and a pair's cost grows with r, so the time grows
+# about as N^3: --max-r 100 took 2.9 s of CPU, 200 17.9 s and 300 (27397
+# pairs) 41 s on one core.  The pair list is built whole first, so without a
+# bound a huge N ends in a MemoryError or an out-of-memory kill; 1000 is the
+# largest sweep the property tests aim at.
+MAX_VERIFY_R = 1000
+
 # Most worker processes `verify` starts.  The pool starts every worker at
 # once, each a forked interpreter that peaked at 15 MiB RSS in `verify
 # --max-r 100 --jobs 2`, and the sweep is CPU-bound, so workers beyond the
@@ -203,6 +211,8 @@ def cmd_fibonacci(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     if args.max_r < 2:
         parser.error("--max-r must be >= 2")
+    if args.max_r > MAX_VERIFY_R:  # before any pair or worker exists
+        parser.error(f"--max-r must be at most {MAX_VERIFY_R}, got {args.max_r}")
     jobs, source = args.jobs, "argument --jobs"
     if jobs is None:
         # read per call: the parser is built once, the environment may change

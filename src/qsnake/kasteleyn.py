@@ -94,7 +94,7 @@ def kasteleyn_matrix(g: SnakeGraph) -> KasteleynMatrix:
     row_of = {v: i for i, v in enumerate(black)}
     col_of = {v: j for j, v in enumerate(white)}
     rows: list[list] = [[] for _ in black]
-    for e in g.edges:
+    for e, exp in g.weight_exp.items():
         tail, head = g.arrow(e)
         if g.is_black(tail):
             i, j, sign = row_of[tail], col_of[head], 1
@@ -102,7 +102,7 @@ def kasteleyn_matrix(g: SnakeGraph) -> KasteleynMatrix:
             i, j, sign = row_of[head], col_of[tail], -1
         if abs(i - j) > 2:
             raise ValueError(f"edge {e} is entry ({i}, {j}), outside the band |i - j| <= 2")
-        rows[i].append((j - i + 2, sign, g.weight_exp[e]))
+        rows[i].append((j - i + 2, sign, exp))
     return KasteleynMatrix(tuple([tuple(row) for row in rows]),
                            tuple(black), tuple(white))
 

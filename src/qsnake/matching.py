@@ -10,11 +10,12 @@ fraction, recovers the numerator polynomial of the deformed rational.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .laurent import ONE, LaurentPoly
 from .qrational import cf_even_form, cf_expand
-from .snake import (RIGHT, UP, Edge, SnakeGraph, box_edges, denominator_snake,
-                    snake_graph)
+from .snake import (RIGHT, UP, Edge, SnakeGraph, Vertex, box_edges,
+                    denominator_snake, snake_graph)
 
 Matching = tuple[Edge, ...]
 
@@ -34,8 +35,13 @@ def enumerate_matchings(g: SnakeGraph) -> list[Matching]:
     if len(g.boxes) > MAX_ENUMERATION_BOXES:
         raise ValueError(f"matching enumeration is limited to snakes of at most "
                          f"{MAX_ENUMERATION_BOXES} boxes, got {len(g.boxes)}")
-    vertices = g.vertices
-    adjacency = g.adjacency
+    adjacency: dict[Vertex, list[Vertex]] = {}
+    for a, b in g.weight_exp:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    vertices = sorted(adjacency)
+    for v in vertices:
+        adjacency[v].sort()
     covered: set = set()
     chosen: list[Edge] = []
     found: list[Matching] = []
@@ -81,8 +87,15 @@ def prefix_statistics(g: SnakeGraph) -> list[LaurentPoly]:
     """
     The statistic of every prefix in one linear pass: entry m (m = 0 ..
     sum(cf)) is that of the first m - 1 boxes, the snake of cf cut to sum m;
-    entries 0 (empty) and 1 (the lone unweighted edge) are 1.  State after
-    box i: the statistic of the prefix graph, and the statistic of the
+    entries 0 (empty) and 1 (the lone unweighted edge) are 1.
+    """
+    return list(_prefix_statistics(g))
+
+
+def _prefix_statistics(g: SnakeGraph) -> Iterator[LaurentPoly]:
+    """
+    Yield the prefix statistics in turn, holding only the last two.  State
+    after box i: the statistic of the prefix graph, and the statistic of the
     prefix with the two vertices where box i+1 attaches removed (on that
     reduced graph the last ladder step is forced, contributing the opposite
     side edge's weight on turns).  Weights stay exponents: each weight q^k
@@ -90,13 +103,17 @@ def prefix_statistics(g: SnakeGraph) -> list[LaurentPoly]:
     """
     boxes = g.boxes
     k = g.weight_exp
+    yield ONE
     if not boxes:
-        return [ONE, LaurentPoly.monomial(k[g.edges[0]])]
+        yield from map(LaurentPoly.monomial, k.values())  # the lone edge
+        return
+    yield ONE
     sides0 = box_edges(boxes[0])
-    stats = [ONE, ONE, LaurentPoly.monomial(k[sides0["W"]] + k[sides0["E"]])
-             + LaurentPoly.monomial(k[sides0["N"]] + k[sides0["S"]])]
+    prev, last = ONE, (LaurentPoly.monomial(k[sides0["W"]] + k[sides0["E"]])
+                       + LaurentPoly.monomial(k[sides0["N"]] + k[sides0["S"]]))
+    yield last
     if len(boxes) == 1:
-        return stats
+        return
     dirs = [RIGHT if boxes[i][0] > boxes[i - 1][0] else UP
             for i in range(1, len(boxes))]
     reduced = LaurentPoly.monomial(k[sides0["W" if dirs[0] == RIGHT else "S"]])
@@ -106,21 +123,26 @@ def prefix_statistics(g: SnakeGraph) -> list[LaurentPoly]:
             far, side_a, side_b = sides["E"], sides["N"], sides["S"]
         else:
             far, side_a, side_b = sides["N"], sides["W"], sides["E"]
-        stats.append(stats[-1].shifted(k[far])
-                     + reduced.shifted(k[side_a] + k[side_b]))
+        prev, last = last, (last.shifted(k[far])
+                            + reduced.shifted(k[side_a] + k[side_b]))
+        yield last
         if i < len(boxes) - 1:
             if dirs[i] == dirs[i - 1]:
-                reduced = stats[-2]
+                reduced = prev
             elif dirs[i - 1] == RIGHT:  # turning up: south edge forced
                 reduced = reduced.shifted(k[sides["S"]])
             else:  # turning right: west edge forced
                 reduced = reduced.shifted(k[sides["W"]])
-    return stats
 
 
 def matching_stat_dp(g: SnakeGraph) -> LaurentPoly:
-    """The statistic in one linear pass: the last of the prefix statistics."""
-    return prefix_statistics(g)[-1]
+    """
+    The statistic in one linear pass: the last of the prefix statistics,
+    with only the current ones held, so memory stays linear in the boxes.
+    """
+    for stat in _prefix_statistics(g):
+        pass
+    return stat
 
 
 def scalar_exponent(cf: tuple[int, ...]) -> int:

@@ -28,8 +28,9 @@ def ascii_render(g: SnakeGraph) -> str:
     just inside the box, horizontal ones inline in the edge.
 
     Raises ValueError when the grid would exceed MAX_ASCII_CELLS cells."""
-    max_x = max(v[0] for v in g.vertices)
-    max_y = max(v[1] for v in g.vertices)
+    vertices = g.vertices
+    max_x = max(v[0] for v in vertices)
+    max_y = max(v[1] for v in vertices)
     width = max_x * CELL_W + 1
     height = max_y * CELL_H + 1
     if width * height > MAX_ASCII_CELLS:
@@ -40,8 +41,7 @@ def ascii_render(g: SnakeGraph) -> str:
     def at(x, y):
         return (max_y - y) * CELL_H, x * CELL_W
 
-    for (x1, y1), (x2, y2) in g.edges:
-        exp = g.weight_exp[((x1, y1), (x2, y2))]
+    for ((x1, y1), (x2, y2)), exp in g.weight_exp.items():
         row, col = at(x1, y1)
         if y1 == y2:  # horizontal
             body = "-" * (CELL_W - 1) if exp == 0 else _LABEL[exp].center(CELL_W - 1, "-")
@@ -51,15 +51,16 @@ def ascii_render(g: SnakeGraph) -> str:
             if exp:
                 label = _LABEL[exp]
                 canvas[row - 1][col + 1:col + 1 + len(label)] = label
-    for x, y in g.vertices:
+    for x, y in vertices:
         row, col = at(x, y)
         canvas[row][col] = "+"
     return "\n".join("".join(line).rstrip() for line in canvas)
 
 
 def svg_render(g: SnakeGraph) -> str:
-    max_x = max(v[0] for v in g.vertices)
-    max_y = max(v[1] for v in g.vertices)
+    vertices = g.vertices
+    max_x = max(v[0] for v in vertices)
+    max_y = max(v[1] for v in vertices)
     width = max_x * SVG_SCALE + 2 * SVG_MARGIN
     height = max_y * SVG_SCALE + 2 * SVG_MARGIN
 
@@ -69,9 +70,8 @@ def svg_render(g: SnakeGraph) -> str:
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
     labels = []
-    for e in g.edges:
+    for e, exp in g.weight_exp.items():
         (x1, y1), (x2, y2) = pt(e[0]), pt(e[1])
-        exp = g.weight_exp[e]
         color = "blue" if exp == 1 else ("red" if exp == -1 else "black")
         sw = 3 if exp else 1.5
         parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
@@ -92,9 +92,7 @@ def svg_render(g: SnakeGraph) -> str:
 
 def tikz_render(g: SnakeGraph) -> str:
     lines = ["\\begin{tikzpicture}[scale=0.7]"]
-    for e in g.edges:
-        (x1, y1), (x2, y2) = e
-        exp = g.weight_exp[e]
+    for ((x1, y1), (x2, y2)), exp in g.weight_exp.items():
         if exp == 0:
             lines.append(f"\\draw[line width=0.7pt] ({x1},{y1}) -- ({x2},{y2});")
         else:
@@ -109,10 +107,10 @@ def tikz_render(g: SnakeGraph) -> str:
 
 def graph_json(g: SnakeGraph) -> dict:
     edges = []
-    for e in g.edges:
+    for e, exp in g.weight_exp.items():
         tail, head = g.arrow(e)
         edges.append({"u": list(e[0]), "v": list(e[1]),
-                      "weight_exp": g.weight_exp[e],
+                      "weight_exp": exp,
                       "tail": list(tail), "head": list(head)})
     return {
         "boxes": [list(b) for b in g.boxes],

@@ -6,11 +6,14 @@ the western and southern borders pick up weights q or 1/q from a fixed
 two-colored grid, every other edge has weight 1.  Every elementary box ends
 up with exactly one weighted edge, which is what makes the canonical
 orientation below a Kasteleyn orientation.
+
+A ``SnakeGraph`` is its boxes and its weight map, nothing more: the edges,
+vertices and colors are read off the map when a reader asks for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -73,26 +76,22 @@ def box_edges(box: Box) -> dict[str, Edge]:
 class SnakeGraph:
     """
     A weighted snake graph embedded in the grid, built complete by
-    ``snake_graph``.  ``weight_exp`` maps each edge to the exponent k of its
-    weight q^k.  The sorted vertex list and the sorted neighbours of each
-    vertex are derived from the edges once, at construction.
+    ``snake_graph``: its boxes along the path, and ``weight_exp``, which maps
+    every edge, in sorted edge order, to the exponent k of its weight q^k.
+    The edges and vertices (both sorted) and the colors are derived from
+    these two on each access.
     """
 
     boxes: tuple[Box, ...]
-    edges: tuple[Edge, ...]
     weight_exp: dict[Edge, int]
-    vertices: tuple[Vertex, ...] = field(init=False)
-    adjacency: dict[Vertex, tuple[Vertex, ...]] = field(init=False)
 
-    def __post_init__(self):
-        adjacency: dict[Vertex, list[Vertex]] = {}
-        for a, b in self.edges:
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        vertices = tuple(sorted(adjacency))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "adjacency",
-                           {v: tuple(sorted(adjacency[v])) for v in vertices})
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(self.weight_exp)
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(sorted({v for e in self.weight_exp for v in e}))
 
     def is_black(self, v: Vertex) -> bool:
         return (v[0] + v[1]) % 2 == 0
@@ -140,17 +139,15 @@ def snake_graph(cf: tuple[int, ...]) -> SnakeGraph:
         raise ValueError("continued fraction must have positive sum")
     boxes = box_path(cf)
     if not boxes:
-        edge = ((0, 0), (1, 0))
-        return SnakeGraph(boxes=(), edges=(edge,), weight_exp={edge: 0})
-    edges = tuple(sorted({e for b in boxes for e in box_edges(b).values()}))
-    weights = dict.fromkeys(edges, 0)
+        return SnakeGraph(boxes=(), weight_exp={((0, 0), (1, 0)): 0})
+    weights = dict.fromkeys(sorted({e for b in boxes for e in box_edges(b).values()}), 0)
     for i, box in enumerate(boxes):
         sides = box_edges(box)
         if i == 0 or boxes[i][1] == boxes[i - 1][1] + 1:  # west border exposed
             weights[sides["W"]] = _grid_exponent(sides["W"])
         if i == 0 or boxes[i][0] == boxes[i - 1][0] + 1:  # south border exposed
             weights[sides["S"]] = _grid_exponent(sides["S"])
-    return SnakeGraph(boxes=boxes, edges=edges, weight_exp=weights)
+    return SnakeGraph(boxes=boxes, weight_exp=weights)
 
 
 def denominator_snake(cf: tuple[int, ...]) -> SnakeGraph:

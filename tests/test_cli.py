@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qsnake import cli, render
+from qsnake import cli, render, verify
 from qsnake.cli import main
 from qsnake.kasteleyn import kasteleyn_matrix, verify_kasteleyn
 from qsnake.laurent import LaurentPoly
@@ -213,6 +213,27 @@ def test_jobs_bound_is_inclusive(capsys, monkeypatch):
         main(["verify", "--max-r", "5"])
     assert exc.value.code == 2
     assert "QSNAKE_JOBS must be between 1 and 2, got 0" in capsys.readouterr().err
+
+
+def test_max_r_bound_is_inclusive(capsys, monkeypatch):
+    # patched small: never build an over-bound pair list
+    monkeypatch.setattr(cli, "MAX_VERIFY_R", 12)
+    code, out = run(capsys, "verify", "--max-r", "12")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN_DIR / "verify-max-r-12.out").read_bytes()
+
+    def refuse(pair):
+        raise AssertionError("checked a pair of an over-bound sweep")
+
+    monkeypatch.setattr(verify, "check_pair", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-r", "13"])
+    assert exc.value.code == 2
+    assert "--max-r must be at most 12, got 13" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-r", "1"])
+    assert exc.value.code == 2
+    assert "--max-r must be >= 2" in capsys.readouterr().err
 
 
 def test_snake_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -90,6 +91,20 @@ def test_prefix_statistics_are_prefix_snake_statistics():
         assert stats[0] == stats[1] == ONE
         for m in range(1, sum(cf) + 1):
             assert stats[m] == matching_stat_dp(snake_graph(_cut(cf, m))), (r, s, m)
+
+
+def test_dp_holds_only_the_current_statistics():
+    # the 4000-box staircase of 4001/1: keeping every prefix statistic, as
+    # prefix_statistics does, peaks near 62 MiB for a result of a few KiB
+    g = snake_graph((4001,))
+    tracemalloc.start()
+    try:
+        stat = matching_stat_dp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stat.eval_at_one() == 4001
+    assert peak < 2 * 2**20, f"peak {peak} bytes"
 
 
 def test_dp_fibonacci_long_strip():

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from qsnake.qrational import cf_expand
-from qsnake.snake import (box_path, colored_edges, denominator_snake,
+from qsnake.snake import (SnakeGraph, box_path, colored_edges, denominator_snake,
                           face_arrow_counts, sign_sequence, snake_graph)
 
 SWEEP = [(r, s) for r in range(2, 41) for s in range(1, r) if math.gcd(r, s) == 1]
@@ -45,6 +45,7 @@ def test_counts():
         assert len(g.edges) == 3 * d + 1
         assert len(g.black_vertices) == d + 1
         assert len(g.white_vertices) == d + 1
+        assert list(g.weight_exp) == sorted(g.weight_exp)
 
 
 def test_weights_small_golden():
@@ -171,11 +172,18 @@ def test_snake_graph_built_complete():
     g = snake_graph((2, 2))
     assert set(g.weight_exp) == set(g.edges)
     assert all(set(g.arrow(e)) == set(e) for e in g.edges)
-    assert g.adjacency[(1, 0)] == ((0, 0), (1, 1), (2, 0))
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.weight_exp = {}
     with pytest.raises(ValueError):
         snake_graph(())
+
+
+def test_snake_graph_stores_boxes_and_weights_only():
+    # edges, vertices and colors are derived from these two on access
+    assert [f.name for f in dataclasses.fields(SnakeGraph)] == ["boxes", "weight_exp"]
+    g = snake_graph((4, 3))
+    assert g.edges == tuple(g.weight_exp)
+    assert g.vertices == tuple(sorted({v for e in g.edges for v in e}))
 
 
 def test_degenerate_unit_snake():

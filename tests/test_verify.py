@@ -1,13 +1,14 @@
 """The per-pair computation of the verify sweep: what it derives, and which
 family each identity's failure lands in."""
 
+import math
 import sys
 from collections import Counter
 
 import qsnake.kasteleyn
-from qsnake.matching import prefix_statistics
+from qsnake.matching import _prefix_statistics
 from qsnake.qrational import cf_expand
-from qsnake.snake import snake_graph
+from qsnake.snake import SnakeGraph, snake_graph
 from qsnake.verify import CHECK_NAMES, check_pair
 
 
@@ -34,16 +35,29 @@ def count_calls(monkeypatch, *functions):
 
 
 def test_check_pair_derives_each_snake_and_statistic_once(monkeypatch):
-    calls = count_calls(monkeypatch, cf_expand, snake_graph, prefix_statistics)
+    calls = count_calls(monkeypatch, cf_expand, snake_graph, _prefix_statistics)
     result = check_pair((13, 3))
     assert result.ok and result.cases_applicable
     # 13/3 = [4, 3]: the whole snake, whose prefixes hold the shorter [4, 2]
     # and truncated [4] snakes of the removal recurrence, and the tail [3]
-    # for the denominator
+    # for the denominator; each snake gets one pass of the DP body, behind
+    # both prefix_statistics and matching_stat_dp
     assert calls["snake_graph"] == 2
-    assert calls["prefix_statistics"] == 2
+    assert calls["_prefix_statistics"] == 2
     # one expansion for the pair, one inside denominator_via_matchings(r, s)
     assert calls["cf_expand"] == 2
+
+
+def test_check_pair_reads_no_vertex_list(monkeypatch):
+    # the per-pair path reads each snake's boxes and weight map only
+    def refuse(self):
+        raise AssertionError("the vertex list was built")
+
+    monkeypatch.setattr(SnakeGraph, "vertices", property(refuse))
+    for r in range(2, 31):
+        for s in range(1, r):
+            if math.gcd(r, s) == 1:
+                assert check_pair((r, s)).ok, (r, s)
 
 
 def test_theorem_fault_fails_only_the_theorem_family(monkeypatch):
