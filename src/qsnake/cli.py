@@ -32,8 +32,9 @@ MAX_KASTELEYN_BOXES = 600
 
 # Most edges `matchings` prints: the matching count times the boxes + 1 edges
 # of each matching.  The count is r, exponential in the box count when the
-# quotients are small; `matchings 601 1` (361201 edges) took 12.7 s, printed
-# 48.6 MB and peaked at 420 MiB, `matchings 17711 10946` (371931) 5.6 s.
+# quotients are small; `matchings 601 1` (361201 edges) took 5.1 s of user
+# CPU on a shared 2-core VM, printed 48.6 MB and peaked at 420 MiB, and
+# `matchings 17711 10946` (371931) took 5.8 s.
 MAX_MATCHING_EDGES = 400_000
 
 # Largest table `fibonacci` prints.  The rows' determinants come from one

@@ -7,7 +7,9 @@ the band, each row's nonzero entries as (column offset, sign, exponent), in
 memory linear in the box count.  The determinant is a Laplace expansion along
 that band which applies each entry as a shift by its exponent and folds its
 sign into the inversion parity, so it multiplies no polynomials.  Up to one
-overall sign it equals the weighted matching statistic of the graph.
+overall sign it equals the weighted matching statistic of the graph.  Only
+the oracles ``det_expansion`` and ``permutation_term_signs`` also take a
+dense matrix of arbitrary Laurent entries.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from .qrational import CF, cf_expand, q_matrix_eval
 from .snake import SnakeGraph, snake_graph
 
 Entries = tuple[tuple[LaurentPoly, ...], ...]
-# Row i of a band: its nonzero entries as (k, sign, w), the entry at column
-# i - 2 + k.  For a signed monomial w is the exponent: the entry is sign * q^w.
-# Only a general entry of a dense matrix (see band_rows) is kept whole, as
-# (k, 1, entry).
-Band = tuple[tuple[tuple[int, int, int | LaurentPoly], ...], ...]
+# Row i of a band: its nonzero entries as (k, sign, exponent), the entry
+# sign * q^exponent at column i - 2 + k.
+Band = tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 def number_vertices(g: SnakeGraph) -> tuple[list, list]:
@@ -109,42 +109,13 @@ def kasteleyn_matrix(g: SnakeGraph) -> KasteleynMatrix:
 
 # -- exact determinants ------------------------------------------------------
 
-def bandwidth_ok(m: KasteleynMatrix | Entries) -> bool:
-    """Nonzero entries confined to |i - j| <= 2, as under the path numbering."""
-    entries = m.entries if isinstance(m, KasteleynMatrix) else m
-    return all(e.is_zero() or abs(i - j) <= 2
-               for i, row in enumerate(entries) for j, e in enumerate(row))
-
-
-def band_rows(entries: Entries) -> Band:
-    """
-    The band of a dense square matrix: an entry +-q^k as (offset, sign, k),
-    any other nonzero entry whole, as (offset, 1, entry).  Raises ValueError
-    on a nonzero entry at |i - j| >= 3.
-    """
-    if not bandwidth_ok(entries):
-        raise ValueError("det_exact needs nonzero entries only at |i - j| <= 2")
-    n = len(entries)
-    rows = []
-    for i, row in enumerate(entries):
-        band_row = []
-        for j in range(max(i - 2, 0), min(i + 3, n)):
-            e = row[j]
-            if e.coeffs in ((1,), (-1,)):
-                band_row.append((j - i + 2, e.coeffs[0], e.min_deg))
-            elif not e.is_zero():
-                band_row.append((j - i + 2, 1, e))
-        rows.append(tuple(band_row))
-    return tuple(rows)
-
-
 # _INVERSION_SIGN[used][k] is -1 when, with the offsets in the mask `used`
 # taken, choosing offset k skips an odd number of free columns below it
 _INVERSION_SIGN = tuple([tuple([-1 if (~used & ((1 << k) - 1)).bit_count() % 2 else 1
                                 for k in range(5)]) for used in range(16)])
 
 
-def _minors(m: KasteleynMatrix | Entries) -> Iterator[LaurentPoly]:
+def _minors(m: KasteleynMatrix) -> Iterator[LaurentPoly]:
     """
     Division-free Laplace expansion along the band rows, yielding every
     leading principal minor in turn, from the 0 x 0 one.
@@ -153,16 +124,13 @@ def _minors(m: KasteleynMatrix | Entries) -> Iterator[LaurentPoly]:
     i-2 is taken and exactly two of i-2 .. i+1 are.  The partial expansions
     are keyed by those two, as bits 0..3 of a mask; columns outside the
     matrix count as taken.  Choosing column i-2+k skips the free columns
-    below it, each an inversion.  A monomial entry sign * q^w is applied as
-    a shift by w, with its sign folded into the inversion sign so the term
-    is negated at most once; only a general entry of a dense matrix is
-    multiplied.  A dense matrix goes through ``band_rows``, so raises
-    ValueError on a wider band.
+    below it, each an inversion.  An entry sign * q^w is applied as a shift
+    by w, with its sign folded into the inversion sign so the term is
+    negated at most once: the expansion multiplies no polynomials.
     """
-    rows = m.band if isinstance(m, KasteleynMatrix) else band_rows(m)
     partial = {0b0011: ONE}
     yield ONE
-    for row in rows:
+    for row in m.band:
         step: dict[int, LaurentPoly] = {}
         for used, value in partial.items():
             inversion_sign = _INVERSION_SIGN[used]
@@ -170,10 +138,7 @@ def _minors(m: KasteleynMatrix | Entries) -> Iterator[LaurentPoly]:
                 taken = used | 1 << k
                 if taken == used or not taken & 1:
                     continue  # column i-2+k is taken, or i-2 would stay free for good
-                if type(w) is not int:
-                    term = value * w
-                else:
-                    term = value.shifted(w) if w else value
+                term = value.shifted(w) if w else value
                 if sign != inversion_sign[k]:
                     term = -term
                 key = taken >> 1
@@ -182,15 +147,15 @@ def _minors(m: KasteleynMatrix | Entries) -> Iterator[LaurentPoly]:
         yield partial.get(0b0011, ZERO)  # minor of rows, columns 0 .. i
 
 
-def leading_minors(m: KasteleynMatrix | Entries) -> list[LaurentPoly]:
-    """Every leading principal minor of a bandwidth-2 matrix: entry k is the k x k one."""
+def leading_minors(m: KasteleynMatrix) -> list[LaurentPoly]:
+    """Every leading principal minor of the matrix: entry k is the k x k one."""
     return list(_minors(m))
 
 
-def det_exact(m: KasteleynMatrix | Entries) -> LaurentPoly:
+def det_exact(m: KasteleynMatrix) -> LaurentPoly:
     """
-    The determinant of a bandwidth-2 matrix: its last leading minor, with
-    only the current minors held, so memory stays linear in the size.
+    The determinant of the matrix: its last leading minor, with only the
+    current minors held, so memory stays linear in the size.
     """
     for minor in _minors(m):
         pass

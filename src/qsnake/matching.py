@@ -46,23 +46,28 @@ def enumerate_matchings(g: SnakeGraph) -> list[Matching]:
     chosen: list[Edge] = []
     found: list[Matching] = []
 
-    def extend():
-        free = next((v for v in vertices if v not in covered), None)
-        if free is None:
+    def extend(start: int):
+        # every vertex before start is covered: the level above matched the
+        # lowest uncovered vertex, at start - 1
+        i = start
+        while i < len(vertices) and vertices[i] in covered:
+            i += 1
+        if i == len(vertices):
             found.append(tuple(sorted(chosen)))
             return
+        free = vertices[i]
         for w in adjacency[free]:
             if w in covered:
                 continue
             covered.add(free)
             covered.add(w)
             chosen.append(tuple(sorted((free, w))))
-            extend()
+            extend(i + 1)
             chosen.pop()
             covered.discard(free)
             covered.discard(w)
 
-    extend()
+    extend(0)
     return found
 
 

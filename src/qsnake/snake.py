@@ -31,33 +31,24 @@ def sign_sequence(cf: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def attach_directions(cf: tuple[int, ...]) -> tuple[str, ...]:
+def box_path(cf: tuple[int, ...]) -> tuple[Box, ...]:
     """
-    Directions gluing box i+1 to box i, read off the sign sequence.
+    Lattice cells of the snake, starting at (0, 0), read off the sign
+    sequence in one walk.
 
     Box i carries the alternating base sign s_i = '-' for odd i (1-based);
-    the attachment is RIGHT when the next sequence sign equals s_i, UP when
-    it is opposite.  Only the first (sum - 1) signs matter, so equivalent
-    parity forms of the same rational build the same snake.
+    box i+1 is glued to its right when the next sequence sign equals s_i,
+    above it when opposite.  Only the first (sum - 1) signs matter, so
+    equivalent parity forms of the same rational build the same snake.
     """
     signs = sign_sequence(cf)
-    d = len(signs) - 1
-    dirs = []
-    for i in range(1, d):
-        base = "-" if i % 2 == 1 else "+"
-        dirs.append(RIGHT if signs[i] == base else UP)
-    return tuple(dirs)
-
-
-def box_path(cf: tuple[int, ...]) -> tuple[Box, ...]:
-    """Lattice cells of the snake, starting at (0, 0)."""
-    d = sum(cf) - 1
-    if d == 0:
+    if len(signs) == 1:
         return ()
     boxes = [(0, 0)]
-    for step in attach_directions(cf):
+    for i in range(1, len(signs) - 1):
         x, y = boxes[-1]
-        boxes.append((x + 1, y) if step == RIGHT else (x, y + 1))
+        base = "-" if i % 2 == 1 else "+"
+        boxes.append((x + 1, y) if signs[i] == base else (x, y + 1))
     return tuple(boxes)
 
 

@@ -82,7 +82,7 @@ def test_criterion_3_kasteleyn_golden():
         (z, z, z, z, iq, z, m1),
         (z, z, z, z, z, m1, m1),
     )
-    ok = ok and det_exact(three_diag) == want
+    ok = ok and det_expansion(three_diag) == want
     report(3, ok, "13/3 determinant and its 3-diagonal conjugate, exact")
 
 

@@ -9,7 +9,6 @@ from qsnake.kasteleyn import kasteleyn_matrix, verify_kasteleyn
 from qsnake.laurent import LaurentPoly
 from qsnake.render import ascii_render, graph_json, svg_render, tikz_render
 from qsnake.snake import snake_graph
-from test_verify import count_calls
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -319,8 +318,8 @@ def test_fibonacci_row_bound_is_inclusive(capsys, monkeypatch):
         assert "n must be between 1 and 7" in capsys.readouterr().err
 
 
-def test_fibonacci_table_builds_one_band(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, kasteleyn_matrix)
+def test_fibonacci_table_builds_one_band(capsys, count_calls):
+    calls = count_calls(kasteleyn_matrix)
     assert run(capsys, "fibonacci", "7")[0] == 0
     assert calls["kasteleyn_matrix"] == 1
 

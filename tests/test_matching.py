@@ -13,7 +13,6 @@ from qsnake.matching import (CaseReport, case_recurrences_check,
                              scalar_exponent)
 from qsnake.qrational import cf_expand, fibonacci_number, q_rational
 from qsnake.snake import denominator_snake, snake_graph
-from test_kasteleyn import _cut
 
 
 def lp(min_deg, *coeffs):
@@ -80,7 +79,26 @@ def test_enumeration_box_bound_is_inclusive(monkeypatch):
         enumerate_matchings(snake_graph((5,)))
 
 
-def test_prefix_statistics_are_prefix_snake_statistics():
+def test_enumeration_resumes_its_scan(monkeypatch):
+    # the scan for the lowest uncovered vertex resumes after the vertex the
+    # level above matched, so each matching costs membership checks linear,
+    # not quadratic, in the boxes
+    checks = 0
+
+    class CountingSet(set):
+        def __contains__(self, item):
+            nonlocal checks
+            checks += 1
+            return super().__contains__(item)
+
+    monkeypatch.setattr(matching, "set", CountingSet, raising=False)
+    g = snake_graph((201,))
+    count = len(enumerate_matchings(g))
+    assert count == 201
+    assert checks <= 4 * count * (len(g.boxes) + 1), checks
+
+
+def test_prefix_statistics_are_prefix_snake_statistics(_cut):
     # entry m is the statistic of the snake of the cf cut to sum m, built
     # from its own continued fraction: this cross-checks snake construction
     # across continued fractions

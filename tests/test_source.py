@@ -129,3 +129,19 @@ def test_limits_are_documented():
     limits = [f"qsnake.{stem}.{name}" for stem, name in _limits()]
     missing = [name for name in limits if f"`{name}`" not in formats]
     assert limits and not missing, missing
+
+
+def test_no_test_module_imports_another():
+    # a shared helper lives in conftest.py as a fixture, so one module's
+    # failed import cannot fail the collection of another
+    found = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if any(name.split(".")[-1].startswith("test_") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

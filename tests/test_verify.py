@@ -2,8 +2,6 @@
 family each identity's failure lands in."""
 
 import math
-import sys
-from collections import Counter
 
 import qsnake.kasteleyn
 from qsnake.matching import _prefix_statistics
@@ -12,30 +10,8 @@ from qsnake.snake import SnakeGraph, snake_graph
 from qsnake.verify import CHECK_NAMES, check_pair
 
 
-def count_calls(monkeypatch, *functions):
-    """Route every reference to each function, in every qsnake module,
-    through a wrapper that counts its calls by name."""
-    calls = Counter()
-
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    modules = [m for name, m in sys.modules.items()
-               if name == "qsnake" or name.startswith("qsnake.")]
-    for fn in functions:
-        wrapper = counting(fn)
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, key, wrapper)
-    return calls
-
-
-def test_check_pair_derives_each_snake_and_statistic_once(monkeypatch):
-    calls = count_calls(monkeypatch, cf_expand, snake_graph, _prefix_statistics)
+def test_check_pair_derives_each_snake_and_statistic_once(count_calls):
+    calls = count_calls(cf_expand, snake_graph, _prefix_statistics)
     result = check_pair((13, 3))
     assert result.ok and result.cases_applicable
     # 13/3 = [4, 3]: the whole snake, whose prefixes hold the shorter [4, 2]
