@@ -20,7 +20,11 @@ from .snake import snake_graph
 from .verify import run_sweep, summarize
 
 
-# Largest continued-fraction sum (snake boxes + 1) a single-pair command accepts.
+# Largest continued-fraction sum (snake boxes + 1) a single-pair command
+# accepts.  Time and memory grow at least linearly with it: `compute 1000000
+# 999999 --all-routes`, at the bound, took 5.2-7.3 s of CPU and 253 MiB peak
+# RSS in text (printing holds most of it) and 1.7-2.2 s and 317 MiB in JSON
+# on a shared 2-core VM.
 MAX_CF_SUM = 10**6
 
 # Largest snake `kasteleyn` accepts.  It prints the matrix dense, every zero
@@ -39,7 +43,7 @@ MAX_MATCHING_EDGES = 400_000
 
 # Largest table `fibonacci` prints.  The rows' determinants come from one
 # expansion of the strip's matrix, but each row still computes q_rational, so
-# the table takes time cubic in n: 300 rows took 1.1-1.3 s.
+# the table takes time cubic in n: 300 rows took 0.5-0.7 s of CPU.
 MAX_FIBONACCI_ROWS = 300
 
 # Largest `verify --max-r`.  The sweep checks every coprime pair s < r <= N,
@@ -80,7 +84,7 @@ def cmd_compute(args, parser) -> int:
                 "continuant_num": table.continuant.to_json(),
                 "agree": table.agree,
             }
-            print(json.dumps(blob, indent=2))
+            print(_json(blob))
         else:
             for name, v in table.fractions.items():
                 print(f"{name:<16} {v.num}   /   {v.den}")
@@ -89,9 +93,8 @@ def cmd_compute(args, parser) -> int:
         return 0 if table.agree else 1
     qr = q_matrix_eval(cf)
     if args.format == "json":
-        print(json.dumps({"r": args.r, "s": args.s, "cf": list(cf),
-                          "num": qr.num.to_json(), "den": qr.den.to_json()},
-                         indent=2))
+        print(_json({"r": args.r, "s": args.s, "cf": list(cf),
+                     "num": qr.num.to_json(), "den": qr.den.to_json()}))
     else:
         print(f"[{args.r}/{args.s}]_q = ({qr.num}) / ({qr.den})")
     return 0
@@ -172,17 +175,33 @@ def _print_kasteleyn_json(report: KasteleynReport) -> None:
                        "verified": report.ok}, indent=2)
     write = sys.stdout.write
     write(head[:-2] + ',\n  "entries": [')
-    zero = _nested(ZERO.to_json(), 3)
+    pad = "      "
+    zero = pad + _json(ZERO.to_json(), pad)
     for i, row in enumerate(mat.dense_rows()):
-        cells = [zero if e.is_zero() else _nested(e.to_json(), 3) for e in row]
+        cells = [zero if e.is_zero() else pad + _json(e.to_json(), pad) for e in row]
         write(("\n" if i == 0 else ",\n") + "    [\n" + ",\n".join(cells) + "\n    ]")
     write("\n  ],\n" + tail[2:] + "\n")
 
 
-def _nested(value, depth: int) -> str:
-    """json.dumps(value, indent=2) as it appears nested depth levels deep."""
-    pad = "  " * depth
-    return pad + json.dumps(value, indent=2).replace("\n", "\n" + pad)
+def _json(value, pad: str = "") -> str:
+    """
+    json.dumps(value, indent=2) as it appears nested at indent pad, its
+    first line unpadded, for dicts, lists of ints and scalars.  Only the
+    scalars go through json's encoder, which runs in pure Python when
+    given an indent.
+    """
+    inner = pad + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        return ("{\n" + ",\n".join([f"{inner}{json.dumps(k)}: {_json(v, inner)}"
+                                     for k, v in value.items()])
+                + "\n" + pad + "}")
+    if type(value) is list:
+        if not value:
+            return "[]"
+        return "[\n" + inner + (",\n" + inner).join(map(str, value)) + "\n" + pad + "]"
+    return json.dumps(value)
 
 
 def cmd_fibonacci(args, parser) -> int:

@@ -170,7 +170,11 @@ def denominator_via_matchings(r: int, s: int) -> LaurentPoly:
     (coefficient reversal) of the denominator, hence equal to it exactly
     whenever the denominator is palindromic; see the package README.
     """
-    cf = cf_expand(r, s)
+    return _denominator_via_matchings(cf_expand(r, s))
+
+
+def _denominator_via_matchings(cf: tuple[int, ...]) -> LaurentPoly:
+    """``denominator_via_matchings`` from the continued fraction of r/s."""
     if len(cf) == 1:
         return ONE
     return matching_stat_dp(denominator_snake(cf)).shifted(scalar_exponent(cf[1:]))

@@ -22,9 +22,14 @@ needs a gcd: a common factor of the new pair divides det M times the old
 pair, so the pair stays coprime from its start ([a], 1) or ([n], 1), and the
 columns of a word of determinant q^(a1 + ... + ak) are coprime.  Each route
 returns a ``LaurentFraction``, whose constructor fixes the remaining unit:
-the denominator has min_deg 0 and a positive lowest coefficient.  Every
-product by [n]_q, here and in the Fibonacci families, goes through
-``LaurentPoly.times_qint``, with [n]_{1/q} = q^(1-n) [n]_q as a shift.
+the denominator has min_deg 0 and a positive lowest coefficient.
+
+The matrix route runs its own arithmetic: it evaluates the word at
+q = 2^B, each entry one int whose B-bit slots are its coefficients, so a
+product by [n]_q is a few shift-adds of ints.  Every other product by
+[n]_q, on the other routes and in the Fibonacci families, goes through
+``LaurentPoly.times_qint``, with [n]_{1/q} = q^(1-n) [n]_q as a shift.  So
+the matrix route agreeing with the others compares two kernels.
 """
 
 from __future__ import annotations
@@ -111,21 +116,87 @@ class QMatrix:
         return self.a * self.d - self.b * self.c
 
 
+# Slot widths, in bytes, that memoryview.cast reads as unsigned ints.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def cf_matrix_word(cf: CF) -> QMatrix:
     """
     Product R^a1 L^a2 R^a3 ... over the coefficients (R on odd positions) of
     the deformed generators R = [[q, 1], [0, 1]] and L = [[q, 0], [q, 1]].
     Right multiplication by R^n = [[q^n, [n]], [0, 1]] or by
     L^n = [[q^n, 0], [q[n], 1]] is applied as an update of the two columns.
+
+    The entries are tracked as ints, the word evaluated at q = 2^B
+    (Kronecker substitution): a product by q^k is a shift by kB bits.  Every
+    coefficient of every prefix is nonnegative and at most the largest
+    entry at q = 1, because the updates only add, so slots of
+    ``_slot_bytes`` of that bound never carry.
     """
-    a, b, c, d = ONE, ZERO, ZERO, ONE
+    a, b, c, d = 1, 0, 0, 1
+    for i, n in enumerate(cf):
+        if n < 0:
+            raise ValueError(f"the word needs quotients >= 0, got {n}")
+        if i % 2 == 0:
+            b, d = a * n + b, c * n + d
+        else:
+            a, c = a + b * n, c + d * n
+    width = _slot_bytes(max(a, b, c, d))
+    bits = 8 * width
+    a, b, c, d = 1, 0, 0, 1
     for i, n in enumerate(cf):
         if i % 2 == 0:
-            a, b, c, d = a.shifted(n), a.times_qint(n) + b, c.shifted(n), c.times_qint(n) + d
+            a, b = a << n * bits, _times_qint(a, n, bits) + b
+            c, d = c << n * bits, _times_qint(c, n, bits) + d
         else:
-            a = a.shifted(n) + b.times_qint(n).shifted(1)
-            c = c.shifted(n) + d.times_qint(n).shifted(1)
-    return QMatrix(a, b, c, d)
+            a = (a << n * bits) + (_times_qint(b, n, bits) << bits)
+            c = (c << n * bits) + (_times_qint(d, n, bits) << bits)
+    return QMatrix(*[_unpack(x, width) for x in (a, b, c, d)])
+
+
+def _slot_bytes(bound: int) -> int:
+    """
+    Bytes per slot for coefficients in 0..bound: the whole bytes of bound,
+    rounded up to 1, 2, 4 or 8 when that is at most 8.
+    """
+    width = (bound.bit_length() + 7) // 8
+    return next((w for w in _SLOT_FORMATS if w >= width), width)
+
+
+def _times_qint(x: int, n: int, bits: int) -> int:
+    """x [n]_q at q = 2^bits, by doubling: x[2m] = x[m] + q^m x[m], x[m+1] = q x[m] + x."""
+    if n == 0:
+        return 0
+    acc, shift = x, bits  # acc = x[m], shift = m bits
+    for bit in bin(n)[3:]:
+        acc += acc << shift
+        shift *= 2
+        if bit == "1":
+            acc = (acc << bits) + x
+            shift += bits
+    return acc
+
+
+def _unpack(x: int, width: int) -> LaurentPoly:
+    """The polynomial whose coefficients are the width-byte slots of x."""
+    if not x:
+        return ZERO
+    bits = 8 * width
+    low = ((x & -x).bit_length() - 1) // bits  # the zero slots at the bottom
+    x >>= low * bits
+    size = -(-x.bit_length() // bits) * width
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt is None:
+        raw = x.to_bytes(size, "little")
+        from_bytes = int.from_bytes
+        return LaurentPoly(low, [from_bytes(raw[i:i + width], "little")
+                                 for i in range(0, size, width)])
+    # cast reads the host's byte order, so the bytes are written in it
+    from sys import byteorder
+    coeffs = memoryview(x.to_bytes(size, byteorder)).cast(fmt).tolist()
+    if byteorder == "big":
+        coeffs.reverse()
+    return LaurentPoly(low, coeffs)
 
 
 def q_matrix_eval(cf: CF) -> LaurentFraction:

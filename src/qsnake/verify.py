@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .kasteleyn import kasteleyn_report
-from .matching import (case_recurrences_check, denominator_via_matchings,
+from .matching import (_denominator_via_matchings, case_recurrences_check,
                        prefix_statistics)
 from .qrational import all_routes, cf_expand
 from .snake import snake_graph
@@ -53,7 +53,7 @@ def check_pair(pair: tuple[int, int]) -> PairResult:
     kasteleyn = kasteleyn_report(cf, g, stat, routes.fractions["matrix"].num)
 
     counts_ok = (stat.eval_at_one() == r
-                 and denominator_via_matchings(r, s).eval_at_one() == s)
+                 and _denominator_via_matchings(cf).eval_at_one() == s)
 
     case = case_recurrences_check(cf, stats)
     cases_ok = case.holds if case.applicable else True

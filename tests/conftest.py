@@ -44,3 +44,27 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+
+@pytest.fixture(scope="session")
+def matrix_word_reference():
+    """``matrix_word_reference(cf)``: the word R^a1 L^a2 R^a3 ... of cf as a
+    column update in LaurentPoly arithmetic, right multiplication by
+    R^n = [[q^n, [n]], [0, 1]] or L^n = [[q^n, 0], [q[n], 1]] through
+    ``times_qint`` and ``__add__``: a reference for the matrix route, which
+    packs its entries into ints and runs neither."""
+    from qsnake.laurent import ONE, ZERO
+    from qsnake.qrational import QMatrix
+
+    def word(cf):
+        a, b, c, d = ONE, ZERO, ZERO, ONE
+        for i, n in enumerate(cf):
+            if i % 2 == 0:
+                a, b, c, d = a.shifted(n), a.times_qint(n) + b, c.shifted(n), c.times_qint(n) + d
+            else:
+                a = a.shifted(n) + b.times_qint(n).shifted(1)
+                c = c.shifted(n) + d.times_qint(n).shifted(1)
+        return QMatrix(a, b, c, d)
+
+    return word

@@ -7,6 +7,7 @@ from qsnake import cli, render, verify
 from qsnake.cli import main
 from qsnake.kasteleyn import kasteleyn_matrix, verify_kasteleyn
 from qsnake.laurent import LaurentPoly
+from qsnake.qrational import all_routes, cf_expand, q_rational
 from qsnake.render import ascii_render, graph_json, svg_render, tikz_render
 from qsnake.snake import snake_graph
 
@@ -64,6 +65,27 @@ def test_compute_json_round_trip(capsys):
     num = LaurentPoly.from_json(blob["num"])
     assert num == LaurentPoly(0, (1, 2, 3, 3, 2, 1, 1))
     assert LaurentPoly.from_json(blob["den"]) == LaurentPoly(0, (1, 1, 1))
+
+
+def test_compute_json_is_json_dumps(capsys):
+    # the compute writer against json.dumps(blob, indent=2) of the same blob
+    for r, s in [(1, 1), (2, 1), (13, 3), (29, 12), (10**5 + 1, 2), (832040, 514229)]:
+        cf = list(cf_expand(r, s))
+        qr = q_rational(r, s)
+        code, out = run(capsys, "compute", str(r), str(s), "--format", "json")
+        blob = {"r": r, "s": s, "cf": cf, "num": qr.num.to_json(), "den": qr.den.to_json()}
+        assert code == 0 and out == json.dumps(blob, indent=2) + "\n", (r, s)
+        table = all_routes(tuple(cf))
+        code, out = run(capsys, "compute", str(r), str(s), "--all-routes", "--format", "json")
+        blob = {"r": r, "s": s, "cf": cf,
+                "routes": {k: {"num": v.num.to_json(), "den": v.den.to_json()}
+                           for k, v in table.fractions.items()},
+                "continuant_num": table.continuant.to_json(), "agree": table.agree}
+        assert code == 0 and out == json.dumps(blob, indent=2) + "\n", (r, s)
+    for value in [{}, [], {"a": []}, {"a": {}, "b\n\"": [-3, 0, 10**40]},
+                  {"t": True, "f": False, "n": None, "x": "q^-1 + 2", "y": -7}]:
+        assert cli._json(value) == json.dumps(value, indent=2), value
+        assert cli._json(value, "    ") == json.dumps(value, indent=2).replace("\n", "\n    ")
 
 
 def test_compute_all_routes(capsys):

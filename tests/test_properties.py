@@ -1,7 +1,8 @@
 """Property tests past the hand-picked sweeps: random pairs up to r = 1000,
 with the matching and Kasteleyn identities, random rationals of either
 sign for the recurrence map, the gcd against the primitive PRS, and the
-running-sum product and slice addition against their references."""
+running-sum product, slice addition and packed matrix word against their
+references."""
 
 import math
 
@@ -90,6 +91,31 @@ def test_infinity_is_one_over_zero():
 def test_times_qint_is_schoolbook(p, c, k, n):
     a = (c * p).shifted(k)
     assert a.times_qint(n) == a * q_int(n)
+
+
+# words of quotients 0..1000, runs of small ones among them, cut where the
+# quotient sum would pass WORD_BUDGET: the reference's cost grows with the
+# sum times the length
+WORD_BUDGET = 3000
+
+
+def _within_budget(word):
+    out, total = [], 0
+    for a in word:
+        total += a
+        if total > WORD_BUDGET:
+            break
+        out.append(a)
+    return tuple(out)
+
+
+words = st.lists(st.integers(0, 1000) | st.integers(0, 3), max_size=60).map(_within_budget)
+
+
+@settings(REPRODUCIBLE, phases=(Phase.explicit, Phase.generate))
+@given(words)
+def test_matrix_word_matches_reference_on_random_words(matrix_word_reference, word):
+    assert cf_matrix_word(word) == matrix_word_reference(word)
 
 
 def exponent_dict(p):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qsnake import laurent
-from qsnake.laurent import LaurentPoly, ONE, ZERO
-from qsnake.qrational import (all_routes, cf_even_form, cf_expand,
+from qsnake.laurent import LaurentFraction, LaurentPoly, ONE, ZERO
+from qsnake.qrational import (_slot_bytes, all_routes, cf_even_form, cf_expand,
                               cf_matrix_word, cf_odd_form, cf_value,
                               continuant_det, fibonacci_number,
                               fibonacci_polys, q_cf_eval, q_continuant,
@@ -202,8 +202,9 @@ def test_routes_call_no_gcd(monkeypatch):
 
 
 def test_routes_multiply_no_polynomials(monkeypatch):
-    # every product on a route is by a q-integer, applied by times_qint as a
-    # running sum; the schoolbook product is left to general operands
+    # every product on a route is by a q-integer: shift-adds of packed ints on
+    # the matrix route, the running sum of times_qint on the others; the
+    # schoolbook product is left to general operands
     pairs = [(13, 3), (29, 12), (64, 1), (64, 63),
              (fibonacci_number(201), fibonacci_number(200))]
     words = [cf_expand(r, s) for r, s in pairs] + [(30, 1, 17, 2, 25, 3, 30, 12)]
@@ -249,3 +250,75 @@ def test_continuant_shift_matches_paperless_scalar():
         cf = cf_expand(r, s)
         det = continuant_det(cf)
         assert det.shifted(-det.min_deg) == q_rational(r, s).num
+
+
+# -- the packed matrix word ----------------------------------------------------
+
+def test_matrix_word_matches_reference(matrix_word_reference):
+    for r, s in SWEEP:
+        cf = cf_expand(r, s)
+        for word in (cf, cf_even_form(cf), cf_odd_form(cf), (0,) + cf[1:]):
+            assert cf_matrix_word(word) == matrix_word_reference(word), word
+    for word in [(2, 0, 3), (0,), (0, 0), (5, 0), (0, 4, 0, 0, 2)]:
+        assert cf_matrix_word(word) == matrix_word_reference(word), word
+    # R^0 is the identity and R^a L^0 R^b = R^(a + b)
+    assert cf_matrix_word((0,)) == cf_matrix_word(())
+    assert cf_matrix_word((2, 0, 3)) == cf_matrix_word((5,))
+
+
+def test_matrix_word_refuses_negative_quotients():
+    for word in [(-1,), (3, -2), (2, 1, -1), (1, -5, 4)]:
+        with pytest.raises(ValueError, match="quotients >= 0"):
+            cf_matrix_word(word)
+
+
+def test_matrix_word_uses_no_polynomial_arithmetic(monkeypatch):
+    # the route keeps to its own kernel, so agreeing with the other routes,
+    # which run times_qint and __add__, is evidence about both
+    words = [cf_expand(r, s) for r, s in SWEEP[::7]] + [
+        (1,) * 200 + (2,), (30, 1, 17, 2, 25, 3, 30, 12), (2, 0, 3), (0,), (10**4,)]
+    before = [cf_matrix_word(cf) for cf in words]
+
+    def refuse(*args):
+        raise AssertionError("the matrix route ran LaurentPoly arithmetic")
+
+    for name in ("times_qint", "__add__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    assert [cf_matrix_word(cf) for cf in words] == before
+
+
+def _near_golden(r):
+    """The s >= 1 nearest r/phi and coprime to r: its quotients are mostly 1."""
+    s = max(1, (math.isqrt(5 * r * r) - r) // 2)
+    while math.gcd(r, s) != 1:
+        s += 1
+    return s
+
+
+def test_slot_widths_at_byte_edges():
+    assert [_slot_bytes(m) for m in (1, 255, 256, 65535, 65536, 2**24 - 1, 2**24)] == \
+        [1, 1, 2, 2, 4, 4, 4]
+    assert [_slot_bytes(m) for m in (2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**72 - 1, 2**72)] == \
+        [4, 8, 8, 9, 9, 10]
+
+
+def test_matrix_route_at_slot_edges(matrix_word_reference):
+    # the largest entry at q = 1 is r, which sets the slot width; s = 1 and
+    # s = r - 1 have a quotient sum of r, so past 65536 a pair with quotients
+    # near 1 stands in for them
+    pairs = [(r, s) for r in (255, 256, 65535, 65536) for s in (1, r - 1)]
+    pairs += [(r, _near_golden(r)) for r in (255, 256, 65535, 65536, 2**32 - 1,
+                                             2**32 + 1, 2**64 - 1, 2**64 + 1)]
+    # a Fibonacci word's coefficients come within 4 bits of its q = 1 value,
+    # so a slot a byte too narrow carries on the words whose largest
+    # coefficient crosses 2^8, 2^16, 2^32 or 2^64
+    words = [(1,) * k + (2,) for k in range(1, 110)]
+    crossed = set()
+    for cf in [cf_expand(r, s) for r, s in pairs] + words:
+        ref = matrix_word_reference(cf)
+        assert cf_matrix_word(cf) == ref, cf
+        num, den = (ref.a, ref.c) if len(cf) % 2 == 0 else (ref.b, ref.d)
+        assert q_matrix_eval(cf) == LaurentFraction(num, den), cf
+        crossed.add(max(max(p.coeffs, default=0) for p in (ref.a, ref.b, ref.c, ref.d))
+                    .bit_length())
+    assert {8, 9, 16, 17, 32, 33, 64, 65} <= crossed
