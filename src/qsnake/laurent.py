@@ -40,7 +40,8 @@ class LaurentPoly:
             self.coeffs = ()
         else:
             self.min_deg = min_deg
-            self.coeffs = tuple(coeffs[lo:hi])
+            # a list is copied once, and a tuple not at all, when nothing is trimmed
+            self.coeffs = tuple(coeffs if hi - lo == len(coeffs) else coeffs[lo:hi])
 
     # -- constructors ------------------------------------------------------
 
@@ -107,7 +108,19 @@ class LaurentPoly:
         return LaurentPoly(self.min_deg, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
+        # self's coefficients, padded below to start at the lower valuation
+        gap = self.min_deg - other.min_deg
+        out = [0] * gap
+        out += self.coeffs
+        lo = max(-gap, 0)
+        hi = lo + len(other.coeffs)
+        out += [0] * (hi - len(out))
+        out[lo:hi] = map(sub, out[lo:hi], other.coeffs)
+        return LaurentPoly(min(self.min_deg, other.min_deg), out)
 
     def __mul__(self, other):
         if isinstance(other, int):

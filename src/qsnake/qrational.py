@@ -64,10 +64,10 @@ def cf_expand(r: int, s: int) -> CF:
 
 def cf_value(cf: CF) -> Fraction:
     """The rational value of a continued fraction."""
-    val = Fraction(cf[-1])
+    num, den = cf[-1], 1
     for a in reversed(cf[:-1]):
-        val = a + 1 / val
-    return val
+        num, den = a * num + den, num
+    return Fraction(num, den)
 
 
 def _parity_form(cf: CF, want_odd: bool) -> CF:
@@ -274,29 +274,42 @@ def q_map_general(x) -> LaurentFraction:
     if x == math.inf:
         return LaurentFraction.infinity()
     x = Fraction(x)
-    # Descend to an integer with one step per floor a of x, then undo the
-    # steps innermost first.  A loop, so deep continued fractions cannot
-    # exhaust the interpreter's recursion limit.
+    # Descend on x = p/d to an integer with one step per floor a of x, then
+    # undo the steps innermost first.  Each step has determinant 1, so the
+    # pair stays coprime with d > 0.  A loop, so deep continued fractions
+    # cannot exhaust the interpreter's recursion limit.
+    p, d = x.numerator, x.denominator
     steps = []
-    while x.denominator != 1:
-        a = x.numerator // x.denominator
+    while d != 1:
+        a = p // d
         steps.append(a)
         # a > 0: x - a in (0, 1); a == 0: -1/x < -1; a < 0: x - a in (0, 1)
-        x = -1 / x if a == 0 else x - a
-    n = x.numerator
-    # [-m] = -q^-m [m]
-    num, den = (q_int(n) if n >= 0 else -q_int(-n).shifted(n)), ONE
+        if a == 0:
+            p, d = -d, p
+        else:
+            p -= a * d
+    # The ascent holds num = sn N and den = sd D with the signs sn, sd apart,
+    # so that no step negates a polynomial.  [-m] = -q^-m [m]
+    sn, sd = (1 if p >= 0 else -1), 1
+    N, D = q_int(abs(p)).shifted(min(p, 0)), ONE
     for a in reversed(steps):
         if a > 0:
             # [x] = q^a [x - a] + [a]
-            num = num.shifted(a) + den.times_qint(a)
+            term = D.times_qint(a)
+            N = N.shifted(a) + term if sn == sd else N.shifted(a) - term
         elif a == 0:
             # x in (0, 1): [x] = -1/(q [-1/x])
-            num, den = -den, num.shifted(1)
+            N, D, sn, sd = D, N.shifted(1), -sd, sn
         else:
             # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m
-            num, den = num - den.times_qint(-a), den.shifted(-a)
-    return LaurentFraction(num, den)
+            term = D.times_qint(-a)
+            N = N - term if sn == sd else N + term
+            D = D.shifted(-a)
+    # the fraction wants a positive lowest denominator coefficient: settle
+    # the signs here, so that it negates nothing more
+    if sd * D.coeffs[0] < 0:
+        sn, sd = -sn, -sd
+    return LaurentFraction(N if sn > 0 else -N, D if sd > 0 else -D)
 
 
 # -- the public map ------------------------------------------------------------

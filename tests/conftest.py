@@ -68,3 +68,49 @@ def matrix_word_reference():
         return QMatrix(a, b, c, d)
 
     return word
+
+
+@pytest.fixture(scope="session")
+def recurrence_reference():
+    """``recurrence_reference(x)``: the recurrence map of x with its descent
+    in ``Fraction`` steps and its ascent on signed polynomials, a negation
+    on every inversion and every a < 0 step: a reference for
+    ``q_map_general``, which descends on an integer pair and keeps its
+    signs apart."""
+    import math
+    from fractions import Fraction
+
+    from qsnake.laurent import ONE, LaurentFraction
+    from qsnake.qrational import q_int
+
+    def q_map_general(x) -> LaurentFraction:
+        if x == math.inf:
+            return LaurentFraction.infinity()
+        x = Fraction(x)
+        # Descend to an integer with one step per floor a of x, then undo the
+        # steps innermost first.  A loop, so deep continued fractions cannot
+        # exhaust the interpreter's recursion limit.
+        steps = []
+        while x.denominator != 1:
+            a = x.numerator // x.denominator
+            steps.append(a)
+            # a > 0: x - a in (0, 1); a == 0: -1/x < -1; a < 0: x - a in (0, 1)
+            x = -1 / x if a == 0 else x - a
+        n = x.numerator
+        # [-m] = -q^-m [m]
+        num, den = (q_int(n) if n >= 0 else -q_int(-n).shifted(n)), ONE
+        for a in reversed(steps):
+            if a > 0:
+                # [x] = q^a [x - a] + [a]
+                num = num.shifted(a) + den.times_qint(a)
+            elif a == 0:
+                # x in (0, 1): [x] = -1/(q [-1/x])
+                num, den = -den, num.shifted(1)
+            else:
+                # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m, the
+                # difference taken through negation, so that the reference
+                # shares no subtraction with the route
+                num, den = num + -den.times_qint(-a), den.shifted(-a)
+        return LaurentFraction(num, den)
+
+    return q_map_general

@@ -1,8 +1,8 @@
 """Property tests past the hand-picked sweeps: random pairs up to r = 1000,
 with the matching and Kasteleyn identities, random rationals of either
 sign for the recurrence map, the gcd against the primitive PRS, and the
-running-sum product, slice addition and packed matrix word against their
-references."""
+running-sum product, slice addition and subtraction, packed matrix word and
+integer-pair recurrence map against their references."""
 
 import math
 
@@ -12,7 +12,8 @@ from qsnake.kasteleyn import det_exact, kasteleyn_matrix
 from qsnake.laurent import (ONE, Q, ZERO, LaurentFraction, LaurentPoly, _prs_gcd,
                             laurent_gcd)
 from qsnake.matching import matching_stat_dp, scalar_exponent
-from qsnake.qrational import all_routes, cf_expand, cf_matrix_word, q_int, q_map_general
+from qsnake.qrational import (all_routes, cf_expand, cf_matrix_word, cf_value, q_int,
+                              q_map_general)
 from qsnake.snake import snake_graph
 
 # reproducible and writes no example database
@@ -64,6 +65,19 @@ def test_inversion_recurrence(x):
     # [-1/x] = -1/(q[x])
     fx = q_map_general(x)
     assert q_map_general(-1 / x) == LaurentFraction(-fx.den, fx.num.shifted(1)).reduced()
+
+
+# the values of words of up to 80 quotients after an integer part of either
+# sign, as deep as the routes-deep inputs, with the integers and zero
+deep_rationals = st.builds(lambda head, tail: cf_value((head, *tail)),
+                           st.integers(-30, 30), st.lists(st.integers(1, 30), max_size=80))
+
+
+@REPRODUCIBLE
+@given(rationals | deep_rationals | st.integers(-30, 30))
+def test_recurrence_route_matches_reference_on_random_rationals(recurrence_reference, x):
+    assert q_map_general(x) == recurrence_reference(x)
+    assert q_map_general(-x) == recurrence_reference(-x)
 
 
 @REPRODUCIBLE
@@ -153,3 +167,13 @@ def test_add_and_sub_match_exponent_dicts(p, r, k):
             assert exponent_dict(got) == dict_sum(exponent_dict(a), exponent_dict(b), sign), \
                 (a, b, sign)
     assert p + (-p) == ZERO and (p + (-p)).min_deg == 0 and (p - p).coeffs == ()
+
+
+@settings(REPRODUCIBLE, phases=(Phase.explicit, Phase.generate))
+@given(laurent_polys | st.just(ZERO), laurent_polys | st.just(ZERO), st.integers(-10, 10))
+def test_sub_is_add_of_negation(a, b, k):
+    # b shifted below, level with and above a, and ZERO on either side
+    b = b.shifted(k)
+    for x, y in ((a, b), (b, a), (a, ZERO), (ZERO, b), (ZERO, ZERO)):
+        assert x - y == x + (-y), (x, y)
+        assert is_canonical(x - y), (x, y)

@@ -224,6 +224,52 @@ def test_routes_multiply_no_polynomials(monkeypatch):
     assert fibonacci_polys(40) == fibonacci
 
 
+def test_recurrence_route_matches_reference(recurrence_reference):
+    # each pair as r/s, s/r and their negatives, so that the descent takes
+    # every kind of step and the ascent meets every pair of signs
+    for r, s in SWEEP:
+        for x in (Fraction(r, s), Fraction(s, r), Fraction(-r, s), Fraction(-s, r)):
+            assert q_map_general(x) == recurrence_reference(x), x
+    for x in (0, -1, math.inf):
+        assert q_map_general(x) == recurrence_reference(x), x
+
+
+def test_recurrence_route_runs_no_fraction_arithmetic(monkeypatch):
+    # past converting its argument, the route descends on an int pair and
+    # ascends with its signs apart: its only negations fold the signs into
+    # the fraction at the end
+    values = [0, 7, -5, Fraction(1, 2), Fraction(-3, 2), Fraction(3, 4), Fraction(-17, 4),
+              Fraction(-7, 3), Fraction(5, 12),
+              cf_value(cf_expand(fibonacci_number(81), fibonacci_number(80))),
+              -cf_value((1, 4, 2) * 20 + (3,))]
+    before = [q_map_general(x) for x in values]
+    negations, made = [], []
+    neg, new = LaurentPoly.__neg__, Fraction.__new__
+
+    def counting_neg(self):
+        negations.append(self)
+        return neg(self)
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("the recurrence route ran Fraction arithmetic")
+
+    monkeypatch.setattr(LaurentPoly, "__neg__", counting_neg)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                 "__mod__", "__rmod__", "__divmod__", "__neg__", "__pow__", "__floor__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    for x, want in zip(values, before):
+        negations.clear()
+        made.clear()
+        assert q_map_general(x) == want, x
+        assert len(negations) <= 2 and len(made) <= 1, (x, len(negations), len(made))
+
+
 def test_fibonacci_polys():
     num5, den4 = fibonacci_polys(5)[0], fibonacci_polys(4)[1]
     assert num5 == poly(1, 1, 2, 1)
