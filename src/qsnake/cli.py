@@ -13,7 +13,7 @@ from .kasteleyn import (KasteleynReport, kasteleyn_matrix, leading_minors,
 from .laurent import ZERO
 from .matching import (MAX_ENUMERATION_BOXES, enumerate_matchings,
                        matching_stat_dp, matching_weight_exp)
-from .qrational import (CF, _fibonacci_families, all_routes, cf_expand,
+from .qrational import (CF, all_routes, cf_expand, fibonacci_families,
                         fibonacci_number, q_matrix_eval, q_rational)
 from .render import render
 from .snake import snake_graph
@@ -34,11 +34,20 @@ MAX_CF_SUM = 10**6
 # pair on a shared 2-core VM.
 MAX_KASTELEYN_BOXES = 600
 
+# Largest snake `snake` draws as svg, tikz or json.  Those renders take time
+# and memory linear in the box count, json the most, about 9 MiB per
+# thousand boxes: `snake 30001 1 --render json`, at the bound, took 3.1 s of
+# CPU and 288 MiB peak RSS on a shared 2-core VM (svg 79 MiB, tikz 68 MiB).
+# The bound keeps the heaviest render below `compute` at MAX_CF_SUM.  The
+# ascii render has its own bound, render.MAX_ASCII_CELLS.
+MAX_RENDER_BOXES = 30_000
+
 # Most edges `matchings` prints: the matching count times the boxes + 1 edges
 # of each matching.  The count is r, exponential in the box count when the
-# quotients are small; `matchings 601 1` (361201 edges) took 5.1 s of user
-# CPU on a shared 2-core VM, printed 48.6 MB and peaked at 420 MiB, and
-# `matchings 17711 10946` (371931) took 5.8 s.
+# quotients are small.  The matchings are written one at a time: `matchings
+# 601 1` (361201 edges) took 2.4 s of user CPU on a shared 2-core VM,
+# printed 48.6 MB and peaked at 31 MiB, and `matchings 17711 10946` (371931)
+# took 2.5 s.
 MAX_MATCHING_EDGES = 400_000
 
 # Largest table `fibonacci` prints.  The rows' determinants come from one
@@ -101,7 +110,12 @@ def cmd_compute(args, parser) -> int:
 
 
 def cmd_snake(args, parser) -> int:
-    g = snake_graph(_cf(parser, args.r, args.s))
+    cf = _cf(parser, args.r, args.s)
+    boxes = sum(cf) - 1
+    if args.render != "ascii" and boxes > MAX_RENDER_BOXES:
+        parser.error(f"the {args.render} render is limited to snakes of at most "
+                     f"{MAX_RENDER_BOXES} boxes, got {boxes}")
+    g = snake_graph(cf)
     try:
         out = render(g, args.render)
     except ValueError as exc:
@@ -131,18 +145,11 @@ def cmd_matchings(args, parser) -> int:
         parser.error(f"matchings prints at most {MAX_MATCHING_EDGES} edges; "
                      f"{args.r}/{args.s} has {count} matchings of {boxes + 1} edges")
     matchings = enumerate_matchings(g)
-    blob = {
-        "r": args.r, "s": args.s,
-        "count": len(matchings),
-        "matchings": [
-            {"edges": [[list(u), list(v)] for u, v in m],
-             "weight_exp": matching_weight_exp(g, m)}
-            for m in matchings
-        ],
-        "statistic": stat.to_json(),
-        "statistic_text": stat.text(),
-    }
-    print(json.dumps(blob, indent=2))
+    _write_json_list({"r": args.r, "s": args.s, "count": len(matchings)}, "matchings",
+                     (_json({"edges": [[list(u), list(v)] for u, v in m],
+                             "weight_exp": matching_weight_exp(g, m)}, "    ")
+                      for m in matchings),
+                     {"statistic": stat.to_json(), "statistic_text": stat.text()})
     return 0
 
 
@@ -160,35 +167,45 @@ def _print_kasteleyn_json(report: KasteleynReport) -> None:
     """
     Print the report in the layout json.dumps(blob, indent=2) gives, dense
     zeros included, but write the matrix a row at a time, so no n x n
-    structure is built.  The parts around the matrix are json.dumps'
-    own output: the head without its closing brace, the tail without its
-    opening one.
+    structure is built.
     """
     mat = report.matrix
-    head = json.dumps({"size": mat.size,
-                       "black": [list(v) for v in mat.black_order],
-                       "white": [list(v) for v in mat.white_order]}, indent=2)
-    tail = json.dumps({"det": report.det.to_json(),
-                       "det_text": report.det.text(),
-                       "sign": report.sign,
-                       "scalar_exponent": report.scalar,
-                       "verified": report.ok}, indent=2)
-    write = sys.stdout.write
-    write(head[:-2] + ',\n  "entries": [')
     pad = "      "
     zero = pad + _json(ZERO.to_json(), pad)
-    for i, row in enumerate(mat.dense_rows()):
-        cells = [zero if e.is_zero() else pad + _json(e.to_json(), pad) for e in row]
-        write(("\n" if i == 0 else ",\n") + "    [\n" + ",\n".join(cells) + "\n    ]")
-    write("\n  ],\n" + tail[2:] + "\n")
+    rows = ("[\n" + ",\n".join([zero if e.is_zero() else pad + _json(e.to_json(), pad)
+                                for e in row]) + "\n    ]"
+            for row in mat.dense_rows())
+    _write_json_list({"size": mat.size,
+                      "black": [list(v) for v in mat.black_order],
+                      "white": [list(v) for v in mat.white_order]}, "entries", rows,
+                     {"det": report.det.to_json(),
+                      "det_text": report.det.text(),
+                      "sign": report.sign,
+                      "scalar_exponent": report.scalar,
+                      "verified": report.ok})
+
+
+def _write_json_list(head: dict, key: str, items, tail: dict) -> None:
+    """
+    Print json.dumps({**head, key: [...], **tail}, indent=2) for a nonempty
+    list given as items already rendered at indent 4, writing one item at a
+    time, so the list is never held whole.  The parts around the list are
+    json.dumps' own output: the head without its closing brace, the tail
+    without its opening one.
+    """
+    write = sys.stdout.write
+    write(json.dumps(head, indent=2)[:-2] + f',\n  {json.dumps(key)}: [')
+    for i, item in enumerate(items):
+        write(("\n    " if i == 0 else ",\n    ") + item)
+    write("\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n")
 
 
 def _json(value, pad: str = "") -> str:
     """
     json.dumps(value, indent=2) as it appears nested at indent pad, its
-    first line unpadded, for dicts, lists of ints and scalars.  Only the
-    scalars go through json's encoder, which runs in pure Python when
-    given an indent.
+    first line unpadded, for dicts, lists of ints, lists of such lists and
+    scalars.  Only the scalars go through json's encoder, which runs in pure
+    Python when given an indent.
     """
     inner = pad + "  "
     if type(value) is dict:
@@ -200,7 +217,9 @@ def _json(value, pad: str = "") -> str:
     if type(value) is list:
         if not value:
             return "[]"
-        return "[\n" + inner + (",\n" + inner).join(map(str, value)) + "\n" + pad + "]"
+        items = (map(str, value) if type(value[0]) is not list
+                 else [_json(v, inner) for v in value])
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return json.dumps(value)
 
 
@@ -208,7 +227,7 @@ def cmd_fibonacci(args, parser) -> int:
     if not 1 <= args.n <= MAX_FIBONACCI_ROWS:
         parser.error(f"n must be between 1 and {MAX_FIBONACCI_ROWS}")
     ok = True
-    nums, dens = _fibonacci_families(args.n + 1)
+    nums, dens = fibonacci_families(args.n + 1)
     # the snake of k ones is the strip's first k - 1 boxes, and under the path
     # numbering its matrix is the strip's leading k x k block
     minors = leading_minors(kasteleyn_matrix(snake_graph((1,) * args.n)))

@@ -186,10 +186,6 @@ class LaurentPoly:
             return self
         return LaurentPoly(d - self.top_deg, tuple(reversed(self.coeffs)))
 
-    def subs_q_inv(self) -> LaurentPoly:
-        """Substitute q -> 1/q."""
-        return self.mirror(0)
-
     def eval_at_one(self) -> int:
         """Specialize q = 1 (the sum of all coefficients)."""
         return sum(self.coeffs)
@@ -229,7 +225,7 @@ class LaurentPoly:
         """Canonical text form, terms ascending: e.g. 'q^-1 + 2 + q + q^2'."""
         if self.is_zero():
             return "0"
-        chunks = []
+        parts = []
         for exp, c in self.terms():
             mono = "" if exp == 0 else ("q" if exp == 1 else f"q^{exp}")
             mag = abs(c)
@@ -237,12 +233,11 @@ class LaurentPoly:
                 body = str(mag)
             else:
                 body = mono if mag == 1 else f"{mag}{mono}"
-            chunks.append(("-" if c < 0 else "+", body))
-        sign, body = chunks[0]
-        s = body if sign == "+" else "-" + body
-        for sign, body in chunks[1:]:
-            s += f" {sign} {body}"
-        return s
+            parts.append(("- " if c < 0 else "+ ") + body)
+        # the first term drops its "+ ", and "- " becomes a bare minus
+        first = parts[0]
+        parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+        return " ".join(parts)
 
     def to_json(self) -> dict:
         return {"min_deg": self.min_deg, "coeffs": list(self.coeffs)}

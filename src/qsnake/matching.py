@@ -14,8 +14,8 @@ from typing import Iterator
 
 from .laurent import ONE, LaurentPoly
 from .qrational import cf_even_form, cf_expand
-from .snake import (RIGHT, UP, Edge, SnakeGraph, Vertex, box_edges,
-                    denominator_snake, snake_graph)
+from .snake import (Edge, SnakeGraph, Vertex, denominator_snake, snake_graph,
+                    weighted_sides)
 
 Matching = tuple[Edge, ...]
 
@@ -100,44 +100,22 @@ def prefix_statistics(g: SnakeGraph) -> list[LaurentPoly]:
 def _prefix_statistics(g: SnakeGraph) -> Iterator[LaurentPoly]:
     """
     Yield the prefix statistics in turn, holding only the last two.  State
-    after box i: the statistic of the prefix graph, and the statistic of the
-    prefix with the two vertices where box i+1 attaches removed (on that
-    reduced graph the last ladder step is forced, contributing the opposite
-    side edge's weight on turns).  Weights stay exponents: each weight q^k
-    is applied as a shift by k.
+    after each box: the statistic of the prefix graph, and that of the
+    prefix with the two vertices where the next box attaches removed.  A
+    box adds its weighted edge's matchings on that reduced graph; a box
+    glued the same way as the one before reduces to the prefix before it,
+    one that turns forces the previous box's weighted edge.  Weights stay
+    exponents: each weight q^k is applied as a shift by k.
     """
-    boxes = g.boxes
-    k = g.weight_exp
-    yield ONE
-    if not boxes:
-        yield from map(LaurentPoly.monomial, k.values())  # the lone edge
-        return
-    yield ONE
-    sides0 = box_edges(boxes[0])
-    prev, last = ONE, (LaurentPoly.monomial(k[sides0["W"]] + k[sides0["E"]])
-                       + LaurentPoly.monomial(k[sides0["N"]] + k[sides0["S"]]))
-    yield last
-    if len(boxes) == 1:
-        return
-    dirs = [RIGHT if boxes[i][0] > boxes[i - 1][0] else UP
-            for i in range(1, len(boxes))]
-    reduced = LaurentPoly.monomial(k[sides0["W" if dirs[0] == RIGHT else "S"]])
-    for i in range(1, len(boxes)):
-        sides = box_edges(boxes[i])
-        if dirs[i - 1] == RIGHT:
-            far, side_a, side_b = sides["E"], sides["N"], sides["S"]
-        else:
-            far, side_a, side_b = sides["N"], sides["W"], sides["E"]
-        prev, last = last, (last.shifted(k[far])
-                            + reduced.shifted(k[side_a] + k[side_b]))
+    prev = last = reduced = ONE
+    yield prev  # the empty snake
+    yield last  # the lone unweighted edge
+    up_before, e_before = True, 0
+    for (up, _), e in zip(weighted_sides(g.boxes), g.exps):
+        reduced = prev if up == up_before else reduced.shifted(e_before)
+        prev, last = last, last + reduced.shifted(e)
         yield last
-        if i < len(boxes) - 1:
-            if dirs[i] == dirs[i - 1]:
-                reduced = prev
-            elif dirs[i - 1] == RIGHT:  # turning up: south edge forced
-                reduced = reduced.shifted(k[sides["S"]])
-            else:  # turning right: west edge forced
-                reduced = reduced.shifted(k[sides["W"]])
+        up_before, e_before = up, e
 
 
 def matching_stat_dp(g: SnakeGraph) -> LaurentPoly:
@@ -170,11 +148,7 @@ def denominator_via_matchings(r: int, s: int) -> LaurentPoly:
     (coefficient reversal) of the denominator, hence equal to it exactly
     whenever the denominator is palindromic; see the package README.
     """
-    return _denominator_via_matchings(cf_expand(r, s))
-
-
-def _denominator_via_matchings(cf: tuple[int, ...]) -> LaurentPoly:
-    """``denominator_via_matchings`` from the continued fraction of r/s."""
+    cf = cf_expand(r, s)
     if len(cf) == 1:
         return ONE
     return matching_stat_dp(denominator_snake(cf)).shifted(scalar_exponent(cf[1:]))

@@ -91,14 +91,13 @@ def cf_odd_form(cf: CF) -> CF:
     return _parity_form(cf, want_odd=True)
 
 
-def q_int(n: int, inverted: bool = False) -> LaurentPoly:
-    """The q-integer 1 + q + ... + q^(n-1); with q -> 1/q when inverted."""
+def q_int(n: int) -> LaurentPoly:
+    """The q-integer 1 + q + ... + q^(n-1)."""
     if n < 0:
         raise ValueError("q_int needs n >= 0")
     if n == 0:
         return ZERO
-    p = LaurentPoly(0, (1,) * n)
-    return p.subs_q_inv() if inverted else p
+    return LaurentPoly(0, (1,) * n)
 
 
 # -- matrix route ------------------------------------------------------------
@@ -221,8 +220,8 @@ def q_cf_eval(cf: CF) -> LaurentFraction:
     even positions contribute [a]_{1/q} with prefactor q^-a.  The result is
     reduced by construction (see the module docstring).
     """
-    k = len(cf)
-    num, den = q_int(cf[-1], inverted=(k % 2 == 0)), ONE
+    k, a = len(cf), cf[-1]
+    num, den = (q_int(a).shifted(1 - a) if k % 2 == 0 else q_int(a)), ONE
     for i in range(k - 1, 0, -1):
         a = cf[i - 1]
         # an even position has [a]_{1/q} = q^(1-a) [a]_q and prefactor q^-a
@@ -359,11 +358,11 @@ def fibonacci_polys(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    nums, dens = _fibonacci_families(n)
+    nums, dens = fibonacci_families(n)
     return nums[n], dens[n]
 
 
-def _fibonacci_families(n: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
+def fibonacci_families(n: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
     """Both families at every index 0 .. n, from one run of each."""
     den = _fib_family(n, [ONE, ONE, q_int(2), q_int(3)])
     # mirror-consistent seed at index 1 is q^-1; index 1 is reported as 1

@@ -1,26 +1,27 @@
 """Snake graphs of rationals: box paths, edge weights, colors, orientation.
 
 A continued fraction [a1, ..., ak] determines a sign sequence of runs
-(-^a1, +^a2, -^a3, ...).  Boxes are glued right or up along the sequence;
-the western and southern borders pick up weights q or 1/q from a fixed
-two-colored grid, every other edge has weight 1.  Every elementary box ends
-up with exactly one weighted edge, which is what makes the canonical
-orientation below a Kasteleyn orientation.
+(-^a1, +^a2, -^a3, ...).  Boxes are glued right or up along the sequence.
+Each box carries exactly one weighted edge, q or 1/q from a fixed
+two-colored grid: the west side of a box glued above the one before it
+(box 0 counts as glued above), the south side of a box glued to its right.
+Every other edge has weight 1.  One weighted edge per box is what makes the
+canonical orientation below a Kasteleyn orientation.
 
-A ``SnakeGraph`` is its boxes and its weight map, nothing more: the edges,
-vertices and colors are read off the map when a reader asks for them.
+A ``SnakeGraph`` is its boxes and the exponent of each box's weighted edge,
+nothing more: the weight map of every edge, the vertices and the colors are
+derived from these when a reader asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
 Box = tuple[int, int]
-
-RIGHT = "R"
-UP = "U"
 
 
 def sign_sequence(cf: tuple[int, ...]) -> tuple[str, ...]:
@@ -63,18 +64,43 @@ def box_edges(box: Box) -> dict[str, Edge]:
     }
 
 
+def weighted_sides(boxes: tuple[Box, ...]) -> Iterator[tuple[bool, Edge]]:
+    """
+    Per box along the path: whether it is glued above the box before it, and
+    its one weighted edge, the west side of a box glued above and the south
+    side of a box glued to the right.  Box 0 counts as glued above.
+    """
+    y_before = -1
+    for x, y in boxes:
+        up = y > y_before
+        yield up, (((x, y), (x, y + 1)) if up else ((x, y), (x + 1, y)))
+        y_before = y
+
+
 @dataclass(frozen=True)
 class SnakeGraph:
     """
-    A weighted snake graph embedded in the grid, built complete by
-    ``snake_graph``: its boxes along the path, and ``weight_exp``, which maps
-    every edge, in sorted edge order, to the exponent k of its weight q^k.
-    The edges and vertices (both sorted) and the colors are derived from
-    these two on each access.
+    A weighted snake graph embedded in the grid, built by ``snake_graph``:
+    its boxes along the path, and ``exps[i]``, the exponent k of the weight
+    q^k on box i's one weighted edge (see ``weighted_sides``).  The weight
+    map of every edge is derived once, on first access; the edges and
+    vertices (both sorted) and the colors are read off it.
     """
 
     boxes: tuple[Box, ...]
-    weight_exp: dict[Edge, int]
+    exps: tuple[int, ...]
+
+    @cached_property
+    def weight_exp(self) -> dict[Edge, int]:
+        """Every edge, in sorted edge order, to the exponent of its weight;
+        the rational 1 is the lone unweighted edge (0, 0) - (1, 0)."""
+        if not self.boxes:
+            return {((0, 0), (1, 0)): 0}
+        weights = dict.fromkeys(sorted({e for b in self.boxes
+                                        for e in box_edges(b).values()}), 0)
+        for (_, edge), k in zip(weighted_sides(self.boxes), self.exps):
+            weights[edge] = k
+        return weights
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -112,33 +138,22 @@ def _grid_exponent(edge: Edge) -> int:
     (x, y), (x2, y2) = edge
     if x2 == x:  # vertical
         return 1 if (x + y) % 2 == 0 else -1
-    if x == 0:  # horizontal edges leaving the first column carry no weight
-        return 0
     return 1 if (x + y) % 2 == 1 else -1
 
 
 def snake_graph(cf: tuple[int, ...]) -> SnakeGraph:
     """
-    The weighted snake of [a1, ..., ak].  The western and southern borders
-    are weighted from the grid coloring; all other edges (northern/eastern
-    borders and interior rungs) get weight 1.
+    The weighted snake of [a1, ..., ak]: its boxes, and each box's weighted
+    edge weighted from the grid coloring.
 
-    The degenerate single-coefficient [1] (the rational 1) is the one-edge
-    graph consisting of the south border only.
+    The degenerate single-coefficient [1] (the rational 1) has no boxes; its
+    graph is the lone unweighted south border.
     """
     if not cf or sum(cf) < 1:
         raise ValueError("continued fraction must have positive sum")
     boxes = box_path(cf)
-    if not boxes:
-        return SnakeGraph(boxes=(), weight_exp={((0, 0), (1, 0)): 0})
-    weights = dict.fromkeys(sorted({e for b in boxes for e in box_edges(b).values()}), 0)
-    for i, box in enumerate(boxes):
-        sides = box_edges(box)
-        if i == 0 or boxes[i][1] == boxes[i - 1][1] + 1:  # west border exposed
-            weights[sides["W"]] = _grid_exponent(sides["W"])
-        if i == 0 or boxes[i][0] == boxes[i - 1][0] + 1:  # south border exposed
-            weights[sides["S"]] = _grid_exponent(sides["S"])
-    return SnakeGraph(boxes=boxes, weight_exp=weights)
+    return SnakeGraph(boxes, tuple([_grid_exponent(edge)
+                                    for _, edge in weighted_sides(boxes)]))
 
 
 def denominator_snake(cf: tuple[int, ...]) -> SnakeGraph:

@@ -46,6 +46,37 @@ def count_calls(monkeypatch):
     return count
 
 
+@pytest.fixture(scope="session")
+def weight_map_reference():
+    """``weight_map_reference(cf)``: the weight map of cf's snake built the
+    way ``snake_graph`` once built it, every edge of every box set to 0 and
+    then the exposed west and south borders weighted from the grid: a
+    reference for ``SnakeGraph.weight_exp``, which sets one edge per box."""
+    from qsnake.snake import box_edges, box_path
+
+    def _grid_exponent(edge):
+        (x, y), (x2, y2) = edge
+        if x2 == x:  # vertical
+            return 1 if (x + y) % 2 == 0 else -1
+        if x == 0:  # horizontal edges leaving the first column carry no weight
+            return 0
+        return 1 if (x + y) % 2 == 1 else -1
+
+    def weight_map(cf):
+        boxes = box_path(cf)
+        if not boxes:
+            return {((0, 0), (1, 0)): 0}
+        weights = dict.fromkeys(sorted({e for b in boxes for e in box_edges(b).values()}), 0)
+        for i, box in enumerate(boxes):
+            sides = box_edges(box)
+            if i == 0 or boxes[i][1] == boxes[i - 1][1] + 1:  # west border exposed
+                weights[sides["W"]] = _grid_exponent(sides["W"])
+            if i == 0 or boxes[i][0] == boxes[i - 1][0] + 1:  # south border exposed
+                weights[sides["S"]] = _grid_exponent(sides["S"])
+        return weights
+
+    return weight_map
+
 
 @pytest.fixture(scope="session")
 def matrix_word_reference():

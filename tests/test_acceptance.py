@@ -72,7 +72,7 @@ def test_criterion_3_kasteleyn_golden():
     # hard-coded 3-diagonal conjugate printed alongside the worked example
     q, iq = LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
     z, one = LaurentPoly.zero(), LaurentPoly.one()
-    m1, two, two_inv = -one, -q_int(2), -q_int(2, inverted=True)
+    m1, two, two_inv = -one, -q_int(2), -q_int(2).shifted(-1)
     three_diag = (
         (q, m1, z, z, z, z, z),
         (m1, two, q, z, z, z, z),

@@ -330,6 +330,23 @@ def test_ascii_canvas_bound_is_inclusive(capsys, monkeypatch):
     assert run(capsys, "snake", "3", "1", "--render", "svg")[0] == 0
 
 
+def test_render_box_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_RENDER_BOXES", 6)
+    for fmt in ("svg", "tikz", "json"):
+        assert run(capsys, "snake", "13", "3", "--render", fmt)[0] == 0  # [4, 3]: 6 boxes
+
+    def refuse(cf):
+        raise AssertionError("built an over-bound snake")
+
+    monkeypatch.setattr(cli, "snake_graph", refuse)
+    for fmt in ("svg", "tikz", "json"):
+        with pytest.raises(SystemExit) as exc:
+            main(["snake", "16", "3", "--render", fmt])  # [5, 3]: 7 boxes
+        assert exc.value.code == 2
+        assert f"the {fmt} render is limited to snakes of at most 6 boxes, got 7" \
+            in capsys.readouterr().err
+
+
 def test_fibonacci_row_bound_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_FIBONACCI_ROWS", 7)
     assert run(capsys, "fibonacci", "7")[0] == 0

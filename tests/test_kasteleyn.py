@@ -55,7 +55,7 @@ def _entry(x):
     if x == "-[2]":
         return -q_int(2)
     if x == "-[2]inv":
-        return -q_int(2, inverted=True)
+        return -q_int(2).shifted(-1)
     return LaurentPoly(0, (x,)) if x else LaurentPoly.zero()
 
 
@@ -224,11 +224,9 @@ def test_large_strip_builds_no_dense_matrix(monkeypatch):
 
 
 def test_matrix_refuses_an_edge_outside_the_band():
-    # a chord from the first black vertex to the last white one of 13/3
-    g = snake_graph((4, 3))
-    black, white = number_vertices(g)
-    chord = tuple(sorted((black[0], white[-1])))
-    wide = SnakeGraph(boxes=g.boxes, weight_exp={**g.weight_exp, chord: 0})
+    # boxes that loop back to the first column: the last box's edges join
+    # vertices numbered far apart along the path
+    wide = SnakeGraph(((0, 0), (1, 0), (1, 1), (0, 1)), (1, 1, 1, 1))
     with pytest.raises(ValueError, match="outside the band"):
         kasteleyn_matrix(wide)
 

@@ -12,7 +12,7 @@ from qsnake.matching import (CaseReport, case_recurrences_check,
                              numerator_via_matchings, prefix_statistics,
                              scalar_exponent)
 from qsnake.qrational import cf_expand, fibonacci_number, q_rational
-from qsnake.snake import denominator_snake, snake_graph
+from qsnake.snake import SnakeGraph, denominator_snake, snake_graph
 
 
 def lp(min_deg, *coeffs):
@@ -70,6 +70,22 @@ def test_dp_multiplies_no_polynomials(monkeypatch):
     for cf in words:
         g = snake_graph(cf)
         assert matching_stat_dp(g) == matching_stat(g), cf
+
+
+def test_dp_reads_one_exponent_per_box(monkeypatch):
+    # the DP reads the boxes and their exponents, never the weight map
+    words = [(1,)] + [cf_expand(r, s) for r in range(2, 61) for s in range(1, r)
+                      if math.gcd(r, s) == 1]
+    recorded = [(matching_stat_dp(snake_graph(cf)), prefix_statistics(snake_graph(cf)))
+                for cf in words]
+
+    def refuse(self):
+        raise AssertionError("the DP read the weight map")
+
+    monkeypatch.setattr(SnakeGraph, "weight_exp", property(refuse))
+    for cf, (stat, stats) in zip(words, recorded):
+        g = snake_graph(cf)
+        assert (matching_stat_dp(g), prefix_statistics(g)) == (stat, stats), cf
 
 
 def test_enumeration_box_bound_is_inclusive(monkeypatch):

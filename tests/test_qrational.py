@@ -68,7 +68,7 @@ def test_q_int():
     assert q_int(3) == poly(1, 1, 1)
     assert q_int(1) == ONE
     assert q_int(0) == ZERO
-    assert q_int(2, inverted=True) == lp(-1, 1, 1)
+    assert q_int(2).shifted(-1) == lp(-1, 1, 1)
 
 
 def test_q_cf_eval_golden():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qsnake.qrational import cf_expand
+from qsnake.qrational import cf_even_form, cf_expand, cf_odd_form
 from qsnake.snake import (SnakeGraph, box_path, colored_edges, denominator_snake,
                           face_arrow_counts, sign_sequence, snake_graph)
 
@@ -179,11 +179,24 @@ def test_snake_graph_built_complete():
 
 
 def test_snake_graph_stores_boxes_and_weights_only():
-    # edges, vertices and colors are derived from these two on access
-    assert [f.name for f in dataclasses.fields(SnakeGraph)] == ["boxes", "weight_exp"]
+    # one exponent per box; the weight map, edges, vertices and colors are
+    # derived from these two on access
+    assert [f.name for f in dataclasses.fields(SnakeGraph)] == ["boxes", "exps"]
     g = snake_graph((4, 3))
     assert g.edges == tuple(g.weight_exp)
     assert g.vertices == tuple(sorted({v for e in g.edges for v in e}))
+
+
+def test_weight_map_matches_the_reference(weight_map_reference):
+    # the map derived from one exponent per box is the one built by exposing
+    # borders, key order included; both parity forms build the same graph,
+    # hence the same map
+    words = [(1,), (0, 1)] + [cf_expand(r, s) for r in range(2, 301)
+                              for s in range(1, r) if math.gcd(r, s) == 1]
+    for cf in words:
+        g = snake_graph(cf)
+        assert g == snake_graph(cf_even_form(cf)) == snake_graph(cf_odd_form(cf)), cf
+        assert list(g.weight_exp.items()) == list(weight_map_reference(cf).items()), cf
 
 
 def test_degenerate_unit_snake():

@@ -80,6 +80,17 @@ def test_no_unused_imports():
     assert SOURCES and not unused, unused
 
 
+def test_no_private_names_imported_across_modules():
+    # a module reads another only through its public names
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level > 0 or (node.module or "").split(".")[0] == "qsnake")
+             for alias in node.names if alias.name.startswith("_")]
+    assert SOURCES and not found, found
+
+
 def test_public_names_resolve():
     import qsnake
     missing = [name for name in qsnake.__all__ if not hasattr(qsnake, name)]

@@ -2,6 +2,7 @@
 family each identity's failure lands in."""
 
 import math
+from functools import cached_property
 
 import qsnake.kasteleyn
 from qsnake.matching import _prefix_statistics
@@ -34,6 +35,25 @@ def test_check_pair_reads_no_vertex_list(monkeypatch):
         for s in range(1, r):
             if math.gcd(r, s) == 1:
                 assert check_pair((r, s)).ok, (r, s)
+
+
+def test_check_pair_builds_one_weight_map(monkeypatch):
+    # the DP reads one exponent per box, so the only map built is the whole
+    # snake's, once, for its Kasteleyn matrix
+    built = []
+    real = SnakeGraph.weight_exp.func
+
+    def counting(self):
+        built.append(self.boxes)
+        return real(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(SnakeGraph, "weight_exp")
+    monkeypatch.setattr(SnakeGraph, "weight_exp", prop)
+    for pair in [(2, 1), (13, 3), (179, 74), (55, 34)]:
+        built.clear()
+        assert check_pair(pair).ok, pair
+        assert built == [snake_graph(cf_expand(*pair)).boxes], pair
 
 
 def test_theorem_fault_fails_only_the_theorem_family(monkeypatch):
