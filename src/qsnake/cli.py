@@ -321,7 +321,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args, parser)
+    try:
+        code = _COMMANDS[args.command](args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the
+        # interpreter's last flush cannot fail again, and exit as a shell
+        # reports a process killed by SIGPIPE (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -7,9 +7,7 @@ the band, each row's nonzero entries as (column offset, sign, exponent), in
 memory linear in the box count.  The determinant is a Laplace expansion along
 that band which applies each entry as a shift by its exponent and folds its
 sign into the inversion parity, so it multiplies no polynomials.  Up to one
-overall sign it equals the weighted matching statistic of the graph.  Only
-the oracles ``det_expansion`` and ``permutation_term_signs`` also take a
-dense matrix of arbitrary Laurent entries.
+overall sign it equals the weighted matching statistic of the graph.
 """
 
 from __future__ import annotations
@@ -74,14 +72,6 @@ class KasteleynMatrix:
     def entries(self) -> Entries:
         """The dense n x n matrix of ``LaurentPoly``, built on each access."""
         return tuple(list(self.dense_rows()))
-
-    def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "black": [list(v) for v in self.black_order],
-            "white": [list(v) for v in self.white_order],
-            "entries": [[e.to_json() for e in row] for row in self.entries],
-        }
 
 
 def kasteleyn_matrix(g: SnakeGraph) -> KasteleynMatrix:
@@ -162,52 +152,6 @@ def det_exact(m: KasteleynMatrix) -> LaurentPoly:
     return minor
 
 
-def det_expansion(m: KasteleynMatrix | Entries) -> LaurentPoly:
-    """Cofactor-expansion oracle; fine for sizes up to ~8 on sparse matrices."""
-    entries = m.entries if isinstance(m, KasteleynMatrix) else m
-
-    def expand(row: int, cols: tuple[int, ...]) -> LaurentPoly:
-        if not cols:
-            return ONE
-        total = ZERO
-        for pos, j in enumerate(cols):
-            e = entries[row][j]
-            if e.is_zero():
-                continue
-            sub = expand(row + 1, cols[:pos] + cols[pos + 1:])
-            term = e * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        return total
-
-    return expand(0, tuple(range(len(entries))))
-
-
-def permutation_term_signs(m: KasteleynMatrix | Entries) -> list[int]:
-    """
-    Signs of all nonzero permutation terms of the determinant.  Each snake
-    Kasteleyn term is a signed monomial; the Kasteleyn property makes all the
-    signs agree, which is what the |det| = statistic identity rests on.
-    """
-    entries = m.entries if isinstance(m, KasteleynMatrix) else m
-    n = len(entries)
-    signs: list[int] = []
-
-    def walk(row: int, cols: tuple[int, ...], coeff_sign: int, inversions: int):
-        if row == n:
-            signs.append(coeff_sign * (1 if inversions % 2 == 0 else -1))
-            return
-        for pos, j in enumerate(cols):
-            e = entries[row][j]
-            if e.is_zero():
-                continue
-            c = e.coeffs[0]
-            walk(row + 1, cols[:pos] + cols[pos + 1:],
-                 coeff_sign * (1 if c > 0 else -1), inversions + pos)
-
-    walk(0, tuple(range(n)), 1, 0)
-    return signs
-
-
 # -- verification ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -248,26 +192,3 @@ def kasteleyn_report(cf: CF, g: SnakeGraph, stat: LaurentPoly,
                            scalar=n, numerator=num,
                            det_matches_statistic=sign != 0,
                            scaled_matches_numerator=stat.shifted(n) == num)
-
-
-# -- the Fibonacci strip -------------------------------------------------------
-
-def fibonacci_kasteleyn(n: int) -> LaurentPoly:
-    """
-    Kasteleyn determinant of the vertical strip of n - 1 boxes, the snake of
-    n ones, signed so its lowest coefficient is positive.  It equals the
-    strip's matching statistic, so its value at q = 1 is F(n+1).
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    det = det_exact(kasteleyn_matrix(snake_graph((1,) * n)))
-    return det if det.coeffs[0] > 0 else -det
-
-
-def fibonacci_kasteleyn_numerator(n: int) -> LaurentPoly:
-    """
-    The strip determinant normalized so its lowest term is the constant;
-    equals the numerator-family polynomial of index n+1.
-    """
-    det = fibonacci_kasteleyn(n)
-    return det.shifted(-det.min_deg)

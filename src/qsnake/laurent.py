@@ -46,21 +46,9 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls(0, ())
-
-    @classmethod
-    def one(cls) -> LaurentPoly:
-        return cls(0, (1,))
-
-    @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> LaurentPoly:
         """The monomial ``coeff * q**exp``."""
         return cls(exp, (coeff,))
-
-    @classmethod
-    def from_json(cls, obj: dict) -> LaurentPoly:
-        return cls(int(obj["min_deg"]), tuple([int(c) for c in obj["coeffs"]]))
 
     # -- inspection --------------------------------------------------------
 
@@ -124,17 +112,8 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly.zero()
-            return LaurentPoly(self.min_deg, tuple([other * c for c in self.coeffs]))
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly.zero()
-        if len(other.coeffs) == 1 or len(self.coeffs) == 1:
-            # c*q^k times p: scale p by c and shift it by k
-            mono, poly = (other, self) if len(other.coeffs) == 1 else (self, other)
-            c = mono.coeffs[0]
-            coeffs = poly.coeffs if c == 1 else tuple([c * x for x in poly.coeffs])
-            return LaurentPoly(poly.min_deg + mono.min_deg, coeffs)
+            return LaurentPoly(self.min_deg, [other * c for c in self.coeffs])
+        # schoolbook; a zero factor leaves out empty or all zeros
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -143,17 +122,6 @@ class LaurentPoly:
         return LaurentPoly(self.min_deg + other.min_deg, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers are only defined for monomials; use shifted()")
-        result, base = LaurentPoly.one(), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def times_qint(self, n: int) -> LaurentPoly:
         """
@@ -199,7 +167,7 @@ class LaurentPoly:
         if other.is_zero():
             raise ValueError("division by zero polynomial")
         if self.is_zero():
-            return LaurentPoly.zero()
+            return ZERO
         shift = self.min_deg - other.min_deg
         rem = list(self.coeffs)
         den = other.coeffs
@@ -249,8 +217,8 @@ class LaurentPoly:
         return f"LaurentPoly('{self.text()}')"
 
 
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+ZERO = LaurentPoly()
+ONE = LaurentPoly(0, (1,))
 Q = LaurentPoly.monomial(1)
 
 

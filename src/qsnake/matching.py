@@ -1,10 +1,11 @@
 """Weighted perfect matchings of snake graphs and the statistic they generate.
 
 The generating function M(G) = sum over perfect matchings of the product of
-edge weights is computed two ways: an exhaustive backtracking enumeration
-(the oracle, fine up to ~20 boxes) and a linear two-term sweep along the box
-path.  Scaling by the power q^n, with n read off the even-length continued
-fraction, recovers the numerator polynomial of the deformed rational.
+edge weights is computed by a linear two-term sweep along the box path; the
+``matchings`` command lists the matchings themselves, by an exhaustive
+backtracking enumeration.  Scaling by the power q^n, with n read off the
+even-length continued fraction, recovers the numerator polynomial of the
+deformed rational.
 """
 
 from __future__ import annotations
@@ -74,18 +75,6 @@ def enumerate_matchings(g: SnakeGraph) -> list[Matching]:
 def matching_weight_exp(g: SnakeGraph, m: Matching) -> int:
     """Exponent of the weight monomial of one matching."""
     return sum(g.weight_exp[e] for e in m)
-
-
-def matching_stat(g: SnakeGraph) -> LaurentPoly:
-    """The statistic by exhaustive enumeration (the brute-force oracle)."""
-    acc: dict[int, int] = {}
-    for m in enumerate_matchings(g):
-        k = matching_weight_exp(g, m)
-        acc[k] = acc.get(k, 0) + 1
-    if not acc:
-        return LaurentPoly.zero()
-    lo, hi = min(acc), max(acc)
-    return LaurentPoly(lo, [acc.get(e, 0) for e in range(lo, hi + 1)])
 
 
 def prefix_statistics(g: SnakeGraph) -> list[LaurentPoly]:

@@ -70,8 +70,9 @@ def cf_value(cf: CF) -> Fraction:
     return Fraction(num, den)
 
 
-def _parity_form(cf: CF, want_odd: bool) -> CF:
-    if len(cf) % 2 == (1 if want_odd else 0):
+def cf_even_form(cf: CF) -> CF:
+    """Equivalent expansion of even length, via [.., ak] = [.., ak - 1, 1]."""
+    if len(cf) % 2 == 0:
         return cf
     if cf[-1] >= 2:
         return cf[:-1] + (cf[-1] - 1, 1)
@@ -79,16 +80,6 @@ def _parity_form(cf: CF, want_odd: bool) -> CF:
         return cf[:-2] + (cf[-2] + 1,)
     # the integer 1: the even form [0, 1] keeps the value with a leading zero
     return (0, 1)
-
-
-def cf_even_form(cf: CF) -> CF:
-    """Equivalent expansion of even length, via [.., ak] = [.., ak - 1, 1]."""
-    return _parity_form(cf, want_odd=False)
-
-
-def cf_odd_form(cf: CF) -> CF:
-    """Equivalent expansion of odd length."""
-    return _parity_form(cf, want_odd=True)
 
 
 def q_int(n: int) -> LaurentPoly:
@@ -110,9 +101,6 @@ class QMatrix:
     b: LaurentPoly
     c: LaurentPoly
     d: LaurentPoly
-
-    def det(self) -> LaurentPoly:
-        return self.a * self.d - self.b * self.c
 
 
 # Slot widths, in bytes, that memoryview.cast reads as unsigned ints.
@@ -347,23 +335,15 @@ def all_routes(cf: CF) -> RouteTable:
 
 # -- Fibonacci family ----------------------------------------------------------
 
-def fibonacci_polys(n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """
-    The pair (numerator-family, denominator-family) polynomial of index n for
-    the deformed ratios of consecutive Fibonacci numbers: the deformation of
-    F(n+1)/F(n) equals numerator-family(n+1) / denominator-family(n).
-
-    Both families satisfy p(n+2) = [3]_q p(n) - q^2 p(n-2); they are mirrors
-    of each other: numerator(n) = q^(n-2) * denominator(n)(1/q) for n >= 2.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    nums, dens = fibonacci_families(n)
-    return nums[n], dens[n]
-
-
 def fibonacci_families(n: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
-    """Both families at every index 0 .. n, from one run of each."""
+    """
+    The numerator and denominator families of the deformed ratios of
+    consecutive Fibonacci numbers at every index 0 .. n, from one run of
+    each: the deformation of F(k+1)/F(k) is nums[k+1] / dens[k].
+
+    Both families satisfy p(k+2) = [3]_q p(k) - q^2 p(k-2); they are mirrors
+    of each other: nums[k] = q^(k-2) * dens[k](1/q) for k >= 2.
+    """
     den = _fib_family(n, [ONE, ONE, q_int(2), q_int(3)])
     # mirror-consistent seed at index 1 is q^-1; index 1 is reported as 1
     num = _fib_family(n, [LaurentPoly.monomial(-1), ONE, q_int(2), q_int(3)])

@@ -23,14 +23,23 @@ MAX_ASCII_CELLS = 10**7
 _LABEL = {1: "q", -1: "q^-1"}
 
 
+def _extent(g: SnakeGraph) -> tuple[int, int]:
+    """The far corner (max x, max y) of the snake's vertices: the path only
+    goes right or up, so the last box holds it; the boxless snake is the
+    edge (0, 0) - (1, 0)."""
+    if not g.boxes:
+        return 1, 0
+    x, y = g.boxes[-1]
+    return x + 1, y + 1
+
+
 def ascii_render(g: SnakeGraph) -> str:
     """Character-grid picture; weighted vertical edges carry their label
     just inside the box, horizontal ones inline in the edge.
 
-    Raises ValueError when the grid would exceed MAX_ASCII_CELLS cells."""
-    vertices = g.vertices
-    max_x = max(v[0] for v in vertices)
-    max_y = max(v[1] for v in vertices)
+    Raises ValueError when the grid would exceed MAX_ASCII_CELLS cells,
+    before any edge or vertex is read."""
+    max_x, max_y = _extent(g)
     width = max_x * CELL_W + 1
     height = max_y * CELL_H + 1
     if width * height > MAX_ASCII_CELLS:
@@ -51,16 +60,14 @@ def ascii_render(g: SnakeGraph) -> str:
             if exp:
                 label = _LABEL[exp]
                 canvas[row - 1][col + 1:col + 1 + len(label)] = label
-    for x, y in vertices:
+    for x, y in g.vertices:
         row, col = at(x, y)
         canvas[row][col] = "+"
     return "\n".join("".join(line).rstrip() for line in canvas)
 
 
 def svg_render(g: SnakeGraph) -> str:
-    vertices = g.vertices
-    max_x = max(v[0] for v in vertices)
-    max_y = max(v[1] for v in vertices)
+    max_x, max_y = _extent(g)
     width = max_x * SVG_SCALE + 2 * SVG_MARGIN
     height = max_y * SVG_SCALE + 2 * SVG_MARGIN
 

@@ -161,21 +161,3 @@ def denominator_snake(cf: tuple[int, ...]) -> SnakeGraph:
     if len(cf) < 2:
         raise ValueError("denominator snake needs at least two coefficients")
     return snake_graph(cf[1:])
-
-
-def face_arrow_counts(g: SnakeGraph) -> list[int]:
-    """Black -> white arrow count around each unit box (must all be odd)."""
-    counts = []
-    for box in g.boxes:
-        n = 0
-        for e in box_edges(box).values():
-            tail, head = g.arrow(e)
-            if g.is_black(tail):
-                n += 1
-        counts.append(n)
-    return counts
-
-
-def colored_edges(g: SnakeGraph) -> dict[Edge, int]:
-    """The weighted (non-unit) edges and their exponents."""
-    return {e: k for e, k in g.weight_exp.items() if k != 0}

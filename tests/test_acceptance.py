@@ -8,15 +8,17 @@ tolerances are zero everywhere.
 import math
 import time
 
-from qsnake.kasteleyn import (det_exact, det_expansion, fibonacci_kasteleyn,
-                              kasteleyn_matrix, verify_kasteleyn)
-from qsnake.laurent import LaurentFraction, LaurentPoly
+from qsnake.kasteleyn import (det_exact, kasteleyn_matrix, leading_minors,
+                              verify_kasteleyn)
+from qsnake.laurent import ONE, ZERO, LaurentFraction, LaurentPoly
 from qsnake.matching import (case_recurrences_check, denominator_via_matchings,
-                             matching_stat, matching_stat_dp,
-                             numerator_via_matchings, prefix_statistics)
-from qsnake.qrational import (cf_expand, fibonacci_number, fibonacci_polys,
+                             matching_stat_dp, numerator_via_matchings,
+                             prefix_statistics)
+from qsnake.qrational import (cf_expand, fibonacci_families, fibonacci_number,
                               q_int, q_rational)
-from qsnake.snake import face_arrow_counts, snake_graph
+from qsnake.snake import snake_graph
+
+from oracles import det_expansion, face_arrow_counts, matching_stat
 
 
 def lp(min_deg, *coeffs):
@@ -71,7 +73,7 @@ def test_criterion_3_kasteleyn_golden():
     ok = det == want or -det == want
     # hard-coded 3-diagonal conjugate printed alongside the worked example
     q, iq = LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
-    z, one = LaurentPoly.zero(), LaurentPoly.one()
+    z, one = ZERO, ONE
     m1, two, two_inv = -one, -q_int(2), -q_int(2).shifted(-1)
     three_diag = (
         (q, m1, z, z, z, z, z),
@@ -135,14 +137,17 @@ def test_criterion_7_kasteleyn_sweep():
 
 def test_criterion_8_fibonacci_suite():
     ok = True
+    nums, dens = fibonacci_families(21)
+    # the snake of n ones is the strip's first n - 1 boxes, and its matrix is
+    # the leading n x n block of the strip's
+    minors = leading_minors(kasteleyn_matrix(snake_graph((1,) * 20)))
     for n in range(1, 21):
-        num, den = fibonacci_polys(n + 1)[0], fibonacci_polys(n)[1]
         qr = q_rational(fibonacci_number(n + 1), fibonacci_number(n))
-        ok = ok and (num, den) == (qr.num, qr.den)
+        ok = ok and (nums[n + 1], dens[n]) == (qr.num, qr.den)
     for n in range(2, 21):
-        num, den = fibonacci_polys(n)
-        ok = ok and num == den.mirror(n - 2)
-        ok = ok and fibonacci_kasteleyn(n).eval_at_one() == fibonacci_number(n + 1)
+        ok = ok and nums[n] == dens[n].mirror(n - 2)
+        det = minors[n] if minors[n].coeffs[0] > 0 else -minors[n]
+        ok = ok and det.eval_at_one() == fibonacci_number(n + 1)
     report(8, ok, "recurrence family vs direct deformation, mirror identity, "
                   "band determinants at q = 1, n <= 20")
 

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,10 +13,12 @@ from qsnake.kasteleyn import kasteleyn_matrix, verify_kasteleyn
 from qsnake.laurent import LaurentPoly
 from qsnake.qrational import all_routes, cf_expand, q_rational
 from qsnake.render import ascii_render, graph_json, svg_render, tikz_render
-from qsnake.snake import snake_graph
+from qsnake.snake import SnakeGraph, snake_graph
 
+from oracles import kasteleyn_to_json, poly_from_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 # stdout and exit code of each command, each captured before a refactor of
 # the code it runs; the bytes must never change
@@ -62,9 +68,9 @@ def test_compute_json_round_trip(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["cf"] == [4, 3]
-    num = LaurentPoly.from_json(blob["num"])
+    num = poly_from_json(blob["num"])
     assert num == LaurentPoly(0, (1, 2, 3, 3, 2, 1, 1))
-    assert LaurentPoly.from_json(blob["den"]) == LaurentPoly(0, (1, 1, 1))
+    assert poly_from_json(blob["den"]) == LaurentPoly(0, (1, 1, 1))
 
 
 def test_compute_json_is_json_dumps(capsys):
@@ -155,7 +161,7 @@ def test_matchings_json(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["count"] == 5
-    assert LaurentPoly.from_json(blob["statistic"]) == LaurentPoly(-1, (1, 2, 1, 1))
+    assert poly_from_json(blob["statistic"]) == LaurentPoly(-1, (1, 2, 1, 1))
     exps = sorted(m["weight_exp"] for m in blob["matchings"])
     assert exps == [-1, 0, 0, 1, 2]
 
@@ -166,16 +172,16 @@ def test_kasteleyn_json(capsys):
     blob = json.loads(out)
     assert blob["size"] == 7 and blob["verified"] is True
     assert blob["scalar_exponent"] == 2
-    det = LaurentPoly.from_json(blob["det"])
+    det = poly_from_json(blob["det"])
     assert det == blob["sign"] * LaurentPoly(-2, (1, 2, 3, 3, 2, 1, 1))
 
 
 def test_kasteleyn_json_is_the_dense_blob(capsys):
-    # the row-by-row writer against json.dumps of the dense matrix's to_json
+    # the row-by-row writer against json.dumps of the dense matrix
     for r, s in [(1, 1), (2, 1), (13, 3), (61, 27), (34, 21)]:
         code, out = run(capsys, "kasteleyn", str(r), str(s))
         report = verify_kasteleyn(r, s)
-        blob = report.matrix.to_json()
+        blob = kasteleyn_to_json(report.matrix)
         blob.update({"det": report.det.to_json(), "det_text": report.det.text(),
                      "sign": report.sign, "scalar_exponent": report.scalar,
                      "verified": report.ok})
@@ -328,6 +334,48 @@ def test_ascii_canvas_bound_is_inclusive(capsys, monkeypatch):
     assert "limited to 21 cells, this snake needs 39" in capsys.readouterr().err
     # only the ascii render has a canvas
     assert run(capsys, "snake", "3", "1", "--render", "svg")[0] == 0
+
+
+def test_ascii_refusal_reads_no_edge(capsys, monkeypatch):
+    # the canvas is sized from the last box, so an oversize snake is refused
+    # before its weight map, its edges or its vertices are built
+    def refuse(self):
+        raise AssertionError("read the weight map of a refused snake")
+
+    monkeypatch.setattr(SnakeGraph, "weight_exp", property(refuse))
+    monkeypatch.setattr(render, "MAX_ASCII_CELLS", 6)
+    # the boxless 1/1 (7 x 1), a column of two boxes (7 x 5), a row of two (13 x 3)
+    for r, s, cells in [(1, 1, 7), (3, 2, 35), (3, 1, 39)]:
+        with pytest.raises(SystemExit) as exc:
+            main(["snake", str(r), str(s), "--render", "ascii"])
+        assert exc.value.code == 2
+        assert f"limited to 6 cells, this snake needs {cells}" in capsys.readouterr().err
+
+
+def test_render_extent_is_the_far_vertex():
+    for r in range(1, 41):
+        for s in range(1, r + 1):
+            if math.gcd(r, s) == 1:
+                g = snake_graph(cf_expand(r, s))
+                far = (max(x for x, _ in g.vertices), max(y for _, y in g.vertices))
+                assert render._extent(g) == far, (r, s)
+
+
+@pytest.mark.parametrize("command", ["compute 13 3", "kasteleyn 61 27"])
+def test_a_closed_stdout_pipe_exits_141_quietly(command):
+    # the read end is closed before the child starts, so its first write
+    # fails whatever the timing; 141 is 128 + SIGPIPE, as a shell reports it
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-c",
+                               "import sys; from qsnake.cli import main; sys.exit(main())",
+                               *command.split()],
+                              stdout=write, stderr=subprocess.PIPE, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+    finally:
+        os.close(write)
+    assert proc.returncode == 141 and proc.stderr == b"", proc.stderr
 
 
 def test_render_box_bound_is_inclusive(capsys, monkeypatch):

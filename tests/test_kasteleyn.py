@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-from qsnake.kasteleyn import (KasteleynMatrix, det_exact,
-                              det_expansion, fibonacci_kasteleyn,
-                              fibonacci_kasteleyn_numerator, kasteleyn_matrix,
+from qsnake.kasteleyn import (KasteleynMatrix, det_exact, kasteleyn_matrix,
                               kasteleyn_report, leading_minors, number_vertices,
-                              permutation_term_signs, verify_kasteleyn)
+                              verify_kasteleyn)
 from qsnake.laurent import LaurentPoly, ONE, ZERO
 from qsnake.matching import matching_stat_dp
-from qsnake.qrational import (cf_expand, fibonacci_number, fibonacci_polys, q_int,
+from qsnake.qrational import (cf_expand, fibonacci_families, fibonacci_number, q_int,
                               q_matrix_eval)
 from qsnake.snake import SnakeGraph, snake_graph
+
+from oracles import det_expansion, permutation_term_signs
 
 
 def lp(min_deg, *coeffs):
@@ -56,7 +56,7 @@ def _entry(x):
         return -q_int(2)
     if x == "-[2]inv":
         return -q_int(2).shifted(-1)
-    return LaurentPoly(0, (x,)) if x else LaurentPoly.zero()
+    return LaurentPoly(0, (x,)) if x else ZERO
 
 
 def _parse(rows):
@@ -200,7 +200,7 @@ def test_determinant_multiplies_no_polynomials(monkeypatch):
         g = snake_graph(cf)
         args = (cf, g, matching_stat_dp(g), q_matrix_eval(cf).num)
         cases.append((args, kasteleyn_report(*args)))
-    strip = fibonacci_kasteleyn(40)
+    strip = _strip_dets(40)
 
     def refuse(self, other):
         raise AssertionError("the Kasteleyn determinant multiplied two polynomials")
@@ -209,7 +209,7 @@ def test_determinant_multiplies_no_polynomials(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
     for args, before in cases:
         assert kasteleyn_report(*args) == before, args[0]
-    assert fibonacci_kasteleyn(40) == strip
+    assert _strip_dets(40) == strip
 
 
 def test_large_strip_builds_no_dense_matrix(monkeypatch):
@@ -260,23 +260,38 @@ def test_verify_sweep():
         assert rep.sign in (1, -1)
 
 
+def _strip_dets(n):
+    """
+    Entry k (k = 0 .. n) is the Kasteleyn determinant of the snake of k ones,
+    signed so its lowest coefficient is positive, read as the fibonacci
+    command reads it: the snake of k ones is the first k - 1 boxes of the
+    strip of n ones, and its matrix the leading k x k block of the strip's.
+    """
+    minors = leading_minors(kasteleyn_matrix(snake_graph((1,) * n)))
+    return [m if m.coeffs[0] > 0 else -m for m in minors]
+
+
 def test_fibonacci_kasteleyn_matches_strip_statistic():
+    dets = _strip_dets(14)
     for n in range(2, 15):
         r, s = fibonacci_number(n + 1), fibonacci_number(n)
         strip = snake_graph(cf_expand(r, s))
         stat = matching_stat_dp(strip)
-        assert fibonacci_kasteleyn(n) == stat, n
+        assert dets[n] == stat, n
 
 
 def test_fibonacci_kasteleyn_at_one():
-    assert fibonacci_kasteleyn(2).eval_at_one() == 2
+    dets = _strip_dets(20)
+    assert dets[2].eval_at_one() == 2
     for n in range(2, 21):
-        assert fibonacci_kasteleyn(n).eval_at_one() == fibonacci_number(n + 1), n
+        assert dets[n].eval_at_one() == fibonacci_number(n + 1), n
 
 
 def test_fibonacci_numerator_variant():
-    assert fibonacci_kasteleyn_numerator(5) == lp(0, 1, 2, 2, 2, 1)
-    assert fibonacci_kasteleyn_numerator(7) == lp(0, 1, 3, 4, 5, 4, 3, 1)
+    # each determinant normalized so its lowest term is the constant
+    nums = [det.shifted(-det.min_deg) for det in _strip_dets(20)]
+    assert nums[5] == lp(0, 1, 2, 2, 2, 1)
+    assert nums[7] == lp(0, 1, 3, 4, 5, 4, 3, 1)
+    expected = fibonacci_families(21)[0]
     for n in range(2, 21):
-        expected = fibonacci_polys(n + 1)[0]
-        assert fibonacci_kasteleyn_numerator(n) == expected, n
+        assert nums[n] == expected[n + 1], n

@@ -7,12 +7,14 @@ from qsnake import matching
 from qsnake.laurent import LaurentPoly, ONE
 from qsnake.matching import (CaseReport, case_recurrences_check,
                              denominator_via_matchings,
-                             enumerate_matchings, matching_stat,
-                             matching_stat_dp, matching_weight_exp,
+                             enumerate_matchings, matching_stat_dp,
+                             matching_weight_exp,
                              numerator_via_matchings, prefix_statistics,
                              scalar_exponent)
 from qsnake.qrational import cf_expand, fibonacci_number, q_rational
 from qsnake.snake import SnakeGraph, denominator_snake, snake_graph
+
+from oracles import matching_stat
 
 
 def lp(min_deg, *coeffs):

@@ -6,11 +6,13 @@ import pytest
 from qsnake import laurent
 from qsnake.laurent import LaurentFraction, LaurentPoly, ONE, ZERO
 from qsnake.qrational import (_slot_bytes, all_routes, cf_even_form, cf_expand,
-                              cf_matrix_word, cf_odd_form, cf_value,
-                              continuant_det, fibonacci_number,
-                              fibonacci_polys, q_cf_eval, q_continuant,
-                              q_int, q_map_general, q_matrix_eval, q_rational)
+                              cf_matrix_word, cf_value, continuant_det,
+                              fibonacci_families, fibonacci_number, q_cf_eval,
+                              q_continuant, q_int, q_map_general, q_matrix_eval,
+                              q_rational)
 from qsnake.verify import check_pair
+
+from oracles import cf_odd_form, qmatrix_det
 
 
 def lp(min_deg, *coeffs):
@@ -136,7 +138,7 @@ def test_parity_independence():
 
 def test_word_determinant_is_monomial():
     for cf in [(2, 2), (1, 1, 3), (4, 3), (2, 2, 2, 2), (7,)]:
-        det = cf_matrix_word(cf).det()
+        det = qmatrix_det(cf_matrix_word(cf))
         assert det == LaurentPoly.monomial(sum(cf)), cf
 
 
@@ -211,7 +213,7 @@ def test_routes_multiply_no_polynomials(monkeypatch):
     values = [Fraction(-7, 3), Fraction(5, 12), 0]
     routes = [all_routes(cf) for cf in words]
     maps = [q_map_general(x) for x in values]
-    fibonacci = fibonacci_polys(40)
+    fibonacci = fibonacci_families(40)
 
     def refuse(self, other):
         raise AssertionError("a route multiplied two polynomials")
@@ -221,7 +223,7 @@ def test_routes_multiply_no_polynomials(monkeypatch):
     assert [all_routes(cf) for cf in words] == routes
     assert all(table.agree for table in routes)
     assert [q_map_general(x) for x in values] == maps
-    assert fibonacci_polys(40) == fibonacci
+    assert fibonacci_families(40) == fibonacci
 
 
 def test_recurrence_route_matches_reference(recurrence_reference):
@@ -271,21 +273,21 @@ def test_recurrence_route_runs_no_fraction_arithmetic(monkeypatch):
 
 
 def test_fibonacci_polys():
-    num5, den4 = fibonacci_polys(5)[0], fibonacci_polys(4)[1]
-    assert num5 == poly(1, 1, 2, 1)
-    assert den4 == poly(1, 1, 1)
-    num7, den6 = fibonacci_polys(7)[0], fibonacci_polys(6)[1]
-    assert num7 == poly(1, 2, 3, 3, 3, 1)
-    assert den6 == poly(1, 2, 2, 2, 1)
-    assert fibonacci_polys(1) == (ONE, ONE)
+    nums, dens = fibonacci_families(21)
+    assert nums[5] == poly(1, 1, 2, 1)
+    assert dens[4] == poly(1, 1, 1)
+    assert nums[7] == poly(1, 2, 3, 3, 3, 1)
+    assert dens[6] == poly(1, 2, 2, 2, 1)
+    assert (nums[1], dens[1]) == (ONE, ONE)
+    # a shorter run gives the same families, cut at its index
+    for n in range(1, 22):
+        assert fibonacci_families(n) == (nums[:n + 1], dens[:n + 1]), n
     for n in range(1, 21):
-        num, den = fibonacci_polys(n + 1)[0], fibonacci_polys(n)[1]
         qr = q_rational(fibonacci_number(n + 1), fibonacci_number(n))
-        assert num == qr.num, n
-        assert den == qr.den, n
+        assert nums[n + 1] == qr.num, n
+        assert dens[n] == qr.den, n
     for n in range(2, 21):
-        num, den = fibonacci_polys(n)
-        assert num == den.mirror(n - 2), n
+        assert nums[n] == dens[n].mirror(n - 2), n
 
 
 def test_continuant_shift_matches_paperless_scalar():

@@ -3,9 +3,11 @@ import math
 
 import pytest
 
-from qsnake.qrational import cf_even_form, cf_expand, cf_odd_form
-from qsnake.snake import (SnakeGraph, box_path, colored_edges, denominator_snake,
-                          face_arrow_counts, sign_sequence, snake_graph)
+from qsnake.qrational import cf_even_form, cf_expand
+from qsnake.snake import (SnakeGraph, box_path, denominator_snake, sign_sequence,
+                          snake_graph)
+
+from oracles import cf_odd_form, colored_edges, face_arrow_counts
 
 SWEEP = [(r, s) for r in range(2, 41) for s in range(1, r) if math.gcd(r, s) == 1]
 

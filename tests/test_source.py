@@ -4,6 +4,7 @@ import ast
 import doctest
 import importlib
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -51,7 +52,8 @@ def test_traced_names_resolve():
 def test_import_loads_no_test_helpers():
     # a fresh interpreter: this one has hypothesis loaded by the test suite
     code = ("import sys, qsnake, qsnake.cli, qsnake.verify; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'hypothesis'}))")
+            "print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'sympy', 'hypothesis', 'oracles'}))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
@@ -95,6 +97,22 @@ def test_public_names_resolve():
     import qsnake
     missing = [name for name in qsnake.__all__ if not hasattr(qsnake, name)]
     assert qsnake.__all__ and not missing, missing
+
+
+def test_public_names_have_a_caller():
+    # the package holds what its commands, routes and benchmark run: each
+    # public name is read by another module of it or traced by bench/; a
+    # name only the tests read belongs in tests/oracles.py
+    import qsnake
+    tracing = runpy.run_path(str(ROOT / "bench" / "tracing.py"))
+    traced = {attribute for _layer, _module, attribute, _kernel, _measure in tracing["LAYERS"]}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in SOURCES if path.name != "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unread = [name for name in qsnake.__all__
+              if name != "__version__" and name not in read | traced]
+    assert qsnake.__all__ and not unread, unread
 
 
 def test_docstring_examples():
@@ -144,7 +162,9 @@ def test_limits_are_documented():
 
 def test_no_test_module_imports_another():
     # a shared helper lives in conftest.py as a fixture, so one module's
-    # failed import cannot fail the collection of another
+    # failed import cannot fail the collection of another; the one plain
+    # module the tests import is oracles.py, the brute-force references,
+    # which the standalone acceptance run needs without pytest
     found = []
     for path in sorted((ROOT / "tests").glob("test_*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -156,3 +176,13 @@ def test_no_test_module_imports_another():
             if any(name.split(".")[-1].startswith("test_") for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_acceptance_runs_standalone():
+    # README promises `python tests/test_acceptance.py` without pytest
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(ROOT / "tests" / "test_acceptance.py")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    passed = re.findall(r"^ACCEPTANCE (\d+): PASS", out.stdout, re.M)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert sorted(passed) == [str(k) for k in range(1, 10)], out.stdout
