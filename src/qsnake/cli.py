@@ -15,17 +15,30 @@ from .matching import (MAX_ENUMERATION_BOXES, enumerate_matchings,
                        matching_stat_dp, matching_weight_exp)
 from .qrational import (CF, all_routes, cf_expand, fibonacci_families,
                         fibonacci_number, q_matrix_eval, q_rational)
-from .render import render
-from .snake import snake_graph
+from .render import ascii_grid, render
+from .snake import far_corner, snake_graph
 from .verify import run_sweep, summarize
 
 
 # Largest continued-fraction sum (snake boxes + 1) a single-pair command
 # accepts.  Time and memory grow at least linearly with it: `compute 1000000
-# 999999 --all-routes`, at the bound, took 5.2-7.3 s of CPU and 253 MiB peak
-# RSS in text (printing holds most of it) and 1.7-2.2 s and 317 MiB in JSON
+# 999999 --all-routes`, at the bound, took 4.1-4.6 s of CPU and 176 MiB peak
+# RSS in text (printing holds most of it) and 2.5-2.7 s and 317 MiB in JSON
 # on a shared 2-core VM.
 MAX_CF_SUM = 10**6
+
+# Largest cost len(cf) * sum(cf) * r.bit_length() `compute` accepts.  Each
+# route takes a step per quotient on polynomials of degree up to sum(cf)
+# with coefficients of up to r.bit_length() bits, so the time grows with the
+# product, which MAX_CF_SUM does not bound: the ratio of Fibonacci numbers
+# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 4.4 s (8.6 s
+# with --all-routes), and its cost grows as the cube of the length.  The
+# pairs that set the bound are those near MAX_CF_SUM with a few more
+# quotients, in `compute --all-routes` text: 1000000/999999 (cost 4e7) took
+# 4.1-4.6 s, [1, 1, 1, 999997] (8.8e7) 4.7 s, and [1] * 8 + [999992] (2.3e8)
+# 6.7-6.8 s, on a shared 2-core VM.  Every other shape measured at the bound
+# took under 1 s; the last Fibonacci ratio accepted has 523 quotients.
+MAX_COMPUTE_COST = 10**8
 
 # Largest snake `kasteleyn` accepts.  It prints the matrix dense, every zero
 # included, so its output grows with the square of the box count: the 600-box
@@ -52,7 +65,7 @@ MAX_MATCHING_EDGES = 400_000
 
 # Largest table `fibonacci` prints.  The rows' determinants come from one
 # expansion of the strip's matrix, but each row still computes q_rational, so
-# the table takes time cubic in n: 300 rows took 0.5-0.7 s of CPU.
+# the table takes time cubic in n: 300 rows took 0.26-0.28 s of CPU.
 MAX_FIBONACCI_ROWS = 300
 
 # Largest `verify --max-r`.  The sweep checks every coprime pair s < r <= N,
@@ -83,6 +96,11 @@ def _cf(parser: argparse.ArgumentParser, r: int, s: int) -> CF:
 
 def cmd_compute(args, parser) -> int:
     cf = _cf(parser, args.r, args.s)
+    cost = len(cf) * sum(cf) * args.r.bit_length()
+    if cost > MAX_COMPUTE_COST:
+        parser.error(f"compute is limited to a cost of {MAX_COMPUTE_COST} (the length "
+                     f"times the sum of the continued fraction times the bits of r); "
+                     f"{args.r}/{args.s} costs {cost}")
     if args.all_routes:
         table = all_routes(cf)
         if args.format == "json":
@@ -112,14 +130,15 @@ def cmd_compute(args, parser) -> int:
 def cmd_snake(args, parser) -> int:
     cf = _cf(parser, args.r, args.s)
     boxes = sum(cf) - 1
-    if args.render != "ascii" and boxes > MAX_RENDER_BOXES:
+    if args.render == "ascii":
+        try:
+            ascii_grid(far_corner(cf))
+        except ValueError as exc:
+            parser.error(str(exc))
+    elif boxes > MAX_RENDER_BOXES:
         parser.error(f"the {args.render} render is limited to snakes of at most "
                      f"{MAX_RENDER_BOXES} boxes, got {boxes}")
-    g = snake_graph(cf)
-    try:
-        out = render(g, args.render)
-    except ValueError as exc:
-        parser.error(str(exc))
+    out = render(snake_graph(cf), args.render)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

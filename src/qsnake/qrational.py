@@ -13,23 +13,24 @@ The four routes implemented here are:
 
 Every route but the continuant is a recurrence on the pair (num, den) and
 applies exactly the steps listed here, each a matrix M whose determinant is
-a monomial, a unit of Z[q, 1/q].  The matrix route multiplies its word on
-the right by R^n = [[q^n, [n]], [0, 1]] or L^n = [[q^n, 0], [q[n], 1]],
-updating the two columns.  The nested step sends (num, den) to M (num, den)
-with M = [[ [a]_{q^{+-1}}, q^{+-a} ], [1, 0]]; the recurrence steps are
+a monomial, a unit of Z[q, 1/q].  The matrix route builds only the column
+of its word that it reads: it applies R^n = [[q^n, [n]], [0, 1]] or
+L^n = [[q^n, 0], [q[n], 1]] to a unit column, from the last quotient to the
+first.  The nested step sends (num, den) to M (num, den) with
+M = [[ [a]_{q^{+-1}}, q^{+-a} ], [1, 0]]; the recurrence steps are
 [[q^a, [a]], [0, 1]], [[0, -1], [q, 0]] and [[1, -[m]], [0, q^m]].  No route
 needs a gcd: a common factor of the new pair divides det M times the old
-pair, so the pair stays coprime from its start ([a], 1) or ([n], 1), and the
-columns of a word of determinant q^(a1 + ... + ak) are coprime.  Each route
-returns a ``LaurentFraction``, whose constructor fixes the remaining unit:
-the denominator has min_deg 0 and a positive lowest coefficient.
+pair, so the pair stays coprime from its start ([a], 1), ([n], 1) or a unit
+column.  Each route returns a ``LaurentFraction``, whose constructor fixes
+the remaining unit: the denominator has min_deg 0 and a positive lowest
+coefficient.
 
-The matrix route runs its own arithmetic: it evaluates the word at
-q = 2^B, each entry one int whose B-bit slots are its coefficients, so a
-product by [n]_q is a few shift-adds of ints.  Every other product by
-[n]_q, on the other routes and in the Fibonacci families, goes through
-``LaurentPoly.times_qint``, with [n]_{1/q} = q^(1-n) [n]_q as a shift.  So
-the matrix route agreeing with the others compares two kernels.
+The matrix route runs its own arithmetic: it evaluates its column at
+q = 2^B, each entry one int whose B-bit slots are its coefficients, so the
+one product by [n]_q per quotient is a few shift-adds of ints.  Every other
+product by [n]_q, on the other routes and in the Fibonacci families, goes
+through ``LaurentPoly.times_qint``, with [n]_{1/q} = q^(1-n) [n]_q as a
+shift.  So the matrix route agreeing with the others compares two kernels.
 """
 
 from __future__ import annotations
@@ -93,52 +94,47 @@ def q_int(n: int) -> LaurentPoly:
 
 # -- matrix route ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QMatrix:
-    """2x2 matrix of Laurent polynomials (row major a, b, c, d)."""
-
-    a: LaurentPoly
-    b: LaurentPoly
-    c: LaurentPoly
-    d: LaurentPoly
-
-
 # Slot widths, in bytes, that memoryview.cast reads as unsigned ints.
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def cf_matrix_word(cf: CF) -> QMatrix:
+def cf_matrix_column(cf: CF) -> tuple[LaurentPoly, LaurentPoly]:
     """
-    Product R^a1 L^a2 R^a3 ... over the coefficients (R on odd positions) of
-    the deformed generators R = [[q, 1], [0, 1]] and L = [[q, 0], [q, 1]].
-    Right multiplication by R^n = [[q^n, [n]], [0, 1]] or by
-    L^n = [[q^n, 0], [q[n], 1]] is applied as an update of the two columns.
+    The column of the word R^a1 L^a2 R^a3 ... (R on odd positions) of the
+    deformed generators R = [[q, 1], [0, 1]] and L = [[q, 0], [q, 1]] that
+    the matrix route reads: the first for even length, the second for odd.
+    The generator powers are applied to the unit column e1 or e2 from the
+    last quotient to the first, as R^n (x, y) = (q^n x + [n] y, y) and
+    L^n (x, y) = (q^n x, q[n] x + y), one product by [n] per quotient.
 
-    The entries are tracked as ints, the word evaluated at q = 2^B
-    (Kronecker substitution): a product by q^k is a shift by kB bits.  Every
-    coefficient of every prefix is nonnegative and at most the largest
-    entry at q = 1, because the updates only add, so slots of
-    ``_slot_bytes`` of that bound never carry.
+    The entries are tracked as ints, the column evaluated at q = 2^B
+    (Kronecker substitution): a product by q^k is a shift by kB bits.  At
+    q = 1 each generator power is entrywise at least the identity and no
+    entry is negative, so every suffix column G_j ... G_k e is entrywise at
+    most the whole word's column; and every coefficient is nonnegative, so
+    at most its polynomial's value at q = 1.  Slots of ``_slot_bytes`` of
+    the largest entry of the column at q = 1 therefore never carry.
     """
-    a, b, c, d = 1, 0, 0, 1
-    for i, n in enumerate(cf):
+    x0, y0 = (0, 1) if len(cf) % 2 else (1, 0)
+    x, y = x0, y0
+    for i in reversed(range(len(cf))):
+        n = cf[i]
         if n < 0:
             raise ValueError(f"the word needs quotients >= 0, got {n}")
         if i % 2 == 0:
-            b, d = a * n + b, c * n + d
+            x += n * y
         else:
-            a, c = a + b * n, c + d * n
-    width = _slot_bytes(max(a, b, c, d))
+            y += n * x
+    width = _slot_bytes(max(x, y))
     bits = 8 * width
-    a, b, c, d = 1, 0, 0, 1
-    for i, n in enumerate(cf):
+    x, y = x0, y0
+    for i in reversed(range(len(cf))):
+        n = cf[i]
         if i % 2 == 0:
-            a, b = a << n * bits, _times_qint(a, n, bits) + b
-            c, d = c << n * bits, _times_qint(c, n, bits) + d
+            x = (x << n * bits) + _times_qint(y, n, bits)
         else:
-            a = (a << n * bits) + (_times_qint(b, n, bits) << bits)
-            c = (c << n * bits) + (_times_qint(d, n, bits) << bits)
-    return QMatrix(*[_unpack(x, width) for x in (a, b, c, d)])
+            x, y = x << n * bits, (_times_qint(x, n, bits) << bits) + y
+    return _unpack(x, width), _unpack(y, width)
 
 
 def _slot_bytes(bound: int) -> int:
@@ -192,10 +188,7 @@ def q_matrix_eval(cf: CF) -> LaurentFraction:
     (q*num, q*den), whose common q the fraction's normalization drops; for
     odd length the second column is (num, den) directly.
     """
-    m = cf_matrix_word(cf)
-    if len(cf) % 2 == 0:
-        return LaurentFraction(m.a, m.c)
-    return LaurentFraction(m.b, m.d)
+    return LaurentFraction(*cf_matrix_column(cf))
 
 
 # -- nested-fraction route -----------------------------------------------------
@@ -261,18 +254,23 @@ def q_map_general(x) -> LaurentFraction:
     if x == math.inf:
         return LaurentFraction.infinity()
     x = Fraction(x)
-    # Descend on x = p/d to an integer with one step per floor a of x, then
-    # undo the steps innermost first.  Each step has determinant 1, so the
-    # pair stays coprime with d > 0.  A loop, so deep continued fractions
-    # cannot exhaust the interpreter's recursion limit.
+    # Descend on x = p/d to an integer with one step per integer part a of x,
+    # rounded toward zero, then undo the steps innermost first.  Each step
+    # has determinant 1, so the pair stays coprime with d > 0.  Rounding
+    # toward zero follows the regular continued fraction, at most two steps
+    # per quotient; rounding down would walk each quotient at an odd
+    # position past the first one unit at a time (6000 steps for
+    # [1; 1, 3000]), each step of the ascent a pass over the polynomials.  A
+    # loop, so deep continued fractions cannot exhaust the interpreter's
+    # recursion limit.
     p, d = x.numerator, x.denominator
     steps = []
     while d != 1:
-        a = p // d
+        a = p // d if p > 0 else -(-p // d)
         steps.append(a)
-        # a > 0: x - a in (0, 1); a == 0: -1/x < -1; a < 0: x - a in (0, 1)
+        # a != 0: x - a in (-1, 1); a == 0: -1/x, whose denominator |p| < d
         if a == 0:
-            p, d = -d, p
+            p, d = (-d, p) if p > 0 else (d, -p)
         else:
             p -= a * d
     # The ascent holds num = sn N and den = sd D with the signs sn, sd apart,
@@ -285,7 +283,7 @@ def q_map_general(x) -> LaurentFraction:
             term = D.times_qint(a)
             N = N.shifted(a) + term if sn == sd else N.shifted(a) - term
         elif a == 0:
-            # x in (0, 1): [x] = -1/(q [-1/x])
+            # x in (-1, 1): [x] = -1/(q [-1/x])
             N, D, sn, sd = D, N.shifted(1), -sd, sn
         else:
             # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m

@@ -33,18 +33,26 @@ def _extent(g: SnakeGraph) -> tuple[int, int]:
     return x + 1, y + 1
 
 
+def ascii_grid(corner: tuple[int, int]) -> tuple[int, int]:
+    """The width and height in cells of the picture of a snake whose far
+    corner is corner; raises ValueError above MAX_ASCII_CELLS cells."""
+    width = corner[0] * CELL_W + 1
+    height = corner[1] * CELL_H + 1
+    if width * height > MAX_ASCII_CELLS:
+        raise ValueError(f"the ascii render is limited to {MAX_ASCII_CELLS} "
+                         f"cells, this snake needs {width * height}")
+    return width, height
+
+
 def ascii_render(g: SnakeGraph) -> str:
     """Character-grid picture; weighted vertical edges carry their label
     just inside the box, horizontal ones inline in the edge.
 
     Raises ValueError when the grid would exceed MAX_ASCII_CELLS cells,
     before any edge or vertex is read."""
-    max_x, max_y = _extent(g)
-    width = max_x * CELL_W + 1
-    height = max_y * CELL_H + 1
-    if width * height > MAX_ASCII_CELLS:
-        raise ValueError(f"the ascii render is limited to {MAX_ASCII_CELLS} "
-                         f"cells, this snake needs {width * height}")
+    corner = _extent(g)
+    width, height = ascii_grid(corner)
+    max_y = corner[1]
     canvas = [[" "] * width for _ in range(height)]
 
     def at(x, y):

@@ -53,6 +53,28 @@ def box_path(cf: tuple[int, ...]) -> tuple[Box, ...]:
     return tuple(boxes)
 
 
+def far_corner(cf: tuple[int, ...]) -> Vertex:
+    """
+    The far corner (max x, max y) of the snake's vertices, from the
+    continued fraction alone, one step per quotient.  Sign i lies in run j,
+    so box i+1 goes right exactly when i + j is odd (see ``box_path``); the
+    corner is one past the count of right and of up steps.  The boxless
+    snake is the edge (0, 0) - (1, 0).
+    """
+    total = sum(cf)
+    if total < 2:
+        return 1, 0
+    right, start = 0, 0
+    for j, a in enumerate(cf):
+        lo, hi = max(start, 1), min(start + a, total - 1)
+        if lo < hi:
+            # the i in lo .. hi - 1 of parity p, the parity that makes i + j odd
+            p = 1 - j % 2
+            right += (hi - p + 1) // 2 - (lo - p + 1) // 2
+        start += a
+    return right + 1, total - 1 - right
+
+
 def box_edges(box: Box) -> dict[str, Edge]:
     """The four edges of a unit cell keyed by side W/E/S/N."""
     x, y = box

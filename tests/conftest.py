@@ -84,9 +84,9 @@ def matrix_word_reference():
     column update in LaurentPoly arithmetic, right multiplication by
     R^n = [[q^n, [n]], [0, 1]] or L^n = [[q^n, 0], [q[n], 1]] through
     ``times_qint`` and ``__add__``: a reference for the matrix route, which
-    packs its entries into ints and runs neither."""
+    packs the one column it reads into ints and runs neither."""
     from qsnake.laurent import ONE, ZERO
-    from qsnake.qrational import QMatrix
+    from oracles import QMatrix
 
     def word(cf):
         a, b, c, d = ONE, ZERO, ZERO, ONE
@@ -99,6 +99,18 @@ def matrix_word_reference():
         return QMatrix(a, b, c, d)
 
     return word
+
+
+@pytest.fixture(scope="session")
+def matrix_column_reference(matrix_word_reference):
+    """``matrix_column_reference(cf)``: the column of
+    ``matrix_word_reference(cf)`` that the matrix route reads, the first
+    for even length and the second for odd."""
+    def column(cf):
+        m = matrix_word_reference(cf)
+        return (m.a, m.c) if len(cf) % 2 == 0 else (m.b, m.d)
+
+    return column
 
 
 @pytest.fixture(scope="session")

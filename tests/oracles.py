@@ -9,10 +9,11 @@ runs without pytest.  It imports only public qsnake names.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from qsnake.kasteleyn import Entries, KasteleynMatrix
 from qsnake.laurent import ONE, ZERO, LaurentPoly
 from qsnake.matching import enumerate_matchings, matching_weight_exp
-from qsnake.qrational import QMatrix
 from qsnake.snake import Edge, SnakeGraph, box_edges
 
 
@@ -21,6 +22,16 @@ from qsnake.snake import Edge, SnakeGraph, box_edges
 def poly_from_json(obj: dict) -> LaurentPoly:
     """The polynomial of a ``LaurentPoly.to_json`` blob."""
     return LaurentPoly(int(obj["min_deg"]), tuple([int(c) for c in obj["coeffs"]]))
+
+
+@dataclass(frozen=True)
+class QMatrix:
+    """2x2 matrix of Laurent polynomials (row major a, b, c, d)."""
+
+    a: LaurentPoly
+    b: LaurentPoly
+    c: LaurentPoly
+    d: LaurentPoly
 
 
 def qmatrix_det(m: QMatrix) -> LaurentPoly:

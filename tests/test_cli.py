@@ -11,9 +11,9 @@ from qsnake import cli, render, verify
 from qsnake.cli import main
 from qsnake.kasteleyn import kasteleyn_matrix, verify_kasteleyn
 from qsnake.laurent import LaurentPoly
-from qsnake.qrational import all_routes, cf_expand, q_rational
+from qsnake.qrational import all_routes, cf_expand, fibonacci_number, q_rational
 from qsnake.render import ascii_render, graph_json, svg_render, tikz_render
-from qsnake.snake import SnakeGraph, snake_graph
+from qsnake.snake import SnakeGraph, far_corner, snake_graph
 
 from oracles import kasteleyn_to_json, poly_from_json
 
@@ -315,6 +315,23 @@ def test_cf_sum_bound_is_inclusive(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+def test_compute_cost_bound_is_inclusive(capsys, monkeypatch):
+    # the cost is len(cf) * sum(cf) * r.bit_length()
+    monkeypatch.setattr(cli, "MAX_COMPUTE_COST", 56)
+    assert run(capsys, "compute", "13", "3")[0] == 0  # [4, 3]: 2 * 7 * 4
+    for extra in ([], ["--all-routes"], ["--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "16", "3", *extra])  # [5, 3]: 2 * 8 * 5
+        assert exc.value.code == 2
+        assert "limited to a cost of 56" in capsys.readouterr().err
+    # the Fibonacci ratio with 8000 quotients ran for most of a minute
+    monkeypatch.undo()
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", str(fibonacci_number(8002)), str(fibonacci_number(8001))])
+    assert exc.value.code == 2
+    assert "costs 355564440000" in capsys.readouterr().err
+
+
 def test_kasteleyn_box_bound_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_KASTELEYN_BOXES", 6)
     assert run(capsys, "kasteleyn", "13", "3")[0] == 0  # [4, 3]: 6 boxes
@@ -350,15 +367,39 @@ def test_ascii_refusal_reads_no_edge(capsys, monkeypatch):
             main(["snake", str(r), str(s), "--render", "ascii"])
         assert exc.value.code == 2
         assert f"limited to 6 cells, this snake needs {cells}" in capsys.readouterr().err
+        # the command refuses before any snake exists; the render keeps its own check
+        with pytest.raises(ValueError, match=f"limited to 6 cells, this snake needs {cells}"):
+            ascii_render(snake_graph(cf_expand(r, s)))
+
+
+def test_ascii_refusal_builds_no_snake(capsys, monkeypatch):
+    # the far corner is counted from the continued fraction, so an oversize
+    # picture is refused before the box path exists
+    def refuse(cf):
+        raise AssertionError("built the snake of a refused picture")
+
+    monkeypatch.setattr(cli, "snake_graph", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["snake", "1000000", "1", "--render", "ascii"])  # at MAX_CF_SUM
+    assert exc.value.code == 2
+    assert "limited to 10000000 cells" in capsys.readouterr().err
+    monkeypatch.setattr(render, "MAX_ASCII_CELLS", 6)
+    for r, s, cells in [(1, 1, 7), (3, 2, 35), (3, 1, 39), (13, 3, 175)]:
+        with pytest.raises(SystemExit) as exc:
+            main(["snake", str(r), str(s), "--render", "ascii"])
+        assert exc.value.code == 2
+        assert f"limited to 6 cells, this snake needs {cells}" in capsys.readouterr().err
 
 
 def test_render_extent_is_the_far_vertex():
     for r in range(1, 41):
         for s in range(1, r + 1):
             if math.gcd(r, s) == 1:
-                g = snake_graph(cf_expand(r, s))
+                cf = cf_expand(r, s)
+                g = snake_graph(cf)
                 far = (max(x for x, _ in g.vertices), max(y for _, y in g.vertices))
                 assert render._extent(g) == far, (r, s)
+                assert far_corner(cf) == far, (r, s)
 
 
 @pytest.mark.parametrize("command", ["compute 13 3", "kasteleyn 61 27"])

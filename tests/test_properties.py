@@ -12,7 +12,7 @@ from qsnake.kasteleyn import det_exact, kasteleyn_matrix
 from qsnake.laurent import (ONE, ZERO, LaurentFraction, LaurentPoly, _prs_gcd,
                             laurent_gcd)
 from qsnake.matching import matching_stat_dp, scalar_exponent
-from qsnake.qrational import (all_routes, cf_expand, cf_matrix_word, cf_value, q_int,
+from qsnake.qrational import (all_routes, cf_expand, cf_matrix_column, cf_value, q_int,
                               q_map_general)
 from qsnake.snake import snake_graph
 
@@ -38,13 +38,13 @@ laurent_polys = st.builds(LaurentPoly, st.integers(-3, 3),
 # no shrinking: a failing pair is reported as found, without minutes of search
 @settings(REPRODUCIBLE, phases=(Phase.explicit, Phase.generate))
 @given(coprime_pairs)
-def test_routes_and_matchings_agree(pair):
+def test_routes_and_matchings_agree(matrix_word_reference, pair):
     cf = cf_expand(*pair)
     table = all_routes(cf)
     assert table.agree
     # a monomial determinant is a Bezout certificate: the matrix pair, and so
     # every route that agrees with it, is in lowest terms
-    assert qmatrix_det(cf_matrix_word(cf)) == LaurentPoly.monomial(sum(cf))
+    assert qmatrix_det(matrix_word_reference(cf)) == LaurentPoly.monomial(sum(cf))
     g = snake_graph(cf)
     stat = matching_stat_dp(g)
     assert LaurentPoly.monomial(scalar_exponent(cf)) * stat == table.fractions["matrix"].num
@@ -130,8 +130,8 @@ words = st.lists(st.integers(0, 1000) | st.integers(0, 3), max_size=60).map(_wit
 
 @settings(REPRODUCIBLE, phases=(Phase.explicit, Phase.generate))
 @given(words)
-def test_matrix_word_matches_reference_on_random_words(matrix_word_reference, word):
-    assert cf_matrix_word(word) == matrix_word_reference(word)
+def test_matrix_word_matches_reference_on_random_words(matrix_column_reference, word):
+    assert cf_matrix_column(word) == matrix_column_reference(word)
 
 
 def exponent_dict(p):

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qsnake import laurent
+from qsnake import laurent, qrational
 from qsnake.laurent import LaurentFraction, LaurentPoly, ONE, ZERO
 from qsnake.qrational import (_slot_bytes, all_routes, cf_even_form, cf_expand,
-                              cf_matrix_word, cf_value, continuant_det,
+                              cf_matrix_column, cf_value, continuant_det,
                               fibonacci_families, fibonacci_number, q_cf_eval,
                               q_continuant, q_int, q_map_general, q_matrix_eval,
                               q_rational)
@@ -136,32 +136,26 @@ def test_parity_independence():
         assert q_cf_eval(even) == q_cf_eval(odd), (r, s)
 
 
-def test_word_determinant_is_monomial():
+def test_word_determinant_is_monomial(matrix_word_reference):
     for cf in [(2, 2), (1, 1, 3), (4, 3), (2, 2, 2, 2), (7,)]:
-        det = qmatrix_det(cf_matrix_word(cf))
+        det = qmatrix_det(matrix_word_reference(cf))
         assert det == LaurentPoly.monomial(sum(cf)), cf
 
 
 def test_denominator_from_truncated_word():
     # dropping the leading generator power exposes the denominator in the
-    # word's remaining column (bottom-left over q for even length, bottom-right
-    # for odd length)
+    # bottom entry of the word's column (over q for even length)
     for r, s in SWEEP:
         cf = cf_expand(r, s)
         if len(cf) < 2:
             continue
-        tail = cf_matrix_word_offset(cf)
+        # R^0 is the identity, so this is the word without its leading power
+        _, tail = cf_matrix_column((0,) + cf[1:])
+        if len(cf) % 2 == 0:
+            tail = tail.div_exact(LaurentPoly.monomial(1))
         qr = q_rational(r, s)
         assert tail == qr.den, (r, s)
         assert tail.eval_at_one() == s
-
-
-def cf_matrix_word_offset(cf):
-    # R^0 is the identity, so this is the word without its leading power
-    m = cf_matrix_word((0,) + cf[1:])
-    if len(cf) % 2 == 0:
-        return m.c.div_exact(LaurentPoly.monomial(1))
-    return m.d
 
 
 def test_q_map_general_values():
@@ -272,6 +266,26 @@ def test_recurrence_route_runs_no_fraction_arithmetic(monkeypatch):
         assert len(negations) <= 2 and len(made) <= 1, (x, len(negations), len(made))
 
 
+def test_recurrence_route_takes_two_steps_per_quotient(monkeypatch):
+    # the descent follows the regular continued fraction; rounding each
+    # integer part down instead walks [1; 1, 3000] in 6000 unit steps, each
+    # a product by [a] in the ascent
+    words = [(1, 1, 3000), (1,) * 100 + (3000,), (2, 3000, 5, 1, 4000, 2), (7, 1, 1, 9)]
+    values = [v for cf in words for v in (cf_value(cf), -cf_value(cf), 1 / cf_value(cf))]
+    before = [q_map_general(x) for x in values]
+    kernel, calls = LaurentPoly.times_qint, []
+
+    def counting(self, n):
+        calls.append(n)
+        return kernel(self, n)
+
+    monkeypatch.setattr(LaurentPoly, "times_qint", counting)
+    for i, (x, want) in enumerate(zip(values, before)):
+        calls.clear()
+        assert q_map_general(x) == want, x
+        assert len(calls) <= 2 * len(words[i // 3]) + 1, (x, len(calls))
+
+
 def test_fibonacci_polys():
     nums, dens = fibonacci_families(21)
     assert nums[5] == poly(1, 1, 2, 1)
@@ -300,24 +314,25 @@ def test_continuant_shift_matches_paperless_scalar():
         assert det.shifted(-det.min_deg) == q_rational(r, s).num
 
 
-# -- the packed matrix word ----------------------------------------------------
+# -- the packed matrix column --------------------------------------------------
 
-def test_matrix_word_matches_reference(matrix_word_reference):
+def test_matrix_word_matches_reference(matrix_column_reference):
     for r, s in SWEEP:
         cf = cf_expand(r, s)
         for word in (cf, cf_even_form(cf), cf_odd_form(cf), (0,) + cf[1:]):
-            assert cf_matrix_word(word) == matrix_word_reference(word), word
+            assert cf_matrix_column(word) == matrix_column_reference(word), word
     for word in [(2, 0, 3), (0,), (0, 0), (5, 0), (0, 4, 0, 0, 2)]:
-        assert cf_matrix_word(word) == matrix_word_reference(word), word
+        assert cf_matrix_column(word) == matrix_column_reference(word), word
     # R^0 is the identity and R^a L^0 R^b = R^(a + b)
-    assert cf_matrix_word((0,)) == cf_matrix_word(())
-    assert cf_matrix_word((2, 0, 3)) == cf_matrix_word((5,))
+    assert cf_matrix_column((0,)) == (ZERO, ONE)
+    assert cf_matrix_column((0, 0)) == cf_matrix_column(()) == (ONE, ZERO)
+    assert cf_matrix_column((2, 0, 3)) == cf_matrix_column((5,))
 
 
 def test_matrix_word_refuses_negative_quotients():
     for word in [(-1,), (3, -2), (2, 1, -1), (1, -5, 4)]:
         with pytest.raises(ValueError, match="quotients >= 0"):
-            cf_matrix_word(word)
+            cf_matrix_column(word)
 
 
 def test_matrix_word_uses_no_polynomial_arithmetic(monkeypatch):
@@ -325,14 +340,31 @@ def test_matrix_word_uses_no_polynomial_arithmetic(monkeypatch):
     # which run times_qint and __add__, is evidence about both
     words = [cf_expand(r, s) for r, s in SWEEP[::7]] + [
         (1,) * 200 + (2,), (30, 1, 17, 2, 25, 3, 30, 12), (2, 0, 3), (0,), (10**4,)]
-    before = [cf_matrix_word(cf) for cf in words]
+    before = [cf_matrix_column(cf) for cf in words]
 
     def refuse(*args):
         raise AssertionError("the matrix route ran LaurentPoly arithmetic")
 
     for name in ("times_qint", "__add__", "__mul__", "__rmul__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
-    assert [cf_matrix_word(cf) for cf in words] == before
+    assert [cf_matrix_column(cf) for cf in words] == before
+
+
+def test_matrix_route_takes_one_qint_product_per_quotient(monkeypatch):
+    # only the column the route reads is built: one packed product by [n]
+    # per quotient, zero quotients included, not one per column
+    kernel, calls = qrational._times_qint, []
+
+    def counting(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(qrational, "_times_qint", counting)
+    for cf in [(4, 3), (1, 1, 3), (7,), (2, 2, 2, 2), (30, 1, 17, 2, 25),
+               (2, 0, 3), (0,), (0, 0), (3, 0, 1, 2), (0, 4, 0, 0, 2), (1,) * 40 + (2,)]:
+        calls.clear()
+        q_matrix_eval(cf)
+        assert calls == list(reversed(cf)), cf
 
 
 def _near_golden(r):
@@ -350,7 +382,7 @@ def test_slot_widths_at_byte_edges():
         [4, 8, 8, 9, 9, 10]
 
 
-def test_matrix_route_at_slot_edges(matrix_word_reference):
+def test_matrix_route_at_slot_edges(matrix_column_reference):
     # the largest entry at q = 1 is r, which sets the slot width; s = 1 and
     # s = r - 1 have a quotient sum of r, so past 65536 a pair with quotients
     # near 1 stands in for them
@@ -363,10 +395,8 @@ def test_matrix_route_at_slot_edges(matrix_word_reference):
     words = [(1,) * k + (2,) for k in range(1, 110)]
     crossed = set()
     for cf in [cf_expand(r, s) for r, s in pairs] + words:
-        ref = matrix_word_reference(cf)
-        assert cf_matrix_word(cf) == ref, cf
-        num, den = (ref.a, ref.c) if len(cf) % 2 == 0 else (ref.b, ref.d)
-        assert q_matrix_eval(cf) == LaurentFraction(num, den), cf
-        crossed.add(max(max(p.coeffs, default=0) for p in (ref.a, ref.b, ref.c, ref.d))
-                    .bit_length())
+        ref = matrix_column_reference(cf)
+        assert cf_matrix_column(cf) == ref, cf
+        assert q_matrix_eval(cf) == LaurentFraction(*ref), cf
+        crossed.add(max(max(p.coeffs, default=0) for p in ref).bit_length())
     assert {8, 9, 16, 17, 32, 33, 64, 65} <= crossed
