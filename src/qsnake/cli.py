@@ -22,22 +22,23 @@ from .verify import run_sweep, summarize
 
 # Largest continued-fraction sum (snake boxes + 1) a single-pair command
 # accepts.  Time and memory grow at least linearly with it: `compute 1000000
-# 999999 --all-routes`, at the bound, took 4.1-4.6 s of CPU and 176 MiB peak
-# RSS in text (printing holds most of it) and 2.5-2.7 s and 317 MiB in JSON
-# on a shared 2-core VM.
+# 999999 --all-routes`, at the bound, took 2.8-5.4 s of CPU and 175-179 MiB
+# peak RSS in text (printing holds most of it) and 2.3-3.3 s and 316-328 MiB
+# in JSON on a shared 2-core VM.
 MAX_CF_SUM = 10**6
 
 # Largest cost len(cf) * sum(cf) * r.bit_length() `compute` accepts.  Each
 # route takes a step per quotient on polynomials of degree up to sum(cf)
 # with coefficients of up to r.bit_length() bits, so the time grows with the
 # product, which MAX_CF_SUM does not bound: the ratio of Fibonacci numbers
-# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 4.4 s (8.6 s
-# with --all-routes), and its cost grows as the cube of the length.  The
-# pairs that set the bound are those near MAX_CF_SUM with a few more
-# quotients, in `compute --all-routes` text: 1000000/999999 (cost 4e7) took
-# 4.1-4.6 s, [1, 1, 1, 999997] (8.8e7) 4.7 s, and [1] * 8 + [999992] (2.3e8)
-# 6.7-6.8 s, on a shared 2-core VM.  Every other shape measured at the bound
-# took under 1 s; the last Fibonacci ratio accepted has 523 quotients.
+# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 2.9-3.6 s
+# (7.7-9.7 s with --all-routes), and its cost grows as the cube of the
+# length.  The pairs that set the bound are those near MAX_CF_SUM with a few
+# more quotients, in `compute --all-routes` text: 1000000/999999 (cost 4e7)
+# took 2.8-5.4 s, [1, 1, 1, 999997] (8.8e7) 3.8-5.9 s, and [1] * 8 + [999992]
+# (2.3e8) 4.8-6.2 s, on a shared 2-core VM.  Every other shape measured at
+# the bound took under 1 s; the last Fibonacci ratio accepted has 523
+# quotients.
 MAX_COMPUTE_COST = 10**8
 
 # Largest snake `kasteleyn` accepts.  It prints the matrix dense, every zero

@@ -17,20 +17,32 @@ a monomial, a unit of Z[q, 1/q].  The matrix route builds only the column
 of its word that it reads: it applies R^n = [[q^n, [n]], [0, 1]] or
 L^n = [[q^n, 0], [q[n], 1]] to a unit column, from the last quotient to the
 first.  The nested step sends (num, den) to M (num, den) with
-M = [[ [a]_{q^{+-1}}, q^{+-a} ], [1, 0]]; the recurrence steps are
+M = [[ [a], q^a ], [1, 0]] at an odd position and, at an even one,
+M = [[ q[a], 1 ], [q^a, 0]], q^a times [[ [a]_{1/q}, q^-a ], [1, 0]];
+the recurrence steps are
 [[q^a, [a]], [0, 1]], [[0, -1], [q, 0]] and [[1, -[m]], [0, q^m]].  No route
 needs a gcd: a common factor of the new pair divides det M times the old
-pair, so the pair stays coprime from its start ([a], 1), ([n], 1) or a unit
-column.  Each route returns a ``LaurentFraction``, whose constructor fixes
+pair, so the pair stays coprime from its start: (1, 0) on the nested
+route, ([n], 1) on the recurrence route and a unit column on the matrix
+route.  Each route returns a ``LaurentFraction``, whose constructor fixes
 the remaining unit: the denominator has min_deg 0 and a positive lowest
 coefficient.
 
-The matrix route runs its own arithmetic: it evaluates its column at
-q = 2^B, each entry one int whose B-bit slots are its coefficients, so the
-one product by [n]_q per quotient is a few shift-adds of ints.  Every other
-product by [n]_q, on the other routes and in the Fibonacci families, goes
-through ``LaurentPoly.times_qint``, with [n]_{1/q} = q^(1-n) [n]_q as a
-shift.  So the matrix route agreeing with the others compares two kernels.
+Three routes run the packed kernel: the matrix, nested-fraction and
+continuant routes evaluate their polynomials at q = 2^B, each one int whose
+B-bit slots are its coefficients, so the one product by [n]_q per quotient
+(``_times_qint``) is a few shift-adds of ints, a product by q^k a shift by
+kB bits, and ``_unpack`` reads the slots back once, at the end.  No step
+may shift below q^0: the nested route scales an even position's step by
+q^a, which the fraction's normalization drops, and the continuant keeps
+each term's power of q as an int beside it.  Every coefficient on these
+routes is a sum of nonnegative terms, so it is at most its polynomial's
+value at q = 1, and a q = 1 pass over the same recurrence bounds it; that
+bound sets the slot width (``_slot_bytes``), so no slot ever carries.  The
+recurrence route and the Fibonacci families run the other kernel,
+``LaurentPoly.times_qint`` and ``__add__``, with [n]_{1/q} = q^(1-n) [n]_q
+as a shift.  So the recurrence route agreeing with the others compares two
+kernels.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from sys import byteorder
 
 from .laurent import ONE, ZERO, LaurentFraction, LaurentPoly
 
@@ -168,6 +181,9 @@ def _unpack(x: int, width: int) -> LaurentPoly:
     low = ((x & -x).bit_length() - 1) // bits  # the zero slots at the bottom
     x >>= low * bits
     size = -(-x.bit_length() // bits) * width
+    if width == 1:
+        # bytes are already a sequence of one-byte slots
+        return LaurentPoly(low, x.to_bytes(size, "little"))
     fmt = _SLOT_FORMATS.get(width)
     if fmt is None:
         raw = x.to_bytes(size, "little")
@@ -175,7 +191,6 @@ def _unpack(x: int, width: int) -> LaurentPoly:
         return LaurentPoly(low, [from_bytes(raw[i:i + width], "little")
                                  for i in range(0, size, width)])
     # cast reads the host's byte order, so the bytes are written in it
-    from sys import byteorder
     coeffs = memoryview(x.to_bytes(size, byteorder)).cast(fmt).tolist()
     if byteorder == "big":
         coeffs.reverse()
@@ -198,17 +213,34 @@ def q_cf_eval(cf: CF) -> LaurentFraction:
     Evaluate the deformed nested fraction bottom-up in the fraction field.
 
     Odd positions contribute [a]_q with numerator prefactor q^a over the tail;
-    even positions contribute [a]_{1/q} with prefactor q^-a.  The result is
-    reduced by construction (see the module docstring).
+    even positions contribute [a]_{1/q} = q^(1-a) [a]_q with prefactor q^-a.
+    From the last quotient to the first, starting from 1/0, an odd position
+    sends the pair (num, den) to ([a] num + q^a den, num), and an even one
+    to (q^(1-a) [a] num + q^-a den, num), which times q^a is
+    (q [a] num + den, q^a num): the same fraction with no negative
+    exponent.  The fraction's normalization drops the common power of q.
+
+    The pair is packed as in ``cf_matrix_column``, one product by [a] per
+    quotient.  Every coefficient is nonnegative, and at q = 1 each step
+    sends (x, y) to (a x + y, x), so max(x, y) never falls: the last pair at
+    q = 1 bounds every coefficient on the way.  The result is reduced by
+    construction (see the module docstring).
     """
-    k, a = len(cf), cf[-1]
-    num, den = (q_int(a).shifted(1 - a) if k % 2 == 0 else q_int(a)), ONE
-    for i in range(k - 1, 0, -1):
-        a = cf[i - 1]
-        # an even position has [a]_{1/q} = q^(1-a) [a]_q and prefactor q^-a
-        shift, pre = (0, a) if i % 2 == 1 else (1 - a, -a)
-        num, den = num.times_qint(a).shifted(shift) + den.shifted(pre), num
-    return LaurentFraction(num, den)
+    x, y = 1, 0
+    for n in reversed(cf):
+        if n < 0:
+            raise ValueError(f"the nested fraction needs quotients >= 0, got {n}")
+        x, y = n * x + y, x
+    width = _slot_bytes(max(x, y))
+    bits = 8 * width
+    x, y = 1, 0
+    for i in reversed(range(len(cf))):
+        n = cf[i]
+        if i % 2 == 0:
+            x, y = _times_qint(x, n, bits) + (y << n * bits), x
+        else:
+            x, y = (_times_qint(x, n, bits) << bits) + y, x << n * bits
+    return LaurentFraction(_unpack(x, width), _unpack(y, width))
 
 
 # -- continuant route ----------------------------------------------------------
@@ -217,15 +249,38 @@ def continuant_det(cf: CF) -> LaurentPoly:
     """
     Determinant of the tridiagonal matrix with diagonal [a1]_q, [a2]_{1/q}, ...
     superdiagonal -1 and subdiagonal q^a1, q^-a2, q^a3, ....  Expanding along
-    the last row gives the three-term recurrence used here.
+    the last row gives the three-term recurrence
+
+        D_i = [a_i] D_(i-1) + q^-a_(i-1) D_(i-2)               (i odd)
+        D_i = q^(1-a_i) [a_i] D_(i-1) + q^a_(i-1) D_(i-2)      (i even)
+
+    from D_-1 = 0 and D_0 = 1.  Each D_i is kept as q^c_i P_i, with c_i an
+    int and P_i a polynomial packed as in ``cf_matrix_column``: c_i is the
+    lower of the two terms' exponents, so neither term is shifted below
+    q^0, and the determinant comes out exact.  Every coefficient is
+    nonnegative, and at q = 1 the recurrence is K_i = a_i K_(i-1) + K_(i-2),
+    so max(K_(i-1), K_i) never falls: the last pair at q = 1 bounds every
+    coefficient on the way.  One product by [a_i] per quotient.
     """
-    prev2, prev = ONE, q_int(cf[0])
-    for i in range(2, len(cf) + 1):
-        a, a_prev = cf[i - 1], cf[i - 2]
-        # an even position has [a]_{1/q} = q^(1-a) [a]_q and subdiagonal q^a_prev
-        shift, sub_exp = (0, -a_prev) if i % 2 == 1 else (1 - a, a_prev)
-        prev2, prev = prev, prev.times_qint(a).shifted(shift) + prev2.shifted(sub_exp)
-    return prev
+    k2, k1 = 0, 1
+    for n in cf:
+        if n < 0:
+            raise ValueError(f"the continuant needs quotients >= 0, got {n}")
+        k2, k1 = k1, n * k1 + k2
+    width = _slot_bytes(max(k2, k1))
+    bits = 8 * width
+    p2, c2, p1, c1 = 0, 0, 1, 0
+    for i, (a_prev, a) in enumerate(zip((0, *cf), cf)):
+        # the two terms' exponents; position i + 1 is odd for even i
+        e1, e2 = (c1, c2 - a_prev) if i % 2 == 0 else (c1 + 1 - a, c2 + a_prev)
+        # shift only the higher term: an int shifted by 0 is still copied
+        term, tail = _times_qint(p1, a, bits), p2
+        if e1 > e2:
+            term <<= (e1 - e2) * bits
+        elif e2 > e1:
+            tail <<= (e2 - e1) * bits
+        p2, c2, p1, c1 = p1, c1, term + tail, min(e1, e2)
+    return _unpack(p1, width).shifted(c1)
 
 
 def q_continuant(cf: CF) -> LaurentPoly:

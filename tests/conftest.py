@@ -114,6 +114,49 @@ def matrix_column_reference(matrix_word_reference):
 
 
 @pytest.fixture(scope="session")
+def nested_reference():
+    """``nested_reference(cf)``: the deformed nested fraction of cf evaluated
+    bottom-up in LaurentPoly arithmetic, through ``times_qint``, ``__add__``
+    and shifts to negative exponents: a reference for ``q_cf_eval``, which
+    packs its pair into ints and runs neither."""
+    from qsnake.laurent import ONE, LaurentFraction
+    from qsnake.qrational import q_int
+
+    def nested(cf):
+        k, a = len(cf), cf[-1]
+        num, den = (q_int(a).shifted(1 - a) if k % 2 == 0 else q_int(a)), ONE
+        for i in range(k - 1, 0, -1):
+            a = cf[i - 1]
+            # an even position has [a]_{1/q} = q^(1-a) [a]_q and prefactor q^-a
+            shift, pre = (0, a) if i % 2 == 1 else (1 - a, -a)
+            num, den = num.times_qint(a).shifted(shift) + den.shifted(pre), num
+        return LaurentFraction(num, den)
+
+    return nested
+
+
+@pytest.fixture(scope="session")
+def continuant_reference():
+    """``continuant_reference(cf)``: the tridiagonal determinant of cf by its
+    three-term recurrence in LaurentPoly arithmetic, through ``times_qint``,
+    ``__add__`` and shifts to negative exponents: a reference for
+    ``continuant_det``, which packs its terms into ints and runs neither."""
+    from qsnake.laurent import ONE
+    from qsnake.qrational import q_int
+
+    def continuant(cf):
+        prev2, prev = ONE, q_int(cf[0])
+        for i in range(2, len(cf) + 1):
+            a, a_prev = cf[i - 1], cf[i - 2]
+            # an even position has [a]_{1/q} = q^(1-a) [a]_q and subdiagonal q^a_prev
+            shift, sub_exp = (0, -a_prev) if i % 2 == 1 else (1 - a, a_prev)
+            prev2, prev = prev, prev.times_qint(a).shifted(shift) + prev2.shifted(sub_exp)
+        return prev
+
+    return continuant
+
+
+@pytest.fixture(scope="session")
 def recurrence_reference():
     """``recurrence_reference(x)``: the recurrence map of x with its descent
     in ``Fraction`` steps and its ascent on signed polynomials, a negation

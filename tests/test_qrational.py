@@ -199,8 +199,9 @@ def test_routes_call_no_gcd(monkeypatch):
 
 def test_routes_multiply_no_polynomials(monkeypatch):
     # every product on a route is by a q-integer: shift-adds of packed ints on
-    # the matrix route, the running sum of times_qint on the others; the
-    # schoolbook product is left to general operands
+    # the matrix, nested and continuant routes, the running sum of times_qint
+    # on the recurrence route; the schoolbook product is left to general
+    # operands
     pairs = [(13, 3), (29, 12), (64, 1), (64, 63),
              (fibonacci_number(201), fibonacci_number(200))]
     words = [cf_expand(r, s) for r, s in pairs] + [(30, 1, 17, 2, 25, 3, 30, 12)]
@@ -336,8 +337,8 @@ def test_matrix_word_refuses_negative_quotients():
 
 
 def test_matrix_word_uses_no_polynomial_arithmetic(monkeypatch):
-    # the route keeps to its own kernel, so agreeing with the other routes,
-    # which run times_qint and __add__, is evidence about both
+    # the route keeps to the packed kernel, so agreeing with the recurrence
+    # route, which runs times_qint and __add__, is evidence about both
     words = [cf_expand(r, s) for r, s in SWEEP[::7]] + [
         (1,) * 200 + (2,), (30, 1, 17, 2, 25, 3, 30, 12), (2, 0, 3), (0,), (10**4,)]
     before = [cf_matrix_column(cf) for cf in words]
@@ -382,21 +383,132 @@ def test_slot_widths_at_byte_edges():
         [4, 8, 8, 9, 9, 10]
 
 
+# The largest entry at q = 1 is r, which sets the slot width; s = 1 and
+# s = r - 1 have a quotient sum of r, so past 65536 a pair with quotients
+# near 1 stands in for them.  A Fibonacci word's coefficients come within 4
+# bits of its q = 1 value, so a slot a byte too narrow carries on the words
+# whose largest coefficient crosses 2^8, 2^16, 2^32 or 2^64.
+SLOT_EDGE_PAIRS = [(r, s) for r in (255, 256, 65535, 65536) for s in (1, r - 1)] + [
+    (r, _near_golden(r)) for r in (255, 256, 65535, 65536, 2**32 - 1, 2**32 + 1,
+                                   2**64 - 1, 2**64 + 1)]
+SLOT_EDGE_WORDS = [cf_expand(r, s) for r, s in SLOT_EDGE_PAIRS] + [
+    (1,) * k + (2,) for k in range(1, 110)]
+CROSSED_BITS = {8, 9, 16, 17, 32, 33, 64, 65}
+
+
 def test_matrix_route_at_slot_edges(matrix_column_reference):
-    # the largest entry at q = 1 is r, which sets the slot width; s = 1 and
-    # s = r - 1 have a quotient sum of r, so past 65536 a pair with quotients
-    # near 1 stands in for them
-    pairs = [(r, s) for r in (255, 256, 65535, 65536) for s in (1, r - 1)]
-    pairs += [(r, _near_golden(r)) for r in (255, 256, 65535, 65536, 2**32 - 1,
-                                             2**32 + 1, 2**64 - 1, 2**64 + 1)]
-    # a Fibonacci word's coefficients come within 4 bits of its q = 1 value,
-    # so a slot a byte too narrow carries on the words whose largest
-    # coefficient crosses 2^8, 2^16, 2^32 or 2^64
-    words = [(1,) * k + (2,) for k in range(1, 110)]
     crossed = set()
-    for cf in [cf_expand(r, s) for r, s in pairs] + words:
+    for cf in SLOT_EDGE_WORDS:
         ref = matrix_column_reference(cf)
         assert cf_matrix_column(cf) == ref, cf
         assert q_matrix_eval(cf) == LaurentFraction(*ref), cf
         crossed.add(max(max(p.coeffs, default=0) for p in ref).bit_length())
-    assert {8, 9, 16, 17, 32, 33, 64, 65} <= crossed
+    assert CROSSED_BITS <= crossed
+
+
+# -- the packed nested fraction and continuant ---------------------------------
+
+ZERO_QUOTIENT_WORDS = [(2, 0, 3), (0,), (0, 0), (3, 0, 1, 2), (0, 4, 0, 0, 2)]
+
+
+def test_nested_and_continuant_match_references(nested_reference, continuant_reference):
+    for r, s in SWEEP:
+        cf = cf_expand(r, s)
+        for word in (cf, cf_even_form(cf), cf_odd_form(cf)):
+            assert q_cf_eval(word) == nested_reference(word), word
+            assert continuant_det(word) == continuant_reference(word), word
+    for word in ZERO_QUOTIENT_WORDS:
+        assert q_cf_eval(word) == nested_reference(word), word
+        assert continuant_det(word) == continuant_reference(word), word
+    # the empty word: the nested fraction starts from 1/0, the continuant from 1
+    assert q_cf_eval(()).is_infinity()
+    assert continuant_det(()) == ONE
+
+
+def test_nested_and_continuant_refuse_negative_quotients():
+    for word in [(-1,), (3, -2), (2, 1, -1), (1, -5, 4)]:
+        with pytest.raises(ValueError, match="quotients >= 0"):
+            q_cf_eval(word)
+        with pytest.raises(ValueError, match="quotients >= 0"):
+            continuant_det(word)
+
+
+def test_nested_and_continuant_at_slot_edges(nested_reference, continuant_reference):
+    crossed = set()
+    for cf in SLOT_EDGE_WORDS:
+        assert q_cf_eval(cf) == nested_reference(cf), cf
+        det = continuant_reference(cf)
+        assert continuant_det(cf) == det, cf
+        crossed.add(max(det.coeffs).bit_length())
+    assert CROSSED_BITS <= crossed
+
+
+def test_nested_and_continuant_use_no_polynomial_arithmetic(monkeypatch):
+    # both routes keep to the packed kernel, as the matrix route does
+    words = [cf_expand(r, s) for r, s in SWEEP[::7]] + ZERO_QUOTIENT_WORDS + [
+        (1,) * 200 + (2,), (30, 1, 17, 2, 25, 3, 30, 12), (10**4,)]
+    before = [(q_cf_eval(cf), continuant_det(cf), q_continuant(cf)) for cf in words]
+
+    def refuse(*args):
+        raise AssertionError("a packed route ran LaurentPoly arithmetic")
+
+    for name in ("times_qint", "__add__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    assert [(q_cf_eval(cf), continuant_det(cf), q_continuant(cf)) for cf in words] == before
+
+
+def test_nested_and_continuant_take_one_qint_product_per_quotient(monkeypatch):
+    # the nested fraction runs from the last quotient to the first, the
+    # continuant from the first to the last; zero quotients take theirs too
+    kernel, calls = qrational._times_qint, []
+
+    def counting(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(qrational, "_times_qint", counting)
+    for cf in [(4, 3), (1, 1, 3), (7,), (2, 2, 2, 2), (30, 1, 17, 2, 25),
+               (1,) * 40 + (2,)] + ZERO_QUOTIENT_WORDS:
+        calls.clear()
+        q_cf_eval(cf)
+        assert calls == list(reversed(cf)), cf
+        calls.clear()
+        continuant_det(cf)
+        assert calls == list(cf), cf
+
+
+def test_routes_compare_two_kernels(monkeypatch):
+    # the matrix, nested and continuant routes run the packed _times_qint and
+    # the recurrence route LaurentPoly.times_qint, so a fault in either
+    # kernel turns the table's verdict
+    words = [cf_expand(r, s) for r, s in [(13, 3), (29, 12), (61, 27), (179, 74)]]
+    assert all(all_routes(cf).agree for cf in words)
+    packed, polynomial, calls = qrational._times_qint, LaurentPoly.times_qint, []
+
+    def counting(self, n):
+        calls.append(n)
+        return polynomial(self, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(LaurentPoly, "times_qint", counting)
+        for cf in words:
+            calls.clear()
+            all_routes(cf)
+            in_table = len(calls)
+            calls.clear()
+            q_map_general(cf_value(cf))
+            assert in_table == len(calls) > 0, cf
+
+    def drop_top_slot(x, n, bits):
+        acc = packed(x, n, bits)
+        return acc % (1 << max(acc.bit_length() - 1, 0) // bits * bits)
+
+    def drop_top_coefficient(self, n):
+        p = polynomial(self, n)
+        return LaurentPoly(p.min_deg, p.coeffs[:-1])
+
+    for owner, name, fault in [(qrational, "_times_qint", drop_top_slot),
+                               (LaurentPoly, "times_qint", drop_top_coefficient)]:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, fault)
+            assert not any(all_routes(cf).agree for cf in words), name
