@@ -195,7 +195,7 @@ def _print_kasteleyn_json(report: KasteleynReport) -> None:
     rows = ("[\n" + ",\n".join([zero if e.is_zero() else pad + _json(e.to_json(), pad)
                                 for e in row]) + "\n    ]"
             for row in mat.dense_rows())
-    _write_json_list({"size": mat.size,
+    _write_json_list({"size": len(mat),
                       "black": [list(v) for v in mat.black_order],
                       "white": [list(v) for v in mat.white_order]}, "entries", rows,
                      {"det": report.det.to_json(),

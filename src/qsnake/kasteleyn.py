@@ -6,8 +6,8 @@ snake's matrix is a signed monomial +-q^k, so ``KasteleynMatrix`` stores only
 the band, each row's nonzero entries as (column offset, sign, exponent), in
 memory linear in the box count.  The determinant is a Laplace expansion along
 that band which applies each entry as a shift by its exponent and folds its
-sign into the inversion parity, so it multiplies no polynomials.  Up to one
-overall sign it equals the weighted matching statistic of the graph.
+sign into the inversion parity, so it multiplies no polynomials.  It equals
+(-1)^sum(cf) times the weighted matching statistic (observed, not proved).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .matching import matching_stat_dp, scalar_exponent
 from .qrational import CF, cf_expand, q_matrix_eval
 from .snake import SnakeGraph, snake_graph
 
-Entries = tuple[tuple[LaurentPoly, ...], ...]
 # Row i of a band: its nonzero entries as (k, sign, exponent), the entry
 # sign * q^exponent at column i - 2 + k.
 Band = tuple[tuple[tuple[int, int, int], ...], ...]
@@ -55,23 +54,18 @@ class KasteleynMatrix:
     black_order: tuple
     white_order: tuple
 
-    @property
-    def size(self) -> int:
+    def __len__(self) -> int:
+        """The size n of the n x n matrix, its row count."""
         return len(self.band)
 
     def dense_rows(self) -> Iterator[tuple[LaurentPoly, ...]]:
         """The dense matrix one row at a time, ``ZERO`` off the band."""
-        n = self.size
+        n = len(self.band)
         for i, band_row in enumerate(self.band):
             row = [ZERO] * n
             for k, sign, exp in band_row:
                 row[i - 2 + k] = LaurentPoly.monomial(exp, sign)
             yield tuple(row)
-
-    @property
-    def entries(self) -> Entries:
-        """The dense n x n matrix of ``LaurentPoly``, built on each access."""
-        return tuple(list(self.dense_rows()))
 
 
 def kasteleyn_matrix(g: SnakeGraph) -> KasteleynMatrix:
@@ -181,8 +175,8 @@ def kasteleyn_report(cf: CF, g: SnakeGraph, stat: LaurentPoly,
                      num: LaurentPoly) -> KasteleynReport:
     """
     For the snake g of the continued fraction cf, with matching statistic
-    stat and the numerator num of its deformation: |det| must equal the
-    statistic, q^n times the statistic the numerator.
+    stat and the numerator num of its deformation: det must equal
+    (-1)^sum(cf) times the statistic, q^n times the statistic the numerator.
     """
     mat = kasteleyn_matrix(g)
     det = det_exact(mat)
@@ -190,5 +184,5 @@ def kasteleyn_report(cf: CF, g: SnakeGraph, stat: LaurentPoly,
     n = scalar_exponent(cf)
     return KasteleynReport(matrix=mat, det=det, statistic=stat, sign=sign,
                            scalar=n, numerator=num,
-                           det_matches_statistic=sign != 0,
+                           det_matches_statistic=sign == (-1) ** sum(cf),
                            scaled_matches_numerator=stat.shifted(n) == num)

@@ -15,8 +15,7 @@ from typing import Iterator
 
 from .laurent import ONE, LaurentPoly
 from .qrational import cf_even_form, cf_expand
-from .snake import (Edge, SnakeGraph, Vertex, denominator_snake, snake_graph,
-                    weighted_sides)
+from .snake import Edge, SnakeGraph, Vertex, denominator_snake, snake_graph
 
 Matching = tuple[Edge, ...]
 
@@ -92,19 +91,19 @@ def _prefix_statistics(g: SnakeGraph) -> Iterator[LaurentPoly]:
     after each box: the statistic of the prefix graph, and that of the
     prefix with the two vertices where the next box attaches removed.  A
     box adds its weighted edge's matchings on that reduced graph; a box
-    glued the same way as the one before reduces to the prefix before it,
-    one that turns forces the previous box's weighted edge.  Weights stay
-    exponents: each weight q^k is applied as a shift by k.
+    glued the same way as the one before (their exponents differ) reduces
+    to the prefix before it, one that turns forces the previous box's
+    weighted edge.  Weights stay exponents: each q^k is a shift by k.
     """
     prev = last = reduced = ONE
     yield prev  # the empty snake
     yield last  # the lone unweighted edge
-    up_before, e_before = True, 0
-    for (up, _), e in zip(weighted_sides(g.boxes), g.exps):
-        reduced = prev if up == up_before else reduced.shifted(e_before)
+    e_before = 0
+    for e in g.exps:
+        reduced = prev if e != e_before else reduced.shifted(e_before)
         prev, last = last, last + reduced.shifted(e)
         yield last
-        up_before, e_before = up, e
+        e_before = e
 
 
 def matching_stat_dp(g: SnakeGraph) -> LaurentPoly:

@@ -1,4 +1,4 @@
-"""q-deformed rationals by four independent routes, plus continued-fraction utilities.
+"""q-deformed rationals by four routes, plus continued-fraction utilities.
 
 A rational r/s >= 1 with continued fraction [a1, ..., ak] deforms into a
 reduced fraction of monic polynomials with positive integer coefficients.
@@ -41,8 +41,11 @@ value at q = 1, and a q = 1 pass over the same recurrence bounds it; that
 bound sets the slot width (``_slot_bytes``), so no slot ever carries.  The
 recurrence route and the Fibonacci families run the other kernel,
 ``LaurentPoly.times_qint`` and ``__add__``, with [n]_{1/q} = q^(1-n) [n]_q
-as a shift.  So the recurrence route agreeing with the others compares two
-kernels.
+as a shift.  The nested-fraction route is the matrix route with its two
+registers swapped at each step (both call ``_times_qint`` with the same
+arguments in the same order on every word tried), so against a fault in
+the packed kernel the independent evidence is the continuant route, run in
+the other direction, and the recurrence route, run on the other kernel.
 """
 
 from __future__ import annotations

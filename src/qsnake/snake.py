@@ -1,16 +1,25 @@
 """Snake graphs of rationals: box paths, edge weights, colors, orientation.
 
 A continued fraction [a1, ..., ak] determines a sign sequence of runs
-(-^a1, +^a2, -^a3, ...).  Boxes are glued right or up along the sequence.
-Each box carries exactly one weighted edge, q or 1/q from a fixed
-two-colored grid: the west side of a box glued above the one before it
-(box 0 counts as glued above), the south side of a box glued to its right.
-Every other edge has weight 1.  One weighted edge per box is what makes the
-canonical orientation below a Kasteleyn orientation.
+(-^a1, +^a2, -^a3, ...).  Box i comes from sign i, i < sum - 1, so both
+parity forms build the same snake: box 0 at (0, 0), box i glued above box
+i - 1 when sign i differs from the base sign, '-' for odd i and '+' for
+even i, and to its right otherwise.  Each box carries exactly one weighted
+edge, q or 1/q: its west side if glued above (box 0 counts as glued
+above), its south side if glued to the right; every other edge weighs 1.
+One weighted edge per box makes the canonical orientation below Kasteleyn.
 
-A ``SnakeGraph`` is its boxes and the exponent of each box's weighted edge,
-nothing more: the weight map of every edge, the vertices and the colors are
-derived from these when a reader asks for them.
+* Box i's exponent is +1 under a '-' and -1 under a '+'.  Box i has
+  x + y = i, and the grid colouring weights a west side q when x + y is
+  even and a south side q when it is odd.  For even i the weight is q
+  exactly when the box is glued above, sign i not the base '+'; for odd i
+  exactly when it is glued right, sign i the base '-'.
+* Box i is glued the way box i - 1 is exactly when their exponents differ
+  (box 0: glued above, after exponent 0).  The bases of i and i - 1
+  differ, so the two boxes go the same way exactly when their signs do.
+
+So a ``SnakeGraph`` is its exponent word: the boxes, the weight map, the
+vertices and the colors are derived from it when a reader asks for them.
 """
 
 from __future__ import annotations
@@ -32,34 +41,13 @@ def sign_sequence(cf: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def box_path(cf: tuple[int, ...]) -> tuple[Box, ...]:
-    """
-    Lattice cells of the snake, starting at (0, 0), read off the sign
-    sequence in one walk.
-
-    Box i carries the alternating base sign s_i = '-' for odd i (1-based);
-    box i+1 is glued to its right when the next sequence sign equals s_i,
-    above it when opposite.  Only the first (sum - 1) signs matter, so
-    equivalent parity forms of the same rational build the same snake.
-    """
-    signs = sign_sequence(cf)
-    if len(signs) == 1:
-        return ()
-    boxes = [(0, 0)]
-    for i in range(1, len(signs) - 1):
-        x, y = boxes[-1]
-        base = "-" if i % 2 == 1 else "+"
-        boxes.append((x + 1, y) if signs[i] == base else (x, y + 1))
-    return tuple(boxes)
-
-
 def far_corner(cf: tuple[int, ...]) -> Vertex:
     """
     The far corner (max x, max y) of the snake's vertices, from the
     continued fraction alone, one step per quotient.  Sign i lies in run j,
-    so box i+1 goes right exactly when i + j is odd (see ``box_path``); the
-    corner is one past the count of right and of up steps.  The boxless
-    snake is the edge (0, 0) - (1, 0).
+    so box i goes right exactly when i + j is odd (see the module
+    docstring); the corner is one past the count of right and of up steps.
+    The boxless snake is the edge (0, 0) - (1, 0).
     """
     total = sum(cf)
     if total < 2:
@@ -86,16 +74,15 @@ def box_edges(box: Box) -> dict[str, Edge]:
     }
 
 
-def weighted_sides(boxes: tuple[Box, ...]) -> Iterator[tuple[bool, Edge]]:
+def weighted_sides(boxes: tuple[Box, ...]) -> Iterator[Edge]:
     """
-    Per box along the path: whether it is glued above the box before it, and
-    its one weighted edge, the west side of a box glued above and the south
-    side of a box glued to the right.  Box 0 counts as glued above.
+    Per box along the path, its one weighted edge: the west side of a box
+    glued above the box before it and the south side of a box glued to the
+    right.  Box 0 counts as glued above.
     """
     y_before = -1
     for x, y in boxes:
-        up = y > y_before
-        yield up, (((x, y), (x, y + 1)) if up else ((x, y), (x + 1, y)))
+        yield ((x, y), (x, y + 1)) if y > y_before else ((x, y), (x + 1, y))
         y_before = y
 
 
@@ -103,14 +90,28 @@ def weighted_sides(boxes: tuple[Box, ...]) -> Iterator[tuple[bool, Edge]]:
 class SnakeGraph:
     """
     A weighted snake graph embedded in the grid, built by ``snake_graph``:
-    its boxes along the path, and ``exps[i]``, the exponent k of the weight
-    q^k on box i's one weighted edge (see ``weighted_sides``).  The weight
-    map of every edge is derived once, on first access; the edges and
-    vertices (both sorted) and the colors are read off it.
+    ``exps[i]`` is the exponent k of the weight q^k on box i's one weighted
+    edge (see ``weighted_sides``).  The boxes along the path are derived
+    from it by the turn rule of the module docstring, and the weight map of
+    every edge from both, each once, on first access; the edges and
+    vertices (both sorted) and the colors are read off the weight map.
     """
 
-    boxes: tuple[Box, ...]
     exps: tuple[int, ...]
+
+    @cached_property
+    def boxes(self) -> tuple[Box, ...]:
+        """The boxes along the path from (0, 0): box i is glued the way box
+        i - 1 is exactly when their exponents differ."""
+        boxes: list[Box] = []
+        x, y, up, e_before = 0, -1, True, 0
+        for e in self.exps:
+            if e == e_before:
+                up = not up
+            x, y = (x, y + 1) if up else (x + 1, y)
+            boxes.append((x, y))
+            e_before = e
+        return tuple(boxes)
 
     @cached_property
     def weight_exp(self) -> dict[Edge, int]:
@@ -120,7 +121,7 @@ class SnakeGraph:
             return {((0, 0), (1, 0)): 0}
         weights = dict.fromkeys(sorted({e for b in self.boxes
                                         for e in box_edges(b).values()}), 0)
-        for (_, edge), k in zip(weighted_sides(self.boxes), self.exps):
+        for edge, k in zip(weighted_sides(self.boxes), self.exps):
             weights[edge] = k
         return weights
 
@@ -155,27 +156,18 @@ class SnakeGraph:
         return (black, white) if self.weight_exp[edge] != 0 else (white, black)
 
 
-def _grid_exponent(edge: Edge) -> int:
-    """Weight exponent the colored grid assigns to a west/south border edge."""
-    (x, y), (x2, y2) = edge
-    if x2 == x:  # vertical
-        return 1 if (x + y) % 2 == 0 else -1
-    return 1 if (x + y) % 2 == 1 else -1
-
-
 def snake_graph(cf: tuple[int, ...]) -> SnakeGraph:
     """
-    The weighted snake of [a1, ..., ak]: its boxes, and each box's weighted
-    edge weighted from the grid coloring.
+    The weighted snake of [a1, ..., ak]: one exponent per box, +1 under a
+    '-' of the sign sequence and -1 under a '+'.
 
     The degenerate single-coefficient [1] (the rational 1) has no boxes; its
     graph is the lone unweighted south border.
     """
     if not cf or sum(cf) < 1:
         raise ValueError("continued fraction must have positive sum")
-    boxes = box_path(cf)
-    return SnakeGraph(boxes, tuple([_grid_exponent(edge)
-                                    for _, edge in weighted_sides(boxes)]))
+    signs = sign_sequence(cf)
+    return SnakeGraph(tuple([1 if c == "-" else -1 for c in signs[:-1]]))
 
 
 def denominator_snake(cf: tuple[int, ...]) -> SnakeGraph:

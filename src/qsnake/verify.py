@@ -2,7 +2,7 @@
 
 Per pair: the four computation routes agree, the scaled matching statistic
 equals the numerator, the q = 1 counts give back r and s, the Kasteleyn
-determinant matches the statistic up to sign, and the one-box removal
+determinant is (-1)^sum(cf) times the statistic, and the one-box removal
 recurrence holds.  Pairs are independent, so the sweep can fan out over
 processes; results are merged in (r, s) order either way.
 """
@@ -41,7 +41,7 @@ def check_pair(pair: tuple[int, int]) -> PairResult:
     """
     Every check on one pair, from one continued fraction, one route table
     and one snake with its prefix statistics.  The Kasteleyn report gives
-    both the theorem check and the kasteleyn check (|det| = statistic).
+    both the theorem check and the kasteleyn check (det = (-1)^sum(cf) stat).
     """
     r, s = pair
     cf = cf_expand(r, s)

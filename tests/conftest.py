@@ -52,7 +52,8 @@ def weight_map_reference():
     way ``snake_graph`` once built it, every edge of every box set to 0 and
     then the exposed west and south borders weighted from the grid: a
     reference for ``SnakeGraph.weight_exp``, which sets one edge per box."""
-    from qsnake.snake import box_edges, box_path
+    from qsnake.snake import box_edges
+    from oracles import box_path
 
     def _grid_exponent(edge):
         (x, y), (x2, y2) = edge

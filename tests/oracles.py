@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qsnake.kasteleyn import Entries, KasteleynMatrix
+from qsnake.kasteleyn import KasteleynMatrix
 from qsnake.laurent import ONE, ZERO, LaurentPoly
 from qsnake.matching import enumerate_matchings, matching_weight_exp
-from qsnake.snake import Edge, SnakeGraph, box_edges
+from qsnake.snake import Box, Edge, SnakeGraph, box_edges, sign_sequence
+
+Entries = tuple[tuple[LaurentPoly, ...], ...]
 
 
 # -- Laurent polynomials and 2x2 matrices ------------------------------------
@@ -52,6 +54,28 @@ def cf_odd_form(cf: tuple[int, ...]) -> tuple[int, ...]:
 
 # -- snakes and matchings ----------------------------------------------------
 
+def box_path(cf: tuple[int, ...]) -> tuple[Box, ...]:
+    """
+    Lattice cells of the snake, starting at (0, 0), read off the sign
+    sequence in one walk: a reference for ``SnakeGraph.boxes``, which
+    derives them from the exponents alone.
+
+    Box i carries the alternating base sign s_i = '-' for odd i (1-based);
+    box i+1 is glued to its right when the next sequence sign equals s_i,
+    above it when opposite.  Only the first (sum - 1) signs matter, so
+    equivalent parity forms of the same rational build the same snake.
+    """
+    signs = sign_sequence(cf)
+    if len(signs) == 1:
+        return ()
+    boxes = [(0, 0)]
+    for i in range(1, len(signs) - 1):
+        x, y = boxes[-1]
+        base = "-" if i % 2 == 1 else "+"
+        boxes.append((x + 1, y) if signs[i] == base else (x, y + 1))
+    return tuple(boxes)
+
+
 def matching_stat(g: SnakeGraph) -> LaurentPoly:
     """The statistic by exhaustive enumeration."""
     acc: dict[int, int] = {}
@@ -87,16 +111,16 @@ def colored_edges(g: SnakeGraph) -> dict[Edge, int]:
 def kasteleyn_to_json(m: KasteleynMatrix) -> dict:
     """The matrix as the ``kasteleyn`` command prints it, dense zeros included."""
     return {
-        "size": m.size,
+        "size": len(m),
         "black": [list(v) for v in m.black_order],
         "white": [list(v) for v in m.white_order],
-        "entries": [[e.to_json() for e in row] for row in m.entries],
+        "entries": [[e.to_json() for e in row] for row in m.dense_rows()],
     }
 
 
 def det_expansion(m: KasteleynMatrix | Entries) -> LaurentPoly:
     """Cofactor expansion; fine for sizes up to ~8 on sparse matrices."""
-    entries = m.entries if isinstance(m, KasteleynMatrix) else m
+    entries = tuple(m.dense_rows()) if isinstance(m, KasteleynMatrix) else m
 
     def expand(row: int, cols: tuple[int, ...]) -> LaurentPoly:
         if not cols:
@@ -120,7 +144,7 @@ def permutation_term_signs(m: KasteleynMatrix | Entries) -> list[int]:
     Kasteleyn term is a signed monomial; the Kasteleyn property makes all the
     signs agree, which is what the |det| = statistic identity rests on.
     """
-    entries = m.entries if isinstance(m, KasteleynMatrix) else m
+    entries = tuple(m.dense_rows()) if isinstance(m, KasteleynMatrix) else m
     n = len(entries)
     signs: list[int] = []
 

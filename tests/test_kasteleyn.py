@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import qsnake.kasteleyn
 from qsnake.kasteleyn import (KasteleynMatrix, det_exact, kasteleyn_matrix,
                               kasteleyn_report, leading_minors, number_vertices,
                               verify_kasteleyn)
@@ -69,7 +70,7 @@ def test_numbering_sizes():
         assert len(black) == len(white) == expect
     # a Fibonacci-type strip with n - 1 boxes gives an n x n matrix
     g = snake_graph(cf_expand(fibonacci_number(9), fibonacci_number(8)))
-    assert kasteleyn_matrix(g).size == len(g.boxes) + 1 == 8
+    assert len(kasteleyn_matrix(g)) == len(g.boxes) + 1 == 8
 
 
 def test_matrix_13_3_matches_printed_up_to_permutation():
@@ -79,16 +80,17 @@ def test_matrix_13_3_matches_printed_up_to_permutation():
     # and the column swaps (1 2)(3 4); |det| is unchanged
     row_perm = [0, 1, 2, 3, 4, 6, 5]
     col_perm = [1, 0, 3, 2, 4, 5, 6]
+    entries = tuple(mat.dense_rows())
     for i in range(7):
         for j in range(7):
-            assert mat.entries[i][j] == printed[row_perm[i]][col_perm[j]], (i, j)
+            assert entries[i][j] == printed[row_perm[i]][col_perm[j]], (i, j)
 
 
 def test_nonzero_count():
     for r, s in SWEEP:
         g = snake_graph(cf_expand(r, s))
         mat = kasteleyn_matrix(g)
-        nonzero = sum(1 for row in mat.entries for e in row if not e.is_zero())
+        nonzero = sum(1 for row in mat.dense_rows() for e in row if not e.is_zero())
         assert nonzero == 3 * len(g.boxes) + 1
 
 
@@ -152,8 +154,8 @@ def test_leading_minors_of_random_bands(monkeypatch):
     mats = [_random_band(rng, rng.randint(1, 7)) for _ in range(200)]
     minors = [leading_minors(mat) for mat in mats]
     for mat, mat_minors in zip(mats, minors):
-        entries = mat.entries
-        assert len(mat_minors) == mat.size + 1
+        entries = tuple(mat.dense_rows())
+        assert len(mat_minors) == len(mat) + 1
         for k, minor in enumerate(mat_minors):
             block = tuple(row[:k] for row in entries[:k])
             assert minor == det_expansion(block), (mat.band, k)
@@ -187,8 +189,8 @@ def test_band_equals_dense_matrix():
                 i, j, sign = black.index(head), white.index(tail), -1
             dense[i][j] = M(g.weight_exp[e], sign)
         mat = kasteleyn_matrix(g)
-        assert mat.entries == tuple(tuple(row) for row in dense), (r, s)
-        assert mat.size == len(black)
+        assert tuple(mat.dense_rows()) == tuple(tuple(row) for row in dense), (r, s)
+        assert len(mat) == len(black)
         assert sum(len(row) for row in mat.band) == len(g.edges)
 
 
@@ -217,16 +219,40 @@ def test_large_strip_builds_no_dense_matrix(monkeypatch):
     def refuse(self):
         raise AssertionError("the dense view was built")
 
-    monkeypatch.setattr(KasteleynMatrix, "entries", property(refuse))
+    monkeypatch.setattr(KasteleynMatrix, "dense_rows", refuse)
     rep = verify_kasteleyn(4001, 1)
-    assert rep.ok and rep.matrix.size == 4001
+    assert rep.ok and len(rep.matrix) == 4001
     assert rep.det.eval_at_one() in (4001, -4001)
+
+
+def test_det_sign_is_exact(monkeypatch):
+    # det = (-1)^sum(cf) * stat, so + exactly when the box count is odd; a
+    # determinant negated on even box counts keeps |det| = stat and fails
+    pairs = _coprime(40)
+    for r, s in pairs:
+        cf = cf_expand(r, s)
+        rep = verify_kasteleyn(r, s)
+        assert rep.det_matches_statistic and rep.sign == (-1) ** sum(cf), (r, s)
+    real = qsnake.kasteleyn.det_exact
+
+    def even_negated(m):
+        det = real(m)
+        return -det if (len(m) - 1) % 2 == 0 else det
+
+    monkeypatch.setattr(qsnake.kasteleyn, "det_exact", even_negated)
+    for r, s in pairs:
+        rep = verify_kasteleyn(r, s)
+        even = (sum(cf_expand(r, s)) - 1) % 2 == 0
+        assert rep.det_matches_statistic != even, (r, s)
+        assert rep.scaled_matches_numerator, (r, s)
 
 
 def test_matrix_refuses_an_edge_outside_the_band():
     # boxes that loop back to the first column: the last box's edges join
-    # vertices numbered far apart along the path
-    wide = SnakeGraph(((0, 0), (1, 0), (1, 1), (0, 1)), (1, 1, 1, 1))
+    # vertices numbered far apart along the path.  No exponent word builds
+    # that shape, so it is planted as the instance's derived boxes
+    wide = SnakeGraph((1, 1, 1, 1))
+    vars(wide)["boxes"] = ((0, 0), (1, 0), (1, 1), (0, 1))
     with pytest.raises(ValueError, match="outside the band"):
         kasteleyn_matrix(wide)
 

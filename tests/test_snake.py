@@ -4,10 +4,10 @@ import math
 import pytest
 
 from qsnake.qrational import cf_even_form, cf_expand
-from qsnake.snake import (SnakeGraph, box_path, denominator_snake, sign_sequence,
+from qsnake.snake import (SnakeGraph, box_edges, denominator_snake, sign_sequence,
                           snake_graph)
 
-from oracles import cf_odd_form, colored_edges, face_arrow_counts
+from oracles import box_path, cf_odd_form, colored_edges, face_arrow_counts
 
 SWEEP = [(r, s) for r in range(2, 41) for s in range(1, r) if math.gcd(r, s) == 1]
 
@@ -101,7 +101,6 @@ def test_first_column_south_edge_unweighted():
 
 
 def test_one_colored_edge_per_box():
-    from qsnake.snake import box_edges
     for r, s in SWEEP:
         g = snake_graph(cf_expand(r, s))
         for box in g.boxes:
@@ -112,7 +111,6 @@ def test_one_colored_edge_per_box():
 def test_ladders_monochromatic():
     # boxes attached within one coefficient run share the weight sign, and
     # runs alternate q, 1/q, q, ...
-    from qsnake.snake import box_edges
     for r, s in SWEEP:
         cf = cf_expand(r, s)
         g = snake_graph(cf)
@@ -181,15 +179,20 @@ def test_snake_graph_built_complete():
 
 
 def test_snake_graph_stores_boxes_and_weights_only():
-    # one exponent per box; the weight map, edges, vertices and colors are
-    # derived from these two on access
-    assert [f.name for f in dataclasses.fields(SnakeGraph)] == ["boxes", "exps"]
+    # one exponent per box is the whole record; the boxes, weight map,
+    # edges, vertices and colors are derived from it on access
+    assert [f.name for f in dataclasses.fields(SnakeGraph)] == ["exps"]
     g = snake_graph((4, 3))
+    assert "boxes" not in vars(g)
+    assert g.boxes == box_path((4, 3))
     assert g.edges == tuple(g.weight_exp)
     assert g.vertices == tuple(sorted({v for e in g.edges for v in e}))
 
 
 def test_weight_map_matches_the_reference(weight_map_reference):
+    # the boxes derived by the turn rule are the sign-sequence walk, the
+    # exponents read off the signs are the grid's weights (of a box's west
+    # and south sides one is its exposed border, the other weighs 0), and
     # the map derived from one exponent per box is the one built by exposing
     # borders, key order included; both parity forms build the same graph,
     # hence the same map
@@ -197,8 +200,28 @@ def test_weight_map_matches_the_reference(weight_map_reference):
                               for s in range(1, r) if math.gcd(r, s) == 1]
     for cf in words:
         g = snake_graph(cf)
-        assert g == snake_graph(cf_even_form(cf)) == snake_graph(cf_odd_form(cf)), cf
-        assert list(g.weight_exp.items()) == list(weight_map_reference(cf).items()), cf
+        boxes = box_path(cf)
+        weights = weight_map_reference(cf)
+        grid = tuple([weights[sides["W"]] + weights[sides["S"]]
+                      for sides in map(box_edges, boxes)])
+        for form in (cf, cf_even_form(cf), cf_odd_form(cf)):
+            h = snake_graph(form)
+            assert h == g and h.exps == grid, form
+            assert h.boxes == box_path(form) == boxes, form
+        assert list(g.weight_exp.items()) == list(weights.items()), cf
+
+
+def test_tail_snake_is_the_negated_suffix():
+    # the tail's signs are the whole word's from a1 on, each flipped; the DP
+    # reads only the exponents, and negating them all mirrors its statistic
+    for r in range(2, 401):
+        for s in range(1, r):
+            if math.gcd(r, s) != 1:
+                continue
+            cf = cf_expand(r, s)
+            if len(cf) >= 2:
+                tail = tuple([-e for e in snake_graph(cf).exps[cf[0]:]])
+                assert denominator_snake(cf).exps == tail, cf
 
 
 def test_degenerate_unit_snake():

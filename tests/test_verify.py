@@ -56,6 +56,27 @@ def test_check_pair_builds_one_weight_map(monkeypatch):
         assert built == [snake_graph(cf_expand(*pair)).boxes], pair
 
 
+def test_check_pair_derives_the_boxes_of_one_snake(monkeypatch):
+    # the DP reads the exponents alone, so only the whole snake's boxes are
+    # derived, for its Kasteleyn matrix; the tail snake's never are
+    derived = []
+    real = SnakeGraph.boxes.func
+
+    def counting(self):
+        derived.append(self.exps)
+        return real(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(SnakeGraph, "boxes")
+    monkeypatch.setattr(SnakeGraph, "boxes", prop)
+    for r in range(2, 31):
+        for s in range(1, r):
+            if math.gcd(r, s) == 1:
+                derived.clear()
+                assert check_pair((r, s)).ok, (r, s)
+                assert derived == [snake_graph(cf_expand(r, s)).exps], (r, s)
+
+
 def test_theorem_fault_fails_only_the_theorem_family(monkeypatch):
     real = qsnake.kasteleyn.scalar_exponent
     monkeypatch.setattr(qsnake.kasteleyn, "scalar_exponent",
