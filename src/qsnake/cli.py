@@ -10,7 +10,7 @@ import sys
 
 from .kasteleyn import (KasteleynReport, kasteleyn_matrix, leading_minors,
                         verify_kasteleyn)
-from .laurent import ZERO
+from .laurent import ZERO, LaurentPoly
 from .matching import (MAX_ENUMERATION_BOXES, enumerate_matchings,
                        matching_stat_dp, matching_weight_exp)
 from .qrational import (CF, all_routes, cf_expand, fibonacci_families,
@@ -22,8 +22,8 @@ from .verify import run_sweep, summarize
 
 # Largest continued-fraction sum (snake boxes + 1) a single-pair command
 # accepts.  Time and memory grow at least linearly with it: `compute 1000000
-# 999999 --all-routes`, at the bound, took 2.8-5.4 s of CPU and 175-179 MiB
-# peak RSS in text (printing holds most of it) and 2.3-3.3 s and 316-328 MiB
+# 999999 --all-routes`, at the bound, took 3.4-3.5 s of CPU and 173 MiB
+# peak RSS in text (printing holds most of it) and 1.1-1.3 s and 187 MiB
 # in JSON on a shared 2-core VM.
 MAX_CF_SUM = 10**6
 
@@ -31,12 +31,12 @@ MAX_CF_SUM = 10**6
 # route takes a step per quotient on polynomials of degree up to sum(cf)
 # with coefficients of up to r.bit_length() bits, so the time grows with the
 # product, which MAX_CF_SUM does not bound: the ratio of Fibonacci numbers
-# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 2.9-3.6 s
-# (7.7-9.7 s with --all-routes), and its cost grows as the cube of the
+# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 2.8-2.9 s
+# (7.4-8.9 s with --all-routes), and its cost grows as the cube of the
 # length.  The pairs that set the bound are those near MAX_CF_SUM with a few
 # more quotients, in `compute --all-routes` text: 1000000/999999 (cost 4e7)
-# took 2.8-5.4 s, [1, 1, 1, 999997] (8.8e7) 3.8-5.9 s, and [1] * 8 + [999992]
-# (2.3e8) 4.8-6.2 s, on a shared 2-core VM.  Every other shape measured at
+# took 3.4-3.5 s, [1, 1, 1, 999997] (8.8e7) 4.8-6.7 s, and [1] * 8 + [999992]
+# (2.3e8) 4.5-5.4 s, on a shared 2-core VM.  Every other shape measured at
 # the bound took under 1 s; the last Fibonacci ratio accepted has 523
 # quotients.
 MAX_COMPUTE_COST = 10**8
@@ -105,14 +105,13 @@ def cmd_compute(args, parser) -> int:
     if args.all_routes:
         table = all_routes(cf)
         if args.format == "json":
-            blob = {
+            _write_json({
                 "r": args.r, "s": args.s, "cf": list(cf),
-                "routes": {k: {"num": v.num.to_json(), "den": v.den.to_json()}
+                "routes": {k: {"num": v.num, "den": v.den}
                            for k, v in table.fractions.items()},
-                "continuant_num": table.continuant.to_json(),
+                "continuant_num": table.continuant,
                 "agree": table.agree,
-            }
-            print(_json(blob))
+            })
         else:
             for name, v in table.fractions.items():
                 print(f"{name:<16} {v.num}   /   {v.den}")
@@ -121,8 +120,7 @@ def cmd_compute(args, parser) -> int:
         return 0 if table.agree else 1
     qr = q_matrix_eval(cf)
     if args.format == "json":
-        print(_json({"r": args.r, "s": args.s, "cf": list(cf),
-                     "num": qr.num.to_json(), "den": qr.den.to_json()}))
+        _write_json({"r": args.r, "s": args.s, "cf": list(cf), "num": qr.num, "den": qr.den})
     else:
         print(f"[{args.r}/{args.s}]_q = ({qr.num}) / ({qr.den})")
     return 0
@@ -218,6 +216,40 @@ def _write_json_list(head: dict, key: str, items, tail: dict) -> None:
     for i, item in enumerate(items):
         write(("\n    " if i == 0 else ",\n    ") + item)
     write("\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n")
+
+
+def _write_json(blob: dict) -> None:
+    """
+    Print _json(blob), with each polynomial in it as its to_json(), a piece
+    at a time, so the document is never held whole.
+    """
+    sys.stdout.writelines(_json_pieces(blob, "", {}))
+    sys.stdout.write("\n")
+
+
+def _json_pieces(value, pad: str, rendered: dict):
+    """
+    The pieces of _json(value, pad), a polynomial as its to_json(): one
+    piece per key, scalar, list or polynomial.  A polynomial's text is kept
+    in rendered by (polynomial, pad), so each distinct one is rendered once
+    at each indent it appears at.  Not a closure: a recursive closure is a
+    reference cycle, which holds its texts until the cyclic collector runs.
+    """
+    if type(value) is dict and value:
+        inner = pad + "  "
+        sep = "{\n"
+        for k, v in value.items():
+            yield f"{sep}{inner}{json.dumps(k)}: "
+            yield from _json_pieces(v, inner, rendered)
+            sep = ",\n"
+        yield "\n" + pad + "}"
+    elif type(value) is LaurentPoly:
+        text = rendered.get((value, pad))
+        if text is None:
+            text = rendered[value, pad] = _json(value.to_json(), pad)
+        yield text
+    else:
+        yield _json(value, pad)
 
 
 def _json(value, pad: str = "") -> str:

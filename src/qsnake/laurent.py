@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from operator import add, sub
 from typing import Iterator, Sequence
 
@@ -125,22 +125,16 @@ class LaurentPoly:
 
     def times_qint(self, n: int) -> LaurentPoly:
         """
-        Multiply by the q-integer [n]_q = 1 + q + ... + q^(n-1) as a running
-        sum of width n: coefficient k is S[k] - S[k-n], S the prefix sums.
+        Multiply by the q-integer [n]_q = 1 + q + ... + q^(n-1), through
+        ``times_qint_add``.
 
         >>> LaurentPoly(-1, (1, -2)).times_qint(3)
         LaurentPoly('q^-1 - 1 - q - 2q^2')
         """
-        if n < 0:
-            raise ValueError("times_qint needs n >= 0")
         if n == 1:
             return self
-        if n == 0 or self.is_zero():
-            return ZERO
-        sums = [0] * n
-        sums += accumulate(self.coeffs)
-        sums += [sums[-1]] * (n - 1)
-        return LaurentPoly(self.min_deg, list(map(sub, sums[n:], sums)))
+        low, out = times_qint_add(self.coeffs, n)
+        return LaurentPoly(self.min_deg + low, out)
 
     def shifted(self, k: int) -> LaurentPoly:
         """Multiply by q**k."""
@@ -220,6 +214,51 @@ class LaurentPoly:
 ZERO = LaurentPoly()
 ONE = LaurentPoly(0, (1,))
 Q = LaurentPoly.monomial(1)
+
+
+def times_qint_add(p: Sequence[int], n: int, e: Sequence[int] = (), k: int = 0,
+                   sign: int = 1) -> tuple[int, list[int]]:
+    """
+    The product by the q-integer [n]_q, with an addend: p [n]_q + sign q^k e
+    for coefficient sequences p and e read from degree 0, n >= 0 and sign
+    +1 or -1, as (low, out), out[i] the coefficient of q^(low + i), trimmed
+    at both ends; the zero polynomial is (0, []).  [1] copies p, [2] adds p
+    to itself shifted by one place, and a wider [n] is a running sum of
+    width n, coefficient j being S[j] - S[j-n] with S the prefix sums of p.
+    The terms are chained as iterators, each padded with zeros to the whole
+    span, so the one list built is the result.
+
+    >>> times_qint_add([1, 2], 3, [5], -1, -1)
+    (-1, [-5, 1, 3, 3, 2])
+    """
+    if n < 0:
+        raise ValueError("times_qint needs n >= 0")
+    size = len(p) + n - 1 if p and n else 0  # the span of p [n] from q^0
+    lo, hi = (min(k, 0), max(size, k + len(e))) if e else (0, size)
+    # each term below runs over q^lo .. q^(hi-1)
+    if not size:
+        terms = repeat(0, hi - lo)
+    elif n <= 2:
+        terms = chain(repeat(0, -lo), p, repeat(0, hi - len(p)))
+        if n == 2:
+            terms = map(add, terms, chain(repeat(0, 1 - lo), p, repeat(0, hi - 1 - len(p))))
+    else:
+        sums = [0] * (n - lo)
+        sums += accumulate(p)
+        sums += [sums[-1]] * (hi - len(p))
+        terms = map(sub, islice(sums, n, None), sums)
+    if e:
+        terms = map(add if sign > 0 else sub, terms,
+                    chain(repeat(0, k - lo), e, repeat(0, hi - k - len(e))))
+    out = list(terms)
+    while out and not out[-1]:
+        out.pop()
+    if not out:
+        return 0, out
+    i = 0
+    while not out[i]:
+        i += 1
+    return (lo + i, out[i:]) if i else (lo, out)
 
 
 # -- polynomial gcd ---------------------------------------------------------

@@ -40,8 +40,12 @@ routes is a sum of nonnegative terms, so it is at most its polynomial's
 value at q = 1, and a q = 1 pass over the same recurrence bounds it; that
 bound sets the slot width (``_slot_bytes``), so no slot ever carries.  The
 recurrence route and the Fibonacci families run the other kernel,
-``LaurentPoly.times_qint`` and ``__add__``, with [n]_{1/q} = q^(1-n) [n]_q
-as a shift.  The nested-fraction route is the matrix route with its two
+``laurent.times_qint_add``, on coefficient lists: one call per step builds
+[a] D plus or minus a shift of N in one list, [1] as a copy, [2] as one
+shifted add and a wider [a] as a running sum.  The recurrence route keeps N
+and D as lists with their valuations and signs beside them, and builds its
+two polynomials once, at the end, so it runs no ``LaurentPoly`` arithmetic
+at all.  The nested-fraction route is the matrix route with its two
 registers swapped at each step (both call ``_times_qint`` with the same
 arguments in the same order on every word tried), so against a fault in
 the packed kernel the independent evidence is the continuant route, run in
@@ -53,9 +57,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
+from struct import iter_unpack
 from sys import byteorder
 
-from .laurent import ONE, ZERO, LaurentFraction, LaurentPoly
+from .laurent import ONE, ZERO, LaurentFraction, LaurentPoly, times_qint_add
 
 CF = tuple[int, ...]
 
@@ -189,10 +196,11 @@ def _unpack(x: int, width: int) -> LaurentPoly:
         return LaurentPoly(low, x.to_bytes(size, "little"))
     fmt = _SLOT_FORMATS.get(width)
     if fmt is None:
-        raw = x.to_bytes(size, "little")
-        from_bytes = int.from_bytes
-        return LaurentPoly(low, [from_bytes(raw[i:i + width], "little")
-                                 for i in range(0, size, width)])
+        # one bytes object per slot, read by int.from_bytes; the format names
+        # one slot, so its size does not grow with the slot count
+        slots = iter_unpack(f"{width}s", x.to_bytes(size, "little"))
+        return LaurentPoly(low, list(map(int.from_bytes, map(itemgetter(0), slots),
+                                         repeat("little"))))
     # cast reads the host's byte order, so the bytes are written in it
     coeffs = memoryview(x.to_bytes(size, byteorder)).cast(fmt).tolist()
     if byteorder == "big":
@@ -331,28 +339,33 @@ def q_map_general(x) -> LaurentFraction:
             p, d = (-d, p) if p > 0 else (d, -p)
         else:
             p -= a * d
-    # The ascent holds num = sn N and den = sd D with the signs sn, sd apart,
-    # so that no step negates a polynomial.  [-m] = -q^-m [m]
+    # The ascent holds num = sn q^vn N and den = sd q^vd D, N and D trimmed
+    # coefficient lists, with the signs sn, sd apart, so that no step
+    # negates a list: a subtracting step flips sn instead.  Each nonzero
+    # step is one call of the kernel, [a] D plus or minus a shift of N.
+    # [-m] = -q^-m [m]
     sn, sd = (1 if p >= 0 else -1), 1
-    N, D = q_int(abs(p)).shifted(min(p, 0)), ONE
+    N, vn, D, vd = [1] * abs(p), min(p, 0), [1], 0
     for a in reversed(steps):
         if a > 0:
-            # [x] = q^a [x - a] + [a]
-            term = D.times_qint(a)
-            N = N.shifted(a) + term if sn == sd else N.shifted(a) - term
+            # [x] = q^a [x - a] + [a]: num = sd q^vd ([a] D + sn sd q^(vn + a - vd) N)
+            low, N = times_qint_add(D, a, N, vn + a - vd, sn * sd)
+            vn, sn = vd + low, sd
         elif a == 0:
             # x in (-1, 1): [x] = -1/(q [-1/x])
-            N, D, sn, sd = D, N.shifted(1), -sd, sn
+            N, vn, D, vd, sn, sd = D, vd, N, vn + 1, -sd, sn
         else:
-            # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m
-            term = D.times_qint(-a)
-            N = N - term if sn == sd else N + term
-            D = D.shifted(-a)
-    # the fraction wants a positive lowest denominator coefficient: settle
-    # the signs here, so that it negates nothing more
-    if sd * D.coeffs[0] < 0:
+            # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m:
+            # num = -sd q^vd ([m] D - sn sd q^(vn - vd) N), den = q^m den
+            low, N = times_qint_add(D, -a, N, vn - vd, -sn * sd)
+            vn, vd, sn = vd + low, vd - a, -sd
+    # the fraction wants a denominator at q^0 with a positive lowest
+    # coefficient: settle the signs and the shift here, so that it moves
+    # nothing more
+    if sd * D[0] < 0:
         sn, sd = -sn, -sd
-    return LaurentFraction(N if sn > 0 else -N, D if sd > 0 else -D)
+    return LaurentFraction(LaurentPoly(vn - vd, N if sn > 0 else [-c for c in N]),
+                           LaurentPoly(0, D if sd > 0 else [-c for c in D]))
 
 
 # -- the public map ------------------------------------------------------------
@@ -410,7 +423,9 @@ def _fib_family(n: int, seeds: list[LaurentPoly]) -> list[LaurentPoly]:
     """A family at indices 1 .. n: its seeds, then the recurrence."""
     vals = list(seeds)
     for k in range(5, n + 1):
-        vals.append(vals[k - 3].times_qint(3) - vals[k - 5].shifted(2))
+        a, b = vals[k - 3], vals[k - 5]
+        low, out = times_qint_add(a.coeffs, 3, b.coeffs, b.min_deg + 2 - a.min_deg, -1)
+        vals.append(LaurentPoly(a.min_deg + low, out))
     return vals[:n]
 
 

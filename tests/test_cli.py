@@ -73,8 +73,16 @@ def test_compute_json_round_trip(capsys):
     assert poly_from_json(blob["den"]) == LaurentPoly(0, (1, 1, 1))
 
 
-def test_compute_json_is_json_dumps(capsys):
-    # the compute writer against json.dumps(blob, indent=2) of the same blob
+def test_compute_json_is_json_dumps(capsys, monkeypatch):
+    # the compute writer against json.dumps(blob, indent=2) of the same blob;
+    # with --all-routes it renders each distinct polynomial once at each
+    # indent: the routes' numerator and denominator, and the continuant
+    to_json, rendered = LaurentPoly.to_json, []
+
+    def counting(self):
+        rendered.append(self)
+        return to_json(self)
+
     for r, s in [(1, 1), (2, 1), (13, 3), (29, 12), (10**5 + 1, 2), (832040, 514229)]:
         cf = list(cf_expand(r, s))
         qr = q_rational(r, s)
@@ -82,7 +90,12 @@ def test_compute_json_is_json_dumps(capsys):
         blob = {"r": r, "s": s, "cf": cf, "num": qr.num.to_json(), "den": qr.den.to_json()}
         assert code == 0 and out == json.dumps(blob, indent=2) + "\n", (r, s)
         table = all_routes(tuple(cf))
-        code, out = run(capsys, "compute", str(r), str(s), "--all-routes", "--format", "json")
+        rendered.clear()
+        with monkeypatch.context() as m:
+            m.setattr(LaurentPoly, "to_json", counting)
+            code, out = run(capsys, "compute", str(r), str(s), "--all-routes", "--format", "json")
+        matrix = table.fractions["matrix"]
+        assert len(rendered) == len({matrix.num, matrix.den}) + 1, (r, s)
         blob = {"r": r, "s": s, "cf": cf,
                 "routes": {k: {"num": v.num.to_json(), "den": v.den.to_json()}
                            for k, v in table.fractions.items()},

@@ -6,11 +6,11 @@ integer-pair recurrence map against their references."""
 
 import math
 
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from qsnake.kasteleyn import det_exact, kasteleyn_matrix
 from qsnake.laurent import (ONE, ZERO, LaurentFraction, LaurentPoly, _prs_gcd,
-                            laurent_gcd)
+                            laurent_gcd, times_qint_add)
 from qsnake.matching import matching_stat_dp, scalar_exponent
 from qsnake.qrational import (all_routes, cf_expand, cf_matrix_column, cf_value, q_int,
                               q_map_general)
@@ -103,10 +103,27 @@ def test_infinity_is_one_over_zero():
 
 @settings(REPRODUCIBLE, phases=(Phase.explicit, Phase.generate))
 @given(laurent_polys | st.just(ZERO), st.integers(-50, 50), st.integers(-5, 5),
-       st.integers(0, 50))
-def test_times_qint_is_schoolbook(p, c, k, n):
+       st.integers(0, 50), laurent_polys | st.just(ZERO), st.integers(-12, 12))
+# the addend below, inside and above the span of p [m] for every m < 8, a
+# zero p, a zero addend, and an addend that cancels p [2] to zero
+@example(LaurentPoly(0, (1, 2, 3)), 1, 0, 5, LaurentPoly(0, (7, -1)), -4)
+@example(LaurentPoly(0, (1, 2, 3)), 1, 0, 5, LaurentPoly(0, (7, -1)), 1)
+@example(LaurentPoly(0, (1, 2, 3)), 1, 0, 5, LaurentPoly(0, (7, -1)), 10)
+@example(ZERO, 1, 0, 5, LaurentPoly(1, (3, 0, 4)), 2)
+@example(LaurentPoly(-1, (4, -2)), 3, 2, 5, ZERO, 0)
+@example(LaurentPoly(0, (1, 2)), 1, 3, 2, LaurentPoly(0, (1, 3, 2)), 3)
+def test_times_qint_is_schoolbook(p, c, k, n, e, j):
     a = (c * p).shifted(k)
     assert a.times_qint(n) == a * q_int(n)
+    # the kernel under times_qint with an addend q^j e, both signs: [0],
+    # [1] and [2] take their own paths, [3] and wider the running sum
+    for m in range(8):
+        for sign in (1, -1):
+            low, out = times_qint_add(a.coeffs, m, e.coeffs, e.min_deg + j - a.min_deg, sign)
+            want = a * q_int(m) + e.shifted(j) if sign > 0 else a * q_int(m) - e.shifted(j)
+            assert LaurentPoly(a.min_deg + low, out) == want, (m, sign)
+            # trimmed at both ends, and zero as (0, [])
+            assert out[:1] != [0] and out[-1:] != [0] and (out or low == 0), (m, sign)
 
 
 # words of quotients 0..1000, runs of small ones among them, cut where the

@@ -5,8 +5,8 @@ import pytest
 
 from qsnake import laurent, qrational
 from qsnake.laurent import LaurentFraction, LaurentPoly, ONE, ZERO
-from qsnake.qrational import (_slot_bytes, all_routes, cf_even_form, cf_expand,
-                              cf_matrix_column, cf_value, continuant_det,
+from qsnake.qrational import (_slot_bytes, _unpack, all_routes, cf_even_form,
+                              cf_expand, cf_matrix_column, cf_value, continuant_det,
                               fibonacci_families, fibonacci_number, q_cf_eval,
                               q_continuant, q_int, q_map_general, q_matrix_eval,
                               q_rational)
@@ -233,8 +233,8 @@ def test_recurrence_route_matches_reference(recurrence_reference):
 
 def test_recurrence_route_runs_no_fraction_arithmetic(monkeypatch):
     # past converting its argument, the route descends on an int pair and
-    # ascends with its signs apart: its only negations fold the signs into
-    # the fraction at the end
+    # ascends with its signs apart, folding them into its two lists at the
+    # end, so the fraction it builds negates no polynomial
     values = [0, 7, -5, Fraction(1, 2), Fraction(-3, 2), Fraction(3, 4), Fraction(-17, 4),
               Fraction(-7, 3), Fraction(5, 12),
               cf_value(cf_expand(fibonacci_number(81), fibonacci_number(80))),
@@ -264,27 +264,44 @@ def test_recurrence_route_runs_no_fraction_arithmetic(monkeypatch):
         negations.clear()
         made.clear()
         assert q_map_general(x) == want, x
-        assert len(negations) <= 2 and len(made) <= 1, (x, len(negations), len(made))
+        assert not negations and len(made) <= 1, (x, len(negations), len(made))
+
+
+# words whose quotients rounded down would take thousands of steps, each as
+# r/s, -r/s and s/r, so that the ascent meets every kind of step
+DEEP_WORDS = [(1, 1, 3000), (1,) * 100 + (3000,), (2, 3000, 5, 1, 4000, 2), (7, 1, 1, 9)]
+DEEP_VALUES = [v for cf in DEEP_WORDS for v in (cf_value(cf), -cf_value(cf), 1 / cf_value(cf))]
 
 
 def test_recurrence_route_takes_two_steps_per_quotient(monkeypatch):
     # the descent follows the regular continued fraction; rounding each
     # integer part down instead walks [1; 1, 3000] in 6000 unit steps, each
     # a product by [a] in the ascent
-    words = [(1, 1, 3000), (1,) * 100 + (3000,), (2, 3000, 5, 1, 4000, 2), (7, 1, 1, 9)]
-    values = [v for cf in words for v in (cf_value(cf), -cf_value(cf), 1 / cf_value(cf))]
-    before = [q_map_general(x) for x in values]
-    kernel, calls = LaurentPoly.times_qint, []
+    before = [q_map_general(x) for x in DEEP_VALUES]
+    kernel, calls = qrational.times_qint_add, []
 
-    def counting(self, n):
-        calls.append(n)
-        return kernel(self, n)
+    def counting(*args):
+        calls.append(args[1])
+        return kernel(*args)
 
-    monkeypatch.setattr(LaurentPoly, "times_qint", counting)
-    for i, (x, want) in enumerate(zip(values, before)):
+    monkeypatch.setattr(qrational, "times_qint_add", counting)
+    for i, (x, want) in enumerate(zip(DEEP_VALUES, before)):
         calls.clear()
         assert q_map_general(x) == want, x
-        assert len(calls) <= 2 * len(words[i // 3]) + 1, (x, len(calls))
+        assert 0 < len(calls) <= 2 * len(DEEP_WORDS[i // 3]) + 1, (x, len(calls))
+
+
+def test_recurrence_route_uses_no_polynomial_arithmetic(monkeypatch):
+    # the route ascends on coefficient lists, one times_qint_add per nonzero
+    # step, so it shares no arithmetic with the matching DP or det_exact
+    before = [q_map_general(x) for x in DEEP_VALUES]
+
+    def refuse(*args):
+        raise AssertionError("the recurrence route ran LaurentPoly arithmetic")
+
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    assert [q_map_general(x) for x in DEEP_VALUES] == before
 
 
 def test_fibonacci_polys():
@@ -338,7 +355,7 @@ def test_matrix_word_refuses_negative_quotients():
 
 def test_matrix_word_uses_no_polynomial_arithmetic(monkeypatch):
     # the route keeps to the packed kernel, so agreeing with the recurrence
-    # route, which runs times_qint and __add__, is evidence about both
+    # route, which runs the list kernel times_qint_add, is evidence about both
     words = [cf_expand(r, s) for r, s in SWEEP[::7]] + [
         (1,) * 200 + (2,), (30, 1, 17, 2, 25, 3, 30, 12), (2, 0, 3), (0,), (10**4,)]
     before = [cf_matrix_column(cf) for cf in words]
@@ -348,6 +365,7 @@ def test_matrix_word_uses_no_polynomial_arithmetic(monkeypatch):
 
     for name in ("times_qint", "__add__", "__mul__", "__rmul__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
+    monkeypatch.setattr(qrational, "times_qint_add", refuse)
     assert [cf_matrix_column(cf) for cf in words] == before
 
 
@@ -454,6 +472,7 @@ def test_nested_and_continuant_use_no_polynomial_arithmetic(monkeypatch):
 
     for name in ("times_qint", "__add__", "__mul__", "__rmul__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
+    monkeypatch.setattr(qrational, "times_qint_add", refuse)
     assert [(q_cf_eval(cf), continuant_det(cf), q_continuant(cf)) for cf in words] == before
 
 
@@ -479,18 +498,18 @@ def test_nested_and_continuant_take_one_qint_product_per_quotient(monkeypatch):
 
 def test_routes_compare_two_kernels(monkeypatch):
     # the matrix, nested and continuant routes run the packed _times_qint and
-    # the recurrence route LaurentPoly.times_qint, so a fault in either
-    # kernel turns the table's verdict
+    # the recurrence route the list kernel times_qint_add, so a fault in
+    # either kernel turns the table's verdict
     words = [cf_expand(r, s) for r, s in [(13, 3), (29, 12), (61, 27), (179, 74)]]
     assert all(all_routes(cf).agree for cf in words)
-    packed, polynomial, calls = qrational._times_qint, LaurentPoly.times_qint, []
+    packed, listed, calls = qrational._times_qint, qrational.times_qint_add, []
 
-    def counting(self, n):
-        calls.append(n)
-        return polynomial(self, n)
+    def counting(*args):
+        calls.append(args[1])
+        return listed(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(LaurentPoly, "times_qint", counting)
+        m.setattr(qrational, "times_qint_add", counting)
         for cf in words:
             calls.clear()
             all_routes(cf)
@@ -503,12 +522,23 @@ def test_routes_compare_two_kernels(monkeypatch):
         acc = packed(x, n, bits)
         return acc % (1 << max(acc.bit_length() - 1, 0) // bits * bits)
 
-    def drop_top_coefficient(self, n):
-        p = polynomial(self, n)
-        return LaurentPoly(p.min_deg, p.coeffs[:-1])
+    def drop_top_coefficient(*args):
+        low, out = listed(*args)
+        return low, out[:-1]
 
-    for owner, name, fault in [(qrational, "_times_qint", drop_top_slot),
-                               (LaurentPoly, "times_qint", drop_top_coefficient)]:
+    for name, fault in [("_times_qint", drop_top_slot),
+                        ("times_qint_add", drop_top_coefficient)]:
         with monkeypatch.context() as m:
-            m.setattr(owner, name, fault)
+            m.setattr(qrational, name, fault)
             assert not any(all_routes(cf).agree for cf in words), name
+
+
+def test_unpack_round_trips_every_width():
+    # a full slot must not spill into its neighbours, and a zero slot at the
+    # bottom becomes the valuation, one inside a zero coefficient
+    for width in range(1, 41):
+        full = (1 << 8 * width) - 1
+        coeffs = [0, full, 0, 1, full]
+        x = sum(c << 8 * width * i for i, c in enumerate(coeffs))
+        assert _unpack(x, width) == LaurentPoly(1, (full, 0, 1, full)), width
+        assert _unpack(0, width) == ZERO, width
