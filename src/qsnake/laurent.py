@@ -60,20 +60,11 @@ class LaurentPoly:
         """Degree of the highest term (garbage -1 for the zero polynomial)."""
         return self.min_deg + len(self.coeffs) - 1
 
-    def coefficient(self, exp: int) -> int:
-        i = exp - self.min_deg
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def terms(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) pairs in ascending exponent order."""
         for i, c in enumerate(self.coeffs):
             if c:
                 yield self.min_deg + i, c
-
-    def is_monomial(self) -> bool:
-        return sum(1 for c in self.coeffs if c) == 1
 
     # -- ring operations ---------------------------------------------------
 
@@ -96,19 +87,7 @@ class LaurentPoly:
         return LaurentPoly(self.min_deg, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return -other
-        # self's coefficients, padded below to start at the lower valuation
-        gap = self.min_deg - other.min_deg
-        out = [0] * gap
-        out += self.coeffs
-        lo = max(-gap, 0)
-        hi = lo + len(other.coeffs)
-        out += [0] * (hi - len(out))
-        out[lo:hi] = map(sub, out[lo:hi], other.coeffs)
-        return LaurentPoly(min(self.min_deg, other.min_deg), out)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -122,19 +101,6 @@ class LaurentPoly:
         return LaurentPoly(self.min_deg + other.min_deg, out)
 
     __rmul__ = __mul__
-
-    def times_qint(self, n: int) -> LaurentPoly:
-        """
-        Multiply by the q-integer [n]_q = 1 + q + ... + q^(n-1), through
-        ``times_qint_add``.
-
-        >>> LaurentPoly(-1, (1, -2)).times_qint(3)
-        LaurentPoly('q^-1 - 1 - q - 2q^2')
-        """
-        if n == 1:
-            return self
-        low, out = times_qint_add(self.coeffs, n)
-        return LaurentPoly(self.min_deg + low, out)
 
     def shifted(self, k: int) -> LaurentPoly:
         """Multiply by q**k."""
@@ -213,7 +179,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly(0, (1,))
-Q = LaurentPoly.monomial(1)
 
 
 def times_qint_add(p: Sequence[int], n: int, e: Sequence[int] = (), k: int = 0,
@@ -232,7 +197,7 @@ def times_qint_add(p: Sequence[int], n: int, e: Sequence[int] = (), k: int = 0,
     (-1, [-5, 1, 3, 3, 2])
     """
     if n < 0:
-        raise ValueError("times_qint needs n >= 0")
+        raise ValueError("times_qint_add needs n >= 0")
     size = len(p) + n - 1 if p and n else 0  # the span of p [n] from q^0
     lo, hi = (min(k, 0), max(size, k + len(e))) if e else (0, size)
     # each term below runs over q^lo .. q^(hi-1)
@@ -263,77 +228,46 @@ def times_qint_add(p: Sequence[int], n: int, e: Sequence[int] = (), k: int = 0,
 
 # -- polynomial gcd ---------------------------------------------------------
 
-def _trimmed(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _content(p: Sequence[int]) -> int:
-    """Nonnegative gcd of the coefficients (0 for no nonzero coefficient)."""
-    g = 0
-    for c in p:
-        g = math.gcd(g, c)
-    return g
-
-
 def _primitive(p: Sequence[int]) -> list[int]:
-    c = _content(p)
-    if c == 0:
-        return []
+    c = math.gcd(*p)
     return [x // c for x in p]
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """prem(a, b) = lc(b)**(deg a - deg b + 1) * a  mod  b, for deg a >= deg b."""
-    db = len(b) - 1
-    lb = b[-1]
-    rem = list(a)
-    scalings = len(a) - len(b) + 1
-    while rem and len(rem) - 1 >= db:
-        lead = rem[-1]
+    """
+    A pseudo-remainder of a by b, for deg a >= deg b: lc(b)^k a mod b, k
+    the number of leading terms cancelled.  The gcd keeps only its primitive
+    part, which does not depend on k.
+    """
+    lb, rem = b[-1], list(a)
+    while len(rem) >= len(b):
+        lead = rem.pop()
+        k = len(rem) - len(b) + 1
         rem = [lb * c for c in rem]
-        k = len(rem) - 1 - db
-        for j, bc in enumerate(b):
+        for j, bc in enumerate(b[:-1]):
             rem[k + j] -= lead * bc
-        rem = _trimmed(rem)
-        scalings -= 1
-    if scalings > 0:
-        rem = [lb**scalings * c for c in rem]
+        while rem and not rem[-1]:
+            rem.pop()
     return rem
-
-
-def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Gcd in Z[q] of two dense coefficient lists, primitive PRS."""
-    A = _trimmed(list(a))
-    B = _trimmed(list(b))
-    if not A:
-        return _positive_lead(B)
-    if not B:
-        return _positive_lead(A)
-    c = math.gcd(_content(A), _content(B))
-    A, B = _primitive(A), _primitive(B)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        R = _pseudo_rem(A, B)
-        A, B = B, _primitive(R)
-    return [c * x for x in _positive_lead(A)]
-
-
-def _positive_lead(p: list[int]) -> list[int]:
-    if p and p[-1] < 0:
-        return [-x for x in p]
-    return p
 
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """
-    Canonical gcd of two Laurent polynomials: the gcd of the polynomial parts
-    (monomial factors stripped), normalized to min_deg 0 and positive leading
-    coefficient.  Monomials are units in Z[q, 1/q] so they never enter.
+    Canonical gcd of two Laurent polynomials, by the primitive PRS on their
+    coefficients: min_deg 0, a positive leading coefficient, and the gcd of
+    all the coefficients as its content.  Monomials are units in Z[q, 1/q],
+    so they never enter; the gcd of two zeros is zero.
+
+    >>> laurent_gcd(LaurentPoly(-1, (2, 2)), LaurentPoly(3, (-4, 0, 4)))
+    LaurentPoly('2 + 2q')
     """
-    return LaurentPoly(0, _prs_gcd(a.coeffs, b.coeffs))
+    c = math.gcd(*a.coeffs, *b.coeffs)
+    if not c:
+        return ZERO
+    A, B = sorted((_primitive(a.coeffs), _primitive(b.coeffs)), key=len, reverse=True)
+    while B:
+        A, B = B, _primitive(_pseudo_rem(A, B))
+    return LaurentPoly(0, [c * x for x in A] if A[-1] > 0 else [-c * x for x in A])
 
 
 @dataclass(frozen=True)
@@ -342,8 +276,7 @@ class LaurentFraction:
     A quotient of Laurent polynomials, normalized so the denominator has
     min_deg 0 and a positive lowest coefficient; the one fraction type, which
     every route to a deformed rational returns.  The projective infinity is
-    the single admissible zero-denominator value 1/0.  Full cancellation of
-    common polynomial factors is done by :meth:`reduced`.
+    the single admissible zero-denominator value 1/0.
     """
 
     num: LaurentPoly
@@ -366,26 +299,6 @@ class LaurentFraction:
     @classmethod
     def infinity(cls) -> LaurentFraction:
         return cls(ONE, ZERO)
-
-    def is_infinity(self) -> bool:
-        return self.den.is_zero()
-
-    def reduced(self) -> LaurentFraction:
-        """Cancel the polynomial gcd and the integer content gcd."""
-        if self.is_infinity():
-            return self
-        if self.num.is_zero():
-            return LaurentFraction(ZERO, ONE)
-        g = laurent_gcd(self.num, self.den)
-        num, den = self.num, self.den
-        if not g.is_monomial() or g.coefficient(0) != 1:
-            num = num.div_exact(g)
-            den = den.div_exact(g)
-        c = math.gcd(_content(num.coeffs), _content(den.coeffs))
-        if c > 1:
-            num = LaurentPoly(num.min_deg, tuple([x // c for x in num.coeffs]))
-            den = LaurentPoly(den.min_deg, tuple([x // c for x in den.coeffs]))
-        return LaurentFraction(num, den)
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"

@@ -93,8 +93,8 @@ class SnakeGraph:
     ``exps[i]`` is the exponent k of the weight q^k on box i's one weighted
     edge (see ``weighted_sides``).  The boxes along the path are derived
     from it by the turn rule of the module docstring, and the weight map of
-    every edge from both, each once, on first access; the edges and
-    vertices (both sorted) and the colors are read off the weight map.
+    every edge from both, each once, on first access; its keys are the
+    edges, sorted, and the vertices (sorted) and the colors are read off it.
     """
 
     exps: tuple[int, ...]
@@ -124,10 +124,6 @@ class SnakeGraph:
         for edge, k in zip(weighted_sides(self.boxes), self.exps):
             weights[edge] = k
         return weights
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(self.weight_exp)
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:

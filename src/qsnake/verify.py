@@ -1,9 +1,10 @@
 """Sweep harness checking every identity on every coprime pair up to a bound.
 
 Per pair: the four computation routes agree, the scaled matching statistic
-equals the numerator, the q = 1 counts give back r and s, the Kasteleyn
-determinant is (-1)^sum(cf) times the statistic, and the one-box removal
-recurrence holds.  Pairs are independent, so the sweep can fan out over
+equals the numerator, the q = 1 counts give back r and s and the scaled
+tail statistic is the mirror of the denominator, the Kasteleyn determinant
+is (-1)^sum(cf) times the statistic, and the one-box removal recurrence
+holds.  Pairs are independent, so the sweep can fan out over
 processes; results are merged in (r, s) order either way.
 """
 
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .kasteleyn import kasteleyn_report
-from .matching import case_recurrences_check, matching_stat_dp, prefix_statistics
+from .matching import case_recurrences_check, matching_stat_dp, prefix_statistics, scalar_exponent
 from .qrational import all_routes, cf_expand
 from .snake import denominator_snake, snake_graph
 
@@ -51,10 +52,13 @@ def check_pair(pair: tuple[int, int]) -> PairResult:
     stat = stats[-1]
     kasteleyn = kasteleyn_report(cf, g, stat, routes.fractions["matrix"].num)
 
-    # the tail snake counts s; the shift q^n' of the denominator candidate
-    # does not change the value at q = 1
-    counts_ok = stat.eval_at_one() == r and (
-        len(cf) == 1 or matching_stat_dp(denominator_snake(cf)).eval_at_one() == s)
+    # the tail snake counts s, and q^n' times its statistic is the mirror
+    # of the denominator
+    counts_ok = stat.eval_at_one() == r
+    if len(cf) > 1:
+        tail_stat, den = matching_stat_dp(denominator_snake(cf)), routes.fractions["matrix"].den
+        counts_ok = (counts_ok and tail_stat.eval_at_one() == s
+                     and tail_stat.shifted(scalar_exponent(cf[1:])) == den.mirror(den.top_deg))
 
     case = case_recurrences_check(cf, stats)
     cases_ok = case.holds if case.applicable else True

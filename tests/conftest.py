@@ -83,20 +83,28 @@ def weight_map_reference():
 def matrix_word_reference():
     """``matrix_word_reference(cf)``: the word R^a1 L^a2 R^a3 ... of cf as a
     column update in LaurentPoly arithmetic, right multiplication by
-    R^n = [[q^n, [n]], [0, 1]] or L^n = [[q^n, 0], [q[n], 1]] through
-    ``times_qint`` and ``__add__``: a reference for the matrix route, which
-    packs the one column it reads into ints and runs neither."""
-    from qsnake.laurent import ONE, ZERO
+    R^n = [[q^n, [n]], [0, 1]] or L^n = [[q^n, 0], [q[n], 1]], the product
+    p [n] taken as the exact quotient (q^n p - p) / (q - 1) by ``div_exact``:
+    a reference for the matrix route, which packs the one column it reads
+    into ints, and shares no code with either q-integer kernel.  Its
+    property test runs quotients up to 1000, where the schoolbook product
+    by ``q_int(n)`` would cost len(p) * n additions per step."""
+    from qsnake.laurent import ONE, ZERO, LaurentPoly
     from oracles import QMatrix
+
+    q_minus_one = LaurentPoly(0, (-1, 1))
+
+    def times_qint(p, n):
+        return (p.shifted(n) - p).div_exact(q_minus_one)
 
     def word(cf):
         a, b, c, d = ONE, ZERO, ZERO, ONE
         for i, n in enumerate(cf):
             if i % 2 == 0:
-                a, b, c, d = a.shifted(n), a.times_qint(n) + b, c.shifted(n), c.times_qint(n) + d
+                a, b, c, d = a.shifted(n), times_qint(a, n) + b, c.shifted(n), times_qint(c, n) + d
             else:
-                a = a.shifted(n) + b.times_qint(n).shifted(1)
-                c = c.shifted(n) + d.times_qint(n).shifted(1)
+                a = a.shifted(n) + times_qint(b, n).shifted(1)
+                c = c.shifted(n) + times_qint(d, n).shifted(1)
         return QMatrix(a, b, c, d)
 
     return word
@@ -117,9 +125,9 @@ def matrix_column_reference(matrix_word_reference):
 @pytest.fixture(scope="session")
 def nested_reference():
     """``nested_reference(cf)``: the deformed nested fraction of cf evaluated
-    bottom-up in LaurentPoly arithmetic, through ``times_qint``, ``__add__``
-    and shifts to negative exponents: a reference for ``q_cf_eval``, which
-    packs its pair into ints and runs neither."""
+    bottom-up in LaurentPoly arithmetic, through the schoolbook product by
+    ``q_int(a)``, ``__add__`` and shifts to negative exponents: a reference
+    for ``q_cf_eval``, which packs its pair into ints and runs neither."""
     from qsnake.laurent import ONE, LaurentFraction
     from qsnake.qrational import q_int
 
@@ -130,7 +138,7 @@ def nested_reference():
             a = cf[i - 1]
             # an even position has [a]_{1/q} = q^(1-a) [a]_q and prefactor q^-a
             shift, pre = (0, a) if i % 2 == 1 else (1 - a, -a)
-            num, den = num.times_qint(a).shifted(shift) + den.shifted(pre), num
+            num, den = (num * q_int(a)).shifted(shift) + den.shifted(pre), num
         return LaurentFraction(num, den)
 
     return nested
@@ -139,9 +147,10 @@ def nested_reference():
 @pytest.fixture(scope="session")
 def continuant_reference():
     """``continuant_reference(cf)``: the tridiagonal determinant of cf by its
-    three-term recurrence in LaurentPoly arithmetic, through ``times_qint``,
-    ``__add__`` and shifts to negative exponents: a reference for
-    ``continuant_det``, which packs its terms into ints and runs neither."""
+    three-term recurrence in LaurentPoly arithmetic, through the schoolbook
+    product by ``q_int(a)``, ``__add__`` and shifts to negative exponents: a
+    reference for ``continuant_det``, which packs its terms into ints and
+    runs neither."""
     from qsnake.laurent import ONE
     from qsnake.qrational import q_int
 
@@ -151,7 +160,7 @@ def continuant_reference():
             a, a_prev = cf[i - 1], cf[i - 2]
             # an even position has [a]_{1/q} = q^(1-a) [a]_q and subdiagonal q^a_prev
             shift, sub_exp = (0, -a_prev) if i % 2 == 1 else (1 - a, a_prev)
-            prev2, prev = prev, prev.times_qint(a).shifted(shift) + prev2.shifted(sub_exp)
+            prev2, prev = prev, (prev * q_int(a)).shifted(shift) + prev2.shifted(sub_exp)
         return prev
 
     return continuant
@@ -160,10 +169,10 @@ def continuant_reference():
 @pytest.fixture(scope="session")
 def recurrence_reference():
     """``recurrence_reference(x)``: the recurrence map of x with its descent
-    in ``Fraction`` steps and its ascent on signed polynomials, a negation
-    on every inversion and every a < 0 step: a reference for
-    ``q_map_general``, which descends on an integer pair and keeps its
-    signs apart."""
+    in ``Fraction`` steps and its ascent on signed polynomials by the
+    schoolbook product by ``q_int``, a negation on every inversion and
+    every a < 0 step: a reference for ``q_map_general``, which descends on
+    an integer pair and keeps its signs apart."""
     import math
     from fractions import Fraction
 
@@ -189,7 +198,7 @@ def recurrence_reference():
         for a in reversed(steps):
             if a > 0:
                 # [x] = q^a [x - a] + [a]
-                num = num.shifted(a) + den.times_qint(a)
+                num = num.shifted(a) + den * q_int(a)
             elif a == 0:
                 # x in (0, 1): [x] = -1/(q [-1/x])
                 num, den = -den, num.shifted(1)
@@ -197,7 +206,7 @@ def recurrence_reference():
                 # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m, the
                 # difference taken through negation, so that the reference
                 # shares no subtraction with the route
-                num, den = num + -den.times_qint(-a), den.shifted(-a)
+                num, den = num + -(den * q_int(-a)), den.shifted(-a)
         return LaurentFraction(num, den)
 
     return q_map_general

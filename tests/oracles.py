@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qsnake.kasteleyn import KasteleynMatrix
-from qsnake.laurent import ONE, ZERO, LaurentPoly
+from qsnake.laurent import ONE, ZERO, LaurentFraction, LaurentPoly, laurent_gcd
 from qsnake.matching import enumerate_matchings, matching_weight_exp
 from qsnake.snake import Box, Edge, SnakeGraph, box_edges, sign_sequence
 
@@ -39,6 +39,16 @@ class QMatrix:
 def qmatrix_det(m: QMatrix) -> LaurentPoly:
     """ad - bc, by the schoolbook product."""
     return m.a * m.d - m.b * m.c
+
+
+def reduced(f: LaurentFraction) -> LaurentFraction:
+    """
+    f in lowest terms: numerator and denominator divided by their gcd,
+    which carries the common integer content too.  0/d becomes 0/1, and the
+    infinity 1/0 stays itself (its gcd is 1).
+    """
+    g = laurent_gcd(f.num, f.den)
+    return LaurentFraction(f.num.div_exact(g), f.den.div_exact(g))
 
 
 # -- continued fractions -----------------------------------------------------

@@ -181,7 +181,7 @@ def test_band_equals_dense_matrix():
         g = snake_graph(cf_expand(r, s))
         black, white = number_vertices(g)
         dense = [[ZERO] * len(white) for _ in black]
-        for e in g.edges:
+        for e in g.weight_exp:
             tail, head = g.arrow(e)
             if g.is_black(tail):
                 i, j, sign = black.index(tail), white.index(head), 1
@@ -191,7 +191,7 @@ def test_band_equals_dense_matrix():
         mat = kasteleyn_matrix(g)
         assert tuple(mat.dense_rows()) == tuple(tuple(row) for row in dense), (r, s)
         assert len(mat) == len(black)
-        assert sum(len(row) for row in mat.band) == len(g.edges)
+        assert sum(len(row) for row in mat.band) == len(g.weight_exp)
 
 
 def test_determinant_multiplies_no_polynomials(monkeypatch):

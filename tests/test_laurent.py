@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from qsnake.laurent import LaurentFraction, LaurentPoly, ONE, Q, ZERO, laurent_gcd
+from qsnake.laurent import LaurentFraction, LaurentPoly, ONE, ZERO, laurent_gcd, times_qint_add
 
-from oracles import poly_from_json
+from oracles import poly_from_json, reduced
 
 # a large prime: gcd cases whose coefficients vanish or collide modulo it
 P = 2**61 - 1
@@ -14,6 +14,8 @@ P = 2**61 - 1
 def lp(min_deg, *coeffs):
     return LaurentPoly(min_deg, coeffs)
 
+
+Q = lp(1, 1)
 
 # a small pool of polynomials for exhaustive ring-axiom sweeps
 POOL = [
@@ -39,13 +41,15 @@ def test_multiplication_examples():
 
 
 def test_times_qint_edges():
-    p = lp(-2, 3, 0, -1)
+    p = (3, 0, -1)
     with pytest.raises(ValueError):
-        p.times_qint(-1)
-    assert p.times_qint(0) == ZERO
-    assert p.times_qint(1) is p
-    assert ZERO.times_qint(4) == ZERO
-    assert p.times_qint(2) == lp(-2, 3, 3, -1, -1)
+        times_qint_add(p, -1)
+    assert times_qint_add(p, 0) == (0, [])
+    assert times_qint_add(p, 1) == (0, [3, 0, -1])
+    assert times_qint_add((), 4) == (0, [])
+    assert times_qint_add(p, 2) == (0, [3, 3, -1, -1])
+    # an addend that cancels the product to zero
+    assert times_qint_add(p, 1, p, 0, -1) == (0, [])
 
 
 def test_ring_axioms_exhaustive():
@@ -152,6 +156,12 @@ def test_gcd():
     # monomial factors are units and never appear in the gcd
     assert laurent_gcd(a.shifted(-3) * 2, a.shifted(5) * 4) == 2 * a
     assert laurent_gcd(ZERO, a) == a
+    assert laurent_gcd(ZERO, ZERO) == ZERO
+    # negative leading coefficients, and a gcd that is content only
+    assert laurent_gcd(-a * g, b * g.shifted(2) * -3) == g
+    assert laurent_gcd(-a, ZERO) == a
+    assert laurent_gcd(lp(0, 2, 2), lp(0, 4)) == lp(0, 2)
+    assert laurent_gcd(lp(0, -6, 0, -6), lp(-1, 4, 4)) == lp(0, 2)
     for p, r, s in itertools.product(POOL[3:], repeat=3):
         g = laurent_gcd(p * r, p * s)
         if p.is_zero() or (r.is_zero() and s.is_zero()):
@@ -181,12 +191,16 @@ def test_fraction_normalization():
     f = LaurentFraction(ONE, lp(1, -1, -1))  # 1 / (-q - q^2)
     assert f.den == lp(0, 1, 1)
     assert f.num == lp(-1, -1)
-    g = LaurentFraction(lp(0, 1, 2, 1), lp(0, 1, 1)).reduced()
+    g = reduced(LaurentFraction(lp(0, 1, 2, 1), lp(0, 1, 1)))
     assert g.num == lp(0, 1, 1) and g.den == ONE
+    # the common content cancels too, and 0/d is 0/1
+    assert reduced(LaurentFraction(lp(0, 2, 2), lp(0, -4, -4, 0))) == LaurentFraction(lp(0, -1), lp(0, 2))
+    assert reduced(LaurentFraction(ZERO, lp(3, 5, -7))) == LaurentFraction(ZERO, ONE)
 
 
 def test_fraction_infinity():
     inf = LaurentFraction.infinity()
-    assert inf.is_infinity()
+    assert inf.num == ONE and inf.den == ZERO
+    assert reduced(inf) == inf
     with pytest.raises(ZeroDivisionError):
         LaurentFraction(lp(0, 2), ZERO)

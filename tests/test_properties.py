@@ -1,22 +1,21 @@
 """Property tests past the hand-picked sweeps: random pairs up to r = 1000,
 with the matching and Kasteleyn identities, random rationals of either
-sign for the recurrence map, the gcd against the primitive PRS, and the
-running-sum product, slice addition and subtraction, packed matrix word and
-integer-pair recurrence map against their references."""
+sign for the recurrence map, the gcd as a normalized greatest common
+divisor, and the running-sum product, addition and subtraction, packed
+matrix word and integer-pair recurrence map against their references."""
 
 import math
 
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from qsnake.kasteleyn import det_exact, kasteleyn_matrix
-from qsnake.laurent import (ONE, ZERO, LaurentFraction, LaurentPoly, _prs_gcd,
-                            laurent_gcd, times_qint_add)
+from qsnake.laurent import ONE, ZERO, LaurentFraction, LaurentPoly, laurent_gcd, times_qint_add
 from qsnake.matching import matching_stat_dp, scalar_exponent
 from qsnake.qrational import (all_routes, cf_expand, cf_matrix_column, cf_value, q_int,
                               q_map_general)
 from qsnake.snake import snake_graph
 
-from oracles import qmatrix_det
+from oracles import qmatrix_det, reduced
 
 # reproducible and writes no example database
 REPRODUCIBLE = settings(derandomize=True, database=None, deadline=None)
@@ -58,7 +57,7 @@ def test_translation_recurrence(x):
     # [x + 1] = q[x] + 1
     fx = q_map_general(x)
     shifted = LaurentFraction(fx.num.shifted(1) + fx.den, fx.den)
-    assert q_map_general(x + 1) == shifted.reduced()
+    assert q_map_general(x + 1) == reduced(shifted)
 
 
 @REPRODUCIBLE
@@ -66,7 +65,7 @@ def test_translation_recurrence(x):
 def test_inversion_recurrence(x):
     # [-1/x] = -1/(q[x])
     fx = q_map_general(x)
-    assert q_map_general(-1 / x) == LaurentFraction(-fx.den, fx.num.shifted(1)).reduced()
+    assert q_map_general(-1 / x) == reduced(LaurentFraction(-fx.den, fx.num.shifted(1)))
 
 
 # the values of words of up to 80 quotients after an integer part of either
@@ -84,9 +83,12 @@ def test_recurrence_route_matches_reference_on_random_rationals(recurrence_refer
 
 @REPRODUCIBLE
 @given(laurent_polys, laurent_polys, laurent_polys)
-def test_gcd_equals_prs(a, b, g):
+def test_gcd_is_normalized(a, b, g):
+    # min_deg 0 and a positive leading coefficient, zero only for two zeros
     for x, y in ((a, b), (a * g, b * g)):
-        assert laurent_gcd(x, y) == LaurentPoly(0, _prs_gcd(x.coeffs, y.coeffs))
+        d = laurent_gcd(x, y)
+        assert d.is_zero() == (x.is_zero() and y.is_zero())
+        assert d.is_zero() or (d.min_deg == 0 and d.coeffs[-1] > 0)
     if a.is_zero() or b.is_zero() or g.is_zero():
         return
     # a common divisor: div_exact raises unless the division is exact
@@ -114,9 +116,10 @@ def test_infinity_is_one_over_zero():
 @example(LaurentPoly(0, (1, 2)), 1, 3, 2, LaurentPoly(0, (1, 3, 2)), 3)
 def test_times_qint_is_schoolbook(p, c, k, n, e, j):
     a = (c * p).shifted(k)
-    assert a.times_qint(n) == a * q_int(n)
-    # the kernel under times_qint with an addend q^j e, both signs: [0],
-    # [1] and [2] take their own paths, [3] and wider the running sum
+    low, out = times_qint_add(a.coeffs, n)
+    assert LaurentPoly(a.min_deg + low, out) == a * q_int(n)
+    # with an addend q^j e, both signs: [0], [1] and [2] take their own
+    # paths, [3] and wider the running sum
     for m in range(8):
         for sign in (1, -1):
             low, out = times_qint_add(a.coeffs, m, e.coeffs, e.min_deg + j - a.min_deg, sign)

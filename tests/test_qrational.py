@@ -169,7 +169,7 @@ def test_q_map_general_values():
     neg_half = q_map_general(Fraction(-1, 2))
     assert neg_half.num == lp(-1, -1)
     assert neg_half.den == poly(1, 1)
-    assert q_map_general(math.inf).is_infinity()
+    assert q_map_general(math.inf) == LaurentFraction.infinity()
     assert q_map_general(4).num == q_int(4)
     minus_two = q_map_general(-2)
     assert minus_two.num == lp(-2, -1, -1) and minus_two.den == ONE
@@ -199,7 +199,7 @@ def test_routes_call_no_gcd(monkeypatch):
 
 def test_routes_multiply_no_polynomials(monkeypatch):
     # every product on a route is by a q-integer: shift-adds of packed ints on
-    # the matrix, nested and continuant routes, the running sum of times_qint
+    # the matrix, nested and continuant routes, the running sum of times_qint_add
     # on the recurrence route; the schoolbook product is left to general
     # operands
     pairs = [(13, 3), (29, 12), (64, 1), (64, 63),
@@ -363,7 +363,7 @@ def test_matrix_word_uses_no_polynomial_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("the matrix route ran LaurentPoly arithmetic")
 
-    for name in ("times_qint", "__add__", "__mul__", "__rmul__"):
+    for name in ("__add__", "__mul__", "__rmul__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
     monkeypatch.setattr(qrational, "times_qint_add", refuse)
     assert [cf_matrix_column(cf) for cf in words] == before
@@ -439,7 +439,7 @@ def test_nested_and_continuant_match_references(nested_reference, continuant_ref
         assert q_cf_eval(word) == nested_reference(word), word
         assert continuant_det(word) == continuant_reference(word), word
     # the empty word: the nested fraction starts from 1/0, the continuant from 1
-    assert q_cf_eval(()).is_infinity()
+    assert q_cf_eval(()) == LaurentFraction.infinity()
     assert continuant_det(()) == ONE
 
 
@@ -470,7 +470,7 @@ def test_nested_and_continuant_use_no_polynomial_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("a packed route ran LaurentPoly arithmetic")
 
-    for name in ("times_qint", "__add__", "__mul__", "__rmul__"):
+    for name in ("__add__", "__mul__", "__rmul__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
     monkeypatch.setattr(qrational, "times_qint_add", refuse)
     assert [(q_cf_eval(cf), continuant_det(cf), q_continuant(cf)) for cf in words] == before

@@ -44,7 +44,7 @@ def test_counts():
         d = len(g.boxes)
         assert d == sum(cf_expand(r, s)) - 1
         assert len(g.vertices) == 2 * d + 2
-        assert len(g.edges) == 3 * d + 1
+        assert len(g.weight_exp) == 3 * d + 1
         assert len(g.black_vertices) == d + 1
         assert len(g.white_vertices) == d + 1
         assert list(g.weight_exp) == sorted(g.weight_exp)
@@ -128,13 +128,13 @@ def test_bipartite():
     for r, s in SWEEP[:100]:
         g = snake_graph(cf_expand(r, s))
         assert g.is_black((0, 0))
-        for u, v in g.edges:
+        for u, v in g.weight_exp:
             assert g.is_black(u) != g.is_black(v)
 
 
 def test_orientation_golden_13_3():
     g = snake_graph((4, 3))
-    arrows = {g.arrow(e) for e in g.edges}
+    arrows = {g.arrow(e) for e in g.weight_exp}
     expected = {
         # weighted edges, black to white
         ((0, 0), (0, 1)), ((2, 0), (1, 0)), ((1, 1), (1, 2)),
@@ -170,8 +170,8 @@ def test_denominator_snake():
 
 def test_snake_graph_built_complete():
     g = snake_graph((2, 2))
-    assert set(g.weight_exp) == set(g.edges)
-    assert all(set(g.arrow(e)) == set(e) for e in g.edges)
+    assert set(g.weight_exp) == {e for b in g.boxes for e in box_edges(b).values()}
+    assert all(set(g.arrow(e)) == set(e) for e in g.weight_exp)
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.weight_exp = {}
     with pytest.raises(ValueError):
@@ -180,13 +180,12 @@ def test_snake_graph_built_complete():
 
 def test_snake_graph_stores_boxes_and_weights_only():
     # one exponent per box is the whole record; the boxes, weight map,
-    # edges, vertices and colors are derived from it on access
+    # vertices and colors are derived from it on access
     assert [f.name for f in dataclasses.fields(SnakeGraph)] == ["exps"]
     g = snake_graph((4, 3))
     assert "boxes" not in vars(g)
     assert g.boxes == box_path((4, 3))
-    assert g.edges == tuple(g.weight_exp)
-    assert g.vertices == tuple(sorted({v for e in g.edges for v in e}))
+    assert g.vertices == tuple(sorted({v for e in g.weight_exp for v in e}))
 
 
 def test_weight_map_matches_the_reference(weight_map_reference):
@@ -227,6 +226,6 @@ def test_tail_snake_is_the_negated_suffix():
 def test_degenerate_unit_snake():
     g = snake_graph((1,))
     assert g.boxes == ()
-    assert g.edges == (((0, 0), (1, 0)),)
+    assert tuple(g.weight_exp) == (((0, 0), (1, 0)),)
     assert g.weight_exp[((0, 0), (1, 0))] == 0
     assert g.arrow(((0, 0), (1, 0))) == ((1, 0), (0, 0))

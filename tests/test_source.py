@@ -115,6 +115,37 @@ def test_public_names_have_a_caller():
     assert qsnake.__all__ and not unread, unread
 
 
+def test_every_public_definition_is_read():
+    # each public module-level name is read in src/, as a name or an
+    # attribute, and each public method or property of a class as an
+    # attribute, unless bench/ traces it; a dataclass field is report
+    # evidence and exempt
+    tracing = runpy.run_path(str(ROOT / "bench" / "tracing.py"))
+    traced = {attribute.split(".")[-1] for _layer, _module, attribute, _kernel, _measure
+              in tracing["LAYERS"]}
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES
+             if path.name != "__init__.py"}
+    loads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(getattr(node, "ctx", None), ast.Load)]
+    attributes = {node.attr for node in loads if isinstance(node, ast.Attribute)} | traced
+    names = {node.id for node in loads if isinstance(node, ast.Name)} | attributes
+    defined = []  # (where, name, the reads that count for it)
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{file}:{node.name}", node.name, names))
+            elif isinstance(node, ast.Assign):
+                defined += [(f"{file}:{t.id}", t.id, names)
+                            for t in node.targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{file}:{node.name}.{item.name}", item.name, attributes)
+                            for item in node.body if isinstance(item, ast.FunctionDef)]
+    unread = [where for where, name, reads in defined
+              if not name.startswith("_") and name not in reads]
+    assert defined
+    assert not unread, unread
+
+
 def test_docstring_examples():
     attempted = 0
     for path in SOURCES:
