@@ -20,11 +20,16 @@ from .snake import far_corner, snake_graph
 from .verify import run_sweep, summarize
 
 
+# Longest list of ints the JSON writer renders as one piece.  A longer one,
+# the coefficients of a polynomial of high degree, is written in pieces of
+# this many items, so its text is never built whole.
+JSON_CHUNK = 4096
+
 # Largest continued-fraction sum (snake boxes + 1) a single-pair command
 # accepts.  Time and memory grow at least linearly with it: `compute 1000000
-# 999999 --all-routes`, at the bound, took 3.4-3.5 s of CPU and 173 MiB
-# peak RSS in text (printing holds most of it) and 1.1-1.3 s and 187 MiB
-# in JSON on a shared 2-core VM.
+# 999999 --all-routes`, at the bound, took 3.6-5.3 s of CPU and 154 MiB
+# peak RSS in text (printing holds most of it) and 0.8-0.9 s and 87 MiB in
+# JSON, and `compute 1000000 1 --format json` 44 MiB, on a shared 2-core VM.
 MAX_CF_SUM = 10**6
 
 # Largest cost len(cf) * sum(cf) * r.bit_length() `compute` accepts.  Each
@@ -44,8 +49,11 @@ MAX_COMPUTE_COST = 10**8
 # Largest snake `kasteleyn` accepts.  It prints the matrix dense, every zero
 # included, so its output grows with the square of the box count: the 600-box
 # `kasteleyn 601 1` prints 21.8 MB.  The matrix is written a row at a time, so
-# time and memory stay small: 0.14-0.25 s of CPU and 19 MiB peak RSS for that
-# pair on a shared 2-core VM.
+# time and memory stay small: 0.21-0.23 s of user CPU and 17.5 MiB peak RSS
+# for that pair on a shared 2-core VM, and with the bound lifted 0.25 s and
+# 17.6 MiB for 1001/1, 0.59 s and 19.5 MiB for 2001/1.  So the bound is on
+# the output alone, nearly all zeros, which would reach 60 MB at 1000 boxes
+# and 241 MB at 2000.
 MAX_KASTELEYN_BOXES = 600
 
 # Largest snake `snake` draws as svg, tikz or json.  Those renders take time
@@ -58,10 +66,12 @@ MAX_RENDER_BOXES = 30_000
 
 # Most edges `matchings` prints: the matching count times the boxes + 1 edges
 # of each matching.  The count is r, exponential in the box count when the
-# quotients are small.  The matchings are written one at a time: `matchings
-# 601 1` (361201 edges) took 2.4 s of user CPU on a shared 2-core VM,
-# printed 48.6 MB and peaked at 31 MiB, and `matchings 17711 10946` (371931)
-# took 2.5 s.
+# quotients are small.  The matchings are written one at a time, and time
+# grows with the edges: `matchings 6250 3901`, at the bound (6250 matchings
+# of 64 edges), took 2.1-2.4 s of user CPU on a shared 2-core VM, printed
+# 52.7 MB and peaked at 28 MiB; `matchings 601 1` (361201 edges) took
+# 2.3-2.5 s and 31 MiB, and `matchings 17711 10946` (371931) 2.7-2.8 s and
+# 29 MiB.  So the bound keeps `matchings` within a few seconds.
 MAX_MATCHING_EDGES = 400_000
 
 # Largest table `fibonacci` prints.  The rows' determinants come from one
@@ -230,10 +240,14 @@ def _write_json(blob: dict) -> None:
 def _json_pieces(value, pad: str, rendered: dict):
     """
     The pieces of _json(value, pad), a polynomial as its to_json(): one
-    piece per key, scalar, list or polynomial.  A polynomial's text is kept
-    in rendered by (polynomial, pad), so each distinct one is rendered once
-    at each indent it appears at.  Not a closure: a recursive closure is a
-    reference cycle, which holds its texts until the cyclic collector runs.
+    piece per key, scalar, short list or polynomial, and a list of more than
+    JSON_CHUNK items one piece per JSON_CHUNK items, so no text of a long
+    list is built whole.  A polynomial's pieces are kept in rendered with the
+    pad they were rendered at, so each distinct polynomial is rendered once:
+    at another indent every line of a cached piece starts with the old pad
+    and takes the new one by one replace.  Not a closure: a recursive
+    closure is a reference cycle, which holds its texts until the cyclic
+    collector runs.
     """
     if type(value) is dict and value:
         inner = pad + "  "
@@ -244,10 +258,23 @@ def _json_pieces(value, pad: str, rendered: dict):
             sep = ",\n"
         yield "\n" + pad + "}"
     elif type(value) is LaurentPoly:
-        text = rendered.get((value, pad))
-        if text is None:
-            text = rendered[value, pad] = _json(value.to_json(), pad)
-        yield text
+        hit = rendered.get(value)
+        if hit is None:
+            blob = value.to_json()
+            hit = rendered[value] = (pad, [_json(blob, pad)] if len(value.coeffs) <= JSON_CHUNK
+                                     else list(_json_pieces(blob, pad, rendered)))
+        at, pieces = hit
+        if at == pad:
+            yield from pieces
+        else:
+            for piece in pieces:
+                yield piece.replace("\n" + at, "\n" + pad)
+    elif type(value) is list and len(value) > JSON_CHUNK and type(value[0]) is not list:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        for i in range(0, len(value), JSON_CHUNK):
+            yield ("[\n" if i == 0 else ",\n") + inner + sep.join(map(str, value[i:i + JSON_CHUNK]))
+        yield "\n" + pad + "]"
     else:
         yield _json(value, pad)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate
 from operator import add, sub
 from typing import Iterator, Sequence
 
@@ -187,35 +187,44 @@ def times_qint_add(p: Sequence[int], n: int, e: Sequence[int] = (), k: int = 0,
     The product by the q-integer [n]_q, with an addend: p [n]_q + sign q^k e
     for coefficient sequences p and e read from degree 0, n >= 0 and sign
     +1 or -1, as (low, out), out[i] the coefficient of q^(low + i), trimmed
-    at both ends; the zero polynomial is (0, []).  [1] copies p, [2] adds p
-    to itself shifted by one place, and a wider [n] is a running sum of
-    width n, coefficient j being S[j] - S[j-n] with S the prefix sums of p.
-    The terms are chained as iterators, each padded with zeros to the whole
-    span, so the one list built is the result.
+    at both ends; the zero polynomial is (0, []).  The one list built is the
+    result, laid out over the whole span and filled by slices: [1] is a copy
+    of p, [2] that copy plus itself shifted by one place, and a wider [n] a
+    running sum of width n, coefficient j being S[j] - S[j-n] with S the
+    prefix sums of p, so the prefix sums with one slice subtracted.  The
+    addend is one slice added or subtracted.  Each slice read is a copy, so
+    no list is read while it is being assigned.
 
     >>> times_qint_add([1, 2], 3, [5], -1, -1)
     (-1, [-5, 1, 3, 3, 2])
     """
     if n < 0:
         raise ValueError("times_qint_add needs n >= 0")
-    size = len(p) + n - 1 if p and n else 0  # the span of p [n] from q^0
-    lo, hi = (min(k, 0), max(size, k + len(e))) if e else (0, size)
-    # each term below runs over q^lo .. q^(hi-1)
+    m = len(p)
+    size = m + n - 1 if m and n else 0  # the span of p [n] from q^0
+    lo = k if e and k < 0 else 0
+    hi = k + len(e) if e and k + len(e) > size else size
+    # out[i] is the coefficient of q^(lo + i), so q^0 sits at index -lo
+    out = [0] * -lo
     if not size:
-        terms = repeat(0, hi - lo)
+        out += [0] * hi
     elif n <= 2:
-        terms = chain(repeat(0, -lo), p, repeat(0, hi - len(p)))
+        out += p
         if n == 2:
-            terms = map(add, terms, chain(repeat(0, 1 - lo), p, repeat(0, hi - 1 - len(p))))
+            # p[j] + p[j - 1] under q^1 .. q^(m - 1), then p[m - 1] alone
+            out[1 - lo:m - lo] = map(add, out[1 - lo:m - lo], p)
+            out.append(p[-1])
+        out += [0] * (hi - size)
     else:
-        sums = [0] * (n - lo)
-        sums += accumulate(p)
-        sums += [sums[-1]] * (hi - len(p))
-        terms = map(sub, islice(sums, n, None), sums)
+        sums = list(accumulate(p))
+        out += sums
+        out += [sums[-1]] * (n - 1)
+        out += [0] * (hi - size)
+        # S[j - n] runs over S[0] .. S[m - 2], under q^n .. q^(size - 1)
+        out[n - lo:size - lo] = map(sub, out[n - lo:size - lo], sums)
     if e:
-        terms = map(add if sign > 0 else sub, terms,
-                    chain(repeat(0, k - lo), e, repeat(0, hi - k - len(e))))
-    out = list(terms)
+        out[k - lo:k + len(e) - lo] = map(add if sign > 0 else sub,
+                                          out[k - lo:k + len(e) - lo], e)
     while out and not out[-1]:
         out.pop()
     if not out:

@@ -20,8 +20,13 @@ from .snake import Edge, SnakeGraph, Vertex, denominator_snake, snake_graph
 Matching = tuple[Edge, ...]
 
 # Largest snake enumerate_matchings accepts.  The backtracking recurses once
-# per matched pair, d + 1 levels for d boxes, so far larger snakes overflow
-# the recursion limit; the 600-box strip 601/1 already takes seconds.
+# per matched pair, d + 1 levels for d boxes, so larger snakes overflow the
+# recursion limit: called from the top of the `matchings` command, with the
+# bound lifted, the strip of 980 boxes ran and that of 1000 boxes raised
+# RecursionError, and a caller deeper in the stack overflows sooner, so the
+# bound keeps about 380 levels to spare.  The 600-box strip 601/1 took
+# 2.3-2.5 s and 31 MiB, and MAX_MATCHING_EDGES stops `matchings` at 631
+# boxes anyway.
 MAX_ENUMERATION_BOXES = 600
 
 

@@ -32,17 +32,21 @@ Three routes run the packed kernel: the matrix, nested-fraction and
 continuant routes evaluate their polynomials at q = 2^B, each one int whose
 B-bit slots are its coefficients, so the one product by [n]_q per quotient
 (``_times_qint``) is a few shift-adds of ints, a product by q^k a shift by
-kB bits, and ``_unpack`` reads the slots back once, at the end.  No step
-may shift below q^0: the nested route scales an even position's step by
-q^a, which the fraction's normalization drops, and the continuant keeps
-each term's power of q as an int beside it.  Every coefficient on these
-routes is a sum of nonnegative terms, so it is at most its polynomial's
-value at q = 1, and a q = 1 pass over the same recurrence bounds it; that
-bound sets the slot width (``_slot_bytes``), so no slot ever carries.  The
-recurrence route and the Fibonacci families run the other kernel,
-``laurent.times_qint_add``, on coefficient lists: one call per step builds
-[a] D plus or minus a shift of N in one list, [1] as a copy, [2] as one
-shifted add and a wider [a] as a running sum.  The recurrence route keeps N
+kB bits, and ``_unpack`` reads the slots back once, at the end.  These
+routes share a slot read, not a result: each computes its own ints, and
+``_slots`` keeps its last two reads, so a route whose int equals one read
+before, up to a power of q, takes that read's coefficient tuple, and a
+route whose int differs reads its own.  No step may shift below q^0: the
+nested route scales an even position's step by q^a, which the fraction's
+normalization drops, and the continuant keeps each term's power of q as an
+int beside it.  Every coefficient on these routes is a sum of nonnegative
+terms, so it is at most its polynomial's value at q = 1, and a q = 1 pass
+over the same recurrence bounds it; that bound sets the slot width
+(``_slot_bytes``), so no slot ever carries.  The recurrence route and the
+Fibonacci families run the other kernel, ``laurent.times_qint_add``, on
+coefficient lists: one call per step builds [a] D plus or minus a shift of
+N in one list by slices, [1] as a copy, [2] as one shifted add and a wider
+[a] as prefix sums with one slice subtracted.  The recurrence route keeps N
 and D as lists with their valuations and signs beside them, and builds its
 two polynomials once, at the end, so it runs no ``LaurentPoly`` arithmetic
 at all.  The nested-fraction route is the matrix route with its two
@@ -57,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 from struct import iter_unpack
@@ -184,28 +189,45 @@ def _times_qint(x: int, n: int, bits: int) -> int:
 
 
 def _unpack(x: int, width: int) -> LaurentPoly:
-    """The polynomial whose coefficients are the width-byte slots of x."""
+    """
+    The polynomial whose coefficients are the width-byte slots of x.  The
+    zero slots at the bottom become the valuation, and ``_slots`` reads the
+    rest.  Each caller builds its own polynomial around the tuple it gets,
+    with its own valuation.
+    """
     if not x:
         return ZERO
     bits = 8 * width
     low = ((x & -x).bit_length() - 1) // bits  # the zero slots at the bottom
-    x >>= low * bits
-    size = -(-x.bit_length() // bits) * width
+    return LaurentPoly(low, _slots(x >> low * bits, width))
+
+
+@lru_cache(maxsize=2)
+def _slots(x: int, width: int) -> tuple[int, ...]:
+    """
+    The width-byte slots of x > 0, lowest first, up to its top nonzero one.
+    The routes of one ``all_routes`` call pack the same two polynomials, up
+    to a power of q that ``_unpack`` strips, and read them in turn, so with
+    the last two reads kept its five reads make two; no more are kept, so
+    that a single route does not hold an earlier call's polynomials.  The
+    key is the packed int itself, so a route that computed a different int
+    reads it afresh.
+    """
+    size = -(-x.bit_length() // (8 * width)) * width
     if width == 1:
         # bytes are already a sequence of one-byte slots
-        return LaurentPoly(low, x.to_bytes(size, "little"))
+        return tuple(x.to_bytes(size, "little"))
     fmt = _SLOT_FORMATS.get(width)
     if fmt is None:
         # one bytes object per slot, read by int.from_bytes; the format names
         # one slot, so its size does not grow with the slot count
         slots = iter_unpack(f"{width}s", x.to_bytes(size, "little"))
-        return LaurentPoly(low, list(map(int.from_bytes, map(itemgetter(0), slots),
-                                         repeat("little"))))
+        return tuple(map(int.from_bytes, map(itemgetter(0), slots), repeat("little")))
     # cast reads the host's byte order, so the bytes are written in it
     coeffs = memoryview(x.to_bytes(size, byteorder)).cast(fmt).tolist()
     if byteorder == "big":
         coeffs.reverse()
-    return LaurentPoly(low, coeffs)
+    return tuple(coeffs)
 
 
 def q_matrix_eval(cf: CF) -> LaurentFraction:

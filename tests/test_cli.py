@@ -74,9 +74,11 @@ def test_compute_json_round_trip(capsys):
 
 
 def test_compute_json_is_json_dumps(capsys, monkeypatch):
-    # the compute writer against json.dumps(blob, indent=2) of the same blob;
-    # with --all-routes it renders each distinct polynomial once at each
-    # indent: the routes' numerator and denominator, and the continuant
+    # the compute writer against json.dumps(blob, indent=2) of the same blob,
+    # with each distinct polynomial rendered once: with --all-routes the
+    # routes' numerator and denominator, the continuant being the numerator
+    # at another indent; lists past cli.JSON_CHUNK coefficients are written
+    # in pieces
     to_json, rendered = LaurentPoly.to_json, []
 
     def counting(self):
@@ -86,7 +88,11 @@ def test_compute_json_is_json_dumps(capsys, monkeypatch):
     for r, s in [(1, 1), (2, 1), (13, 3), (29, 12), (10**5 + 1, 2), (832040, 514229)]:
         cf = list(cf_expand(r, s))
         qr = q_rational(r, s)
-        code, out = run(capsys, "compute", str(r), str(s), "--format", "json")
+        rendered.clear()
+        with monkeypatch.context() as m:
+            m.setattr(LaurentPoly, "to_json", counting)
+            code, out = run(capsys, "compute", str(r), str(s), "--format", "json")
+        assert sorted(map(str, rendered)) == sorted(map(str, {qr.num, qr.den})), (r, s)
         blob = {"r": r, "s": s, "cf": cf, "num": qr.num.to_json(), "den": qr.den.to_json()}
         assert code == 0 and out == json.dumps(blob, indent=2) + "\n", (r, s)
         table = all_routes(tuple(cf))
@@ -95,12 +101,13 @@ def test_compute_json_is_json_dumps(capsys, monkeypatch):
             m.setattr(LaurentPoly, "to_json", counting)
             code, out = run(capsys, "compute", str(r), str(s), "--all-routes", "--format", "json")
         matrix = table.fractions["matrix"]
-        assert len(rendered) == len({matrix.num, matrix.den}) + 1, (r, s)
+        assert sorted(map(str, rendered)) == sorted(map(str, {matrix.num, matrix.den})), (r, s)
         blob = {"r": r, "s": s, "cf": cf,
                 "routes": {k: {"num": v.num.to_json(), "den": v.den.to_json()}
                            for k, v in table.fractions.items()},
                 "continuant_num": table.continuant.to_json(), "agree": table.agree}
         assert code == 0 and out == json.dumps(blob, indent=2) + "\n", (r, s)
+    assert len(qr.num.coeffs) < cli.JSON_CHUNK < len(q_rational(10**5 + 1, 2).num.coeffs)
     for value in [{}, [], {"a": []}, {"a": {}, "b\n\"": [-3, 0, 10**40]},
                   {"t": True, "f": False, "n": None, "x": "q^-1 + 2", "y": -7}]:
         assert cli._json(value) == json.dumps(value, indent=2), value

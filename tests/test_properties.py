@@ -114,6 +114,14 @@ def test_infinity_is_one_over_zero():
 @example(ZERO, 1, 0, 5, LaurentPoly(1, (3, 0, 4)), 2)
 @example(LaurentPoly(-1, (4, -2)), 3, 2, 5, ZERO, 0)
 @example(LaurentPoly(0, (1, 2)), 1, 3, 2, LaurentPoly(0, (1, 3, 2)), 3)
+# the slices of the kernel at their edges: a one-coefficient p, whose [2]
+# has nothing to add shifted and whose running sum nothing to subtract; a p
+# longer than every m, so the subtracted slice reaches the prefix sums; an
+# addend past both ends of p [m]; and one that cancels the top of p [1]
+@example(LaurentPoly(3, (5,)), -2, 1, 4, LaurentPoly(0, (1, 1)), 0)
+@example(LaurentPoly(0, tuple(range(1, 11))), 1, 0, 3, LaurentPoly(0, (1, 2)), 4)
+@example(LaurentPoly(0, (1, 2)), 1, 0, 2, LaurentPoly(0, (1,) * 12), -3)
+@example(LaurentPoly(0, (1, 2, 3)), 1, 0, 1, LaurentPoly(0, (3,)), 2)
 def test_times_qint_is_schoolbook(p, c, k, n, e, j):
     a = (c * p).shifted(k)
     low, out = times_qint_add(a.coeffs, n)

@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -531,6 +533,35 @@ def test_routes_compare_two_kernels(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(qrational, name, fault)
             assert not any(all_routes(cf).agree for cf in words), name
+
+
+def test_all_routes_reads_each_polynomial_once(monkeypatch):
+    # the packed routes of one all_routes call compute its numerator and
+    # denominator up to a power of q, so their five slot reads make one per
+    # distinct polynomial, and the routes share the coefficient tuples; the
+    # cache is cleared before each call, and rebuilt around a counting reader
+    reads, uncached = [], qrational._slots.__wrapped__
+
+    def counting(x, width):
+        reads.append(x)
+        return uncached(x, width)
+
+    cached = functools.lru_cache(**qrational._slots.cache_parameters())(counting)
+    monkeypatch.setattr(qrational, "_slots", cached)
+    rng = random.Random(11)
+    deep = [tuple(rng.randint(1, 4) for _ in range(rng.randint(40, 80))) for _ in range(40)]
+    pairs = [cf_expand(r, s) for r in range(1, 100) for s in range(1, r + 1)
+             if math.gcd(r, s) == 1]
+    words = {form(cf) for cf in pairs for form in (lambda cf: cf, cf_even_form, cf_odd_form)}
+    for cf in sorted(words) + deep:
+        cached.cache_clear()
+        reads.clear()
+        table = all_routes(cf)
+        matrix = table.fractions["matrix"]
+        assert table.agree and len(reads) == (1 if cf_value(cf) == 1 else 2), cf
+        nested = table.fractions["nested-fraction"]
+        assert nested.num.coeffs is matrix.num.coeffs is table.continuant.coeffs, cf
+        assert nested.den.coeffs is matrix.den.coeffs, cf
 
 
 def test_unpack_round_trips_every_width():
