@@ -7,22 +7,23 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterator
 
-from .kasteleyn import (KasteleynReport, kasteleyn_matrix, leading_minors,
-                        verify_kasteleyn)
+from .kasteleyn import kasteleyn_matrix, leading_minors, verify_kasteleyn
 from .laurent import ZERO, LaurentPoly
 from .matching import (MAX_ENUMERATION_BOXES, enumerate_matchings,
                        matching_stat_dp, matching_weight_exp)
 from .qrational import (CF, all_routes, cf_expand, fibonacci_families,
                         fibonacci_number, q_matrix_eval, q_rational)
-from .render import ascii_grid, render
+from .render import ascii_grid, graph_json, render
 from .snake import far_corner, snake_graph
 from .verify import run_sweep, summarize
 
 
-# Longest list of ints the JSON writer renders as one piece.  A longer one,
-# the coefficients of a polynomial of high degree, is written in pieces of
-# this many items, so its text is never built whole.
+# Longest list the JSON writer renders as one piece.  A longer one, whatever
+# its items, such as the coefficients of a polynomial of high degree or the
+# edges of a long snake, is written in pieces of this many items, so its
+# text is never built whole.
 JSON_CHUNK = 4096
 
 # Largest continued-fraction sum (snake boxes + 1) a single-pair command
@@ -49,7 +50,7 @@ MAX_COMPUTE_COST = 10**8
 # Largest snake `kasteleyn` accepts.  It prints the matrix dense, every zero
 # included, so its output grows with the square of the box count: the 600-box
 # `kasteleyn 601 1` prints 21.8 MB.  The matrix is written a row at a time, so
-# time and memory stay small: 0.21-0.23 s of user CPU and 17.5 MiB peak RSS
+# time and memory stay small: 0.14-0.22 s of user CPU and 17 MiB peak RSS
 # for that pair on a shared 2-core VM, and with the bound lifted 0.25 s and
 # 17.6 MiB for 1001/1, 0.59 s and 19.5 MiB for 2001/1.  So the bound is on
 # the output alone, nearly all zeros, which would reach 60 MB at 1000 boxes
@@ -57,20 +58,22 @@ MAX_COMPUTE_COST = 10**8
 MAX_KASTELEYN_BOXES = 600
 
 # Largest snake `snake` draws as svg, tikz or json.  Those renders take time
-# and memory linear in the box count, json the most, about 9 MiB per
-# thousand boxes: `snake 30001 1 --render json`, at the bound, took 3.1 s of
-# CPU and 288 MiB peak RSS on a shared 2-core VM (svg 79 MiB, tikz 68 MiB).
-# The bound keeps the heaviest render below `compute` at MAX_CF_SUM.  The
-# ascii render has its own bound, render.MAX_ASCII_CELLS.
+# and memory linear in the box count, json the most, about 2.8 MiB per
+# thousand boxes: its blob is built whole, though its text is written a
+# piece at a time.  As json, 10001/1, 20001/1 and 30001/1 took 0.6-0.9,
+# 1.4-1.9 and 1.5-2.5 s of user CPU and peaked at 49, 76 and 105 MiB on a
+# shared 2-core VM (30001/1 as svg 79 MiB, as tikz 68 MiB).  The bound keeps
+# the heaviest render below `compute` at MAX_CF_SUM.  The ascii render has
+# its own bound, render.MAX_ASCII_CELLS.
 MAX_RENDER_BOXES = 30_000
 
 # Most edges `matchings` prints: the matching count times the boxes + 1 edges
 # of each matching.  The count is r, exponential in the box count when the
 # quotients are small.  The matchings are written one at a time, and time
 # grows with the edges: `matchings 6250 3901`, at the bound (6250 matchings
-# of 64 edges), took 2.1-2.4 s of user CPU on a shared 2-core VM, printed
+# of 64 edges), took 1.9-2.6 s of user CPU on a shared 2-core VM, printed
 # 52.7 MB and peaked at 28 MiB; `matchings 601 1` (361201 edges) took
-# 2.3-2.5 s and 31 MiB, and `matchings 17711 10946` (371931) 2.7-2.8 s and
+# 1.8-2.8 s and 31 MiB, and `matchings 17711 10946` (371931) 2.7-2.8 s and
 # 29 MiB.  So the bound keeps `matchings` within a few seconds.
 MAX_MATCHING_EDGES = 400_000
 
@@ -147,16 +150,24 @@ def cmd_snake(args, parser) -> int:
     elif boxes > MAX_RENDER_BOXES:
         parser.error(f"the {args.render} render is limited to snakes of at most "
                      f"{MAX_RENDER_BOXES} boxes, got {boxes}")
-    out = render(snake_graph(cf), args.render)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out + "\n")
-        except OSError as exc:
-            parser.error(f"argument --out: cannot write {args.out!r}: {exc.strerror}")
-    else:
-        print(out)
+    g = snake_graph(cf)
+    if not args.out:
+        _write_render(g, args.render, sys.stdout)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_render(g, args.render, fh)
+    except OSError as exc:
+        parser.error(f"argument --out: cannot write {args.out!r}: {exc.strerror}")
     return 0
+
+
+def _write_render(g, fmt: str, out) -> None:
+    """Write the snake's render in fmt to out, the json one by _write_json."""
+    if fmt == "json":
+        _write_json(graph_json(g), out)
+    else:
+        print(render(g, fmt), file=out)
 
 
 def cmd_matchings(args, parser) -> int:
@@ -173,11 +184,10 @@ def cmd_matchings(args, parser) -> int:
         parser.error(f"matchings prints at most {MAX_MATCHING_EDGES} edges; "
                      f"{args.r}/{args.s} has {count} matchings of {boxes + 1} edges")
     matchings = enumerate_matchings(g)
-    _write_json_list({"r": args.r, "s": args.s, "count": len(matchings)}, "matchings",
-                     (_json({"edges": [[list(u), list(v)] for u, v in m],
-                             "weight_exp": matching_weight_exp(g, m)}, "    ")
-                      for m in matchings),
-                     {"statistic": stat.to_json(), "statistic_text": stat.text()})
+    _write_json({"r": args.r, "s": args.s, "count": len(matchings),
+                 "matchings": ({"edges": m, "weight_exp": matching_weight_exp(g, m)}
+                               for m in matchings),
+                 "statistic": stat, "statistic_text": stat.text()})
     return 0
 
 
@@ -187,67 +197,37 @@ def cmd_kasteleyn(args, parser) -> int:
         parser.error(f"kasteleyn is limited to snakes of at most "
                      f"{MAX_KASTELEYN_BOXES} boxes, got {boxes}")
     report = verify_kasteleyn(args.r, args.s)
-    _print_kasteleyn_json(report)
+    mat = report.matrix
+    # dense, zeros included, but a row at a time: no n x n structure is built
+    _write_json({"size": len(mat), "black": mat.black_order, "white": mat.white_order,
+                 "entries": mat.dense_rows(),
+                 "det": report.det, "det_text": report.det.text(), "sign": report.sign,
+                 "scalar_exponent": report.scalar, "verified": report.ok})
     return 0 if report.ok else 1
 
 
-def _print_kasteleyn_json(report: KasteleynReport) -> None:
+def _write_json(blob, out=None) -> None:
     """
-    Print the report in the layout json.dumps(blob, indent=2) gives, dense
-    zeros included, but write the matrix a row at a time, so no n x n
-    structure is built.
+    Write _json(blob) to out, stdout by default, a piece at a time, so the
+    document is never held whole; an iterator in it is written as a list.
     """
-    mat = report.matrix
-    pad = "      "
-    zero = pad + _json(ZERO.to_json(), pad)
-    rows = ("[\n" + ",\n".join([zero if e.is_zero() else pad + _json(e.to_json(), pad)
-                                for e in row]) + "\n    ]"
-            for row in mat.dense_rows())
-    _write_json_list({"size": len(mat),
-                      "black": [list(v) for v in mat.black_order],
-                      "white": [list(v) for v in mat.white_order]}, "entries", rows,
-                     {"det": report.det.to_json(),
-                      "det_text": report.det.text(),
-                      "sign": report.sign,
-                      "scalar_exponent": report.scalar,
-                      "verified": report.ok})
-
-
-def _write_json_list(head: dict, key: str, items, tail: dict) -> None:
-    """
-    Print json.dumps({**head, key: [...], **tail}, indent=2) for a nonempty
-    list given as items already rendered at indent 4, writing one item at a
-    time, so the list is never held whole.  The parts around the list are
-    json.dumps' own output: the head without its closing brace, the tail
-    without its opening one.
-    """
-    write = sys.stdout.write
-    write(json.dumps(head, indent=2)[:-2] + f',\n  {json.dumps(key)}: [')
-    for i, item in enumerate(items):
-        write(("\n    " if i == 0 else ",\n    ") + item)
-    write("\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n")
-
-
-def _write_json(blob: dict) -> None:
-    """
-    Print _json(blob), with each polynomial in it as its to_json(), a piece
-    at a time, so the document is never held whole.
-    """
-    sys.stdout.writelines(_json_pieces(blob, "", {}))
-    sys.stdout.write("\n")
+    out = out or sys.stdout
+    out.writelines(_json_pieces(blob, "", {}))
+    out.write("\n")
 
 
 def _json_pieces(value, pad: str, rendered: dict):
     """
-    The pieces of _json(value, pad), a polynomial as its to_json(): one
-    piece per key, scalar, short list or polynomial, and a list of more than
-    JSON_CHUNK items one piece per JSON_CHUNK items, so no text of a long
-    list is built whole.  A polynomial's pieces are kept in rendered with the
-    pad they were rendered at, so each distinct polynomial is rendered once:
-    at another indent every line of a cached piece starts with the old pad
-    and takes the new one by one replace.  Not a closure: a recursive
-    closure is a reference cycle, which holds its texts until the cyclic
-    collector runs.
+    The pieces of _json(value, pad), an iterator as the list of its items:
+    one piece per key, scalar, short list, polynomial or iterator item, and
+    a list of more than JSON_CHUNK items one piece per JSON_CHUNK items, so
+    no text of a long list is built whole.  An iterator is read as the
+    value itself or as a dict's value outside every list and iterator.  A
+    polynomial's pieces are kept in rendered with the pad they were
+    rendered at, so each distinct polynomial is rendered once: at another
+    indent every line of a cached piece starts with the old pad and takes
+    the new one by one replace.  Not a closure: a recursive closure is a
+    reference cycle, which holds its texts until the cyclic collector runs.
     """
     if type(value) is dict and value:
         inner = pad + "  "
@@ -269,12 +249,17 @@ def _json_pieces(value, pad: str, rendered: dict):
         else:
             for piece in pieces:
                 yield piece.replace("\n" + at, "\n" + pad)
-    elif type(value) is list and len(value) > JSON_CHUNK and type(value[0]) is not list:
+    elif isinstance(value, Iterator) or type(value) in (list, tuple) and len(value) > JSON_CHUNK:
         inner = pad + "  "
-        sep = ",\n" + inner
-        for i in range(0, len(value), JSON_CHUNK):
-            yield ("[\n" if i == 0 else ",\n") + inner + sep.join(map(str, value[i:i + JSON_CHUNK]))
-        yield "\n" + pad + "]"
+        # a chunk's items are its _json text without the brackets
+        texts = ((_json(item, inner) for item in value) if isinstance(value, Iterator) else
+                 (_json(value[i:i + JSON_CHUNK], pad)[len(inner) + 2:-len(pad) - 2]
+                  for i in range(0, len(value), JSON_CHUNK)))
+        sep = "[\n"
+        for text in texts:
+            yield sep + inner + text
+            sep = ",\n"
+        yield "[]" if sep == "[\n" else "\n" + pad + "]"
     else:
         yield _json(value, pad)
 
@@ -282,23 +267,36 @@ def _json_pieces(value, pad: str, rendered: dict):
 def _json(value, pad: str = "") -> str:
     """
     json.dumps(value, indent=2) as it appears nested at indent pad, its
-    first line unpadded, for dicts, lists of ints, lists of such lists and
-    scalars.  Only the scalars go through json's encoder, which runs in pure
-    Python when given an indent.
+    first line unpadded, for dicts, lists, tuples and scalars, a polynomial
+    as its to_json().  A list whose first item is an int or a polynomial
+    holds only those: ints are written by str, and polynomials with a
+    constant-time zero test, since a dense Kasteleyn row is nearly all zeros
+    and a hash or a generator per entry would cost more than its text.  Only
+    the scalars go through json's encoder, which runs in pure Python when
+    given an indent.
     """
-    inner = pad + "  "
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        kind = type(value[0])
+        if kind is int:
+            items = map(str, value)
+        elif kind is LaurentPoly:
+            zero = _json(ZERO, inner)
+            items = [_json(v, inner) if v.coeffs else zero for v in value]
+        else:
+            items = [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if type(value) is dict:
         if not value:
             return "{}"
+        inner = pad + "  "
         return ("{\n" + ",\n".join([f"{inner}{json.dumps(k)}: {_json(v, inner)}"
                                      for k, v in value.items()])
                 + "\n" + pad + "}")
-    if type(value) is list:
-        if not value:
-            return "[]"
-        items = (map(str, value) if type(value[0]) is not list
-                 else [_json(v, inner) for v in value])
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if type(value) is LaurentPoly:
+        return _json(value.to_json(), pad)
     return json.dumps(value)
 
 

@@ -1,4 +1,4 @@
-"""Renderings of weighted snake graphs: ASCII, SVG, TikZ and a JSON dump.
+"""Renderings of weighted snake graphs: ASCII, SVG, TikZ and a JSON dump's blob.
 
 Weighted edges follow the blue (q) / red (1/q) palette; weight-1 edges are
 thin and black.  All output is deterministic: edges are emitted in sorted
@@ -6,8 +6,6 @@ order on a fixed unit-square scale.
 """
 
 from __future__ import annotations
-
-import json
 
 from .snake import SnakeGraph
 
@@ -142,6 +140,4 @@ def render(g: SnakeGraph, fmt: str) -> str:
         return svg_render(g)
     if fmt == "tikz":
         return tikz_render(g)
-    if fmt == "json":
-        return json.dumps(graph_json(g), indent=2)
     raise ValueError(f"unknown render format {fmt!r}")

@@ -148,11 +148,12 @@ def test_snake_svg(capsys, tmp_path):
     assert out.startswith("<svg")
     assert 'stroke="blue"' in out and 'stroke="red"' in out
     assert out.count("<line") == 34  # 3d + 1 edges for the 11-box snake
-    target = tmp_path / "pic.svg"
-    code, _ = run(capsys, "snake", "179", "74", "--render", "svg",
-                  "--out", str(target))
-    assert code == 0
-    assert target.read_text(encoding="utf-8").strip() == out.strip()
+    # --out writes the bytes stdout gets, in each render
+    for fmt in ("ascii", "svg", "tikz", "json"):
+        code, out = run(capsys, "snake", "179", "74", "--render", fmt)
+        target = tmp_path / f"pic.{fmt}"
+        assert run(capsys, "snake", "179", "74", "--render", fmt, "--out", str(target)) == (0, "")
+        assert code == 0 and target.read_bytes() == out.encode("utf-8"), fmt
 
 
 def test_snake_tikz(capsys):
@@ -285,10 +286,11 @@ def test_max_r_bound_is_inclusive(capsys, monkeypatch):
 
 def test_snake_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
     for path in (tmp_path / "missing" / "x.svg", tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["snake", "5", "2", "--render", "svg", "--out", str(path)])
-        assert exc.value.code == 2
-        assert f"cannot write {str(path)!r}" in capsys.readouterr().err
+        for fmt in ("svg", "json"):
+            with pytest.raises(SystemExit) as exc:
+                main(["snake", "5", "2", "--render", fmt, "--out", str(path)])
+            assert exc.value.code == 2
+            assert f"cannot write {str(path)!r}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

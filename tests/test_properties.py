@@ -1,13 +1,18 @@
 """Property tests past the hand-picked sweeps: random pairs up to r = 1000,
 with the matching and Kasteleyn identities, random rationals of either
 sign for the recurrence map, the gcd as a normalized greatest common
-divisor, and the running-sum product, addition and subtraction, packed
-matrix word and integer-pair recurrence map against their references."""
+divisor, the running-sum product, addition and subtraction, packed matrix
+word and integer-pair recurrence map against their references, and the
+streaming JSON writer against json.dumps."""
 
+import io
+import json
 import math
 
+import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
+from qsnake import cli
 from qsnake.kasteleyn import det_exact, kasteleyn_matrix
 from qsnake.laurent import ONE, ZERO, LaurentFraction, LaurentPoly, laurent_gcd, times_qint_add
 from qsnake.matching import matching_stat_dp, scalar_exponent
@@ -207,3 +212,68 @@ def test_sub_is_add_of_negation(a, b, k):
     for x, y in ((a, b), (b, a), (a, ZERO), (ZERO, b), (ZERO, ZERO)):
         assert x - y == x + (-y), (x, y)
         assert is_canonical(x - y), (x, y)
+
+
+class Stream(list):
+    """Items the writer is given as a generator."""
+
+
+def _blob(tree):
+    """The blob the writer gets: each Stream as a generator of its items."""
+    if type(tree) is Stream:
+        return (item for item in tree)
+    if type(tree) is dict:
+        return {k: _blob(v) for k, v in tree.items()}
+    return tree
+
+
+def _plain(tree):
+    """The blob as json.dumps takes it: lists, and polynomials as their to_json()."""
+    if type(tree) is dict:
+        return {k: _plain(v) for k, v in tree.items()}
+    if type(tree) in (list, tuple, Stream):
+        return [_plain(v) for v in tree]
+    return tree.to_json() if type(tree) is LaurentPoly else tree
+
+
+json_ints = st.integers() | st.integers(-2**200, 2**200)
+json_polys = st.builds(LaurentPoly, st.integers(-3, 3), st.lists(json_ints, max_size=6))
+json_keys = st.text(max_size=4)
+
+
+def _nest(kids):
+    # the writer reads a list's kind off its first item: all ints, all
+    # polynomials, or neither
+    neither = kids.filter(lambda v: type(v) not in (int, LaurentPoly))
+    return (st.lists(json_ints, max_size=7) | st.lists(json_polys, max_size=7)
+            | st.lists(neither, max_size=7) | st.dictionaries(json_keys, kids, max_size=4))
+
+
+json_values = st.recursive(json_ints | st.text() | st.booleans() | st.none() | json_polys,
+                           _nest, max_leaves=20)
+# an iterator is read as the blob or as a dict's value outside every list and iterator
+json_blobs = st.recursive(json_values | st.lists(json_values, max_size=7).map(Stream),
+                          lambda kids: st.dictionaries(json_keys, kids, max_size=4),
+                          max_leaves=8)
+
+
+@REPRODUCIBLE
+@given(json_blobs)
+# JSON_CHUNK is 3: lists of ints, of lists and of dicts cut into chunks,
+# empty and long iterators, a polynomial of more than JSON_CHUNK
+# coefficients rendered at one indent and reused at another, and rows of
+# polynomials, nearly all zero, as an iterator and as a chunked list
+@example({"a": list(range(-3, 4)), "b": [[1], [], [2, 3], [4]],
+          "c": [{"x": 1}, {}, {"y": [1, 2]}, {"z\n\"": None}]})
+@example(Stream([]))
+@example({"r": Stream([{"e": [[0, 1]], "w": -1}] * 5), "s": Stream([]), "t": True})
+@example({"p": LaurentPoly(-2, (1, 0, -3, 10**30)),
+          "q": {"p": LaurentPoly(-2, (1, 0, -3, 10**30)), "z": ZERO},
+          "rows": Stream([(ZERO, LaurentPoly(1, (-1,)), ZERO), [ZERO] * 5]),
+          "row": [ZERO, ZERO, LaurentPoly(1, (-1,)), ZERO, ZERO]})
+def test_json_writer_is_json_dumps(tree):
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "JSON_CHUNK", 3)
+        cli._write_json(_blob(tree), out)
+    assert out.getvalue() == json.dumps(_plain(tree), indent=2) + "\n"

@@ -35,6 +35,18 @@ def test_no_tuple_from_generator():
     assert SOURCES and not found, found
 
 
+def test_no_indented_json_dumps():
+    # one pretty-printer: cli._write_json writes every indented JSON text a
+    # piece at a time, where json's indenting runs in pure Python on the whole
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps")
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert SOURCES and not found, found
+
+
 def test_traced_names_resolve():
     # bench/tracing.py wraps qsnake functions by name; a renamed or deleted
     # one must fail here rather than break the traced benchmark run
