@@ -28,8 +28,8 @@ JSON_CHUNK = 4096
 
 # Largest continued-fraction sum (snake boxes + 1) a single-pair command
 # accepts.  Time and memory grow at least linearly with it: `compute 1000000
-# 999999 --all-routes`, at the bound, took 3.6-5.3 s of CPU and 154 MiB
-# peak RSS in text (printing holds most of it) and 0.8-0.9 s and 87 MiB in
+# 999999 --all-routes`, at the bound, took 4.2-4.6 s of user CPU and 154 MiB
+# peak RSS in text (printing holds most of it) and 0.7-0.8 s and 88 MiB in
 # JSON, and `compute 1000000 1 --format json` 44 MiB, on a shared 2-core VM.
 MAX_CF_SUM = 10**6
 
@@ -37,12 +37,12 @@ MAX_CF_SUM = 10**6
 # route takes a step per quotient on polynomials of degree up to sum(cf)
 # with coefficients of up to r.bit_length() bits, so the time grows with the
 # product, which MAX_CF_SUM does not bound: the ratio of Fibonacci numbers
-# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 2.8-2.9 s
-# (7.4-8.9 s with --all-routes), and its cost grows as the cube of the
+# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 1.9-2.7 s
+# (3.9-5.1 s with --all-routes), and its cost grows as the cube of the
 # length.  The pairs that set the bound are those near MAX_CF_SUM with a few
 # more quotients, in `compute --all-routes` text: 1000000/999999 (cost 4e7)
-# took 3.4-3.5 s, [1, 1, 1, 999997] (8.8e7) 4.8-6.7 s, and [1] * 8 + [999992]
-# (2.3e8) 4.5-5.4 s, on a shared 2-core VM.  Every other shape measured at
+# took 4.2-4.6 s, [1, 1, 1, 999997] (8.8e7) 4.8-5.5 s, and [1] * 8 + [999992]
+# (2.3e8) 3.9-6.2 s, on a shared 2-core VM.  Every other shape measured at
 # the bound took under 1 s; the last Fibonacci ratio accepted has 523
 # quotients.
 MAX_COMPUTE_COST = 10**8

@@ -9,37 +9,38 @@ The four routes implemented here are:
 * ``q_continuant``   -- tridiagonal determinant (numerator only),
 * ``q_map_general``  -- the recurrences [x+1] = q[x] + 1, [-1/x] = -1/(q[x]).
 
-``all_routes`` runs all four on one continued fraction and compares them.
+``all_routes`` runs them on one continued fraction and compares them.  The
+nested fraction is the matrix column with its two entries swapped at each
+step (``q_cf_eval`` gives the proof), so the table computes its
+nested-fraction entry as the matrix column and compares the three
+computations that differ: the matrix column, the continuant and the
+recurrence route.
 
-Every route but the continuant is a recurrence on the pair (num, den) and
-applies exactly the steps listed here, each a matrix M whose determinant is
-a monomial, a unit of Z[q, 1/q].  The matrix route builds only the column
-of its word that it reads: it applies R^n = [[q^n, [n]], [0, 1]] or
-L^n = [[q^n, 0], [q[n], 1]] to a unit column, from the last quotient to the
-first.  The nested step sends (num, den) to M (num, den) with
-M = [[ [a], q^a ], [1, 0]] at an odd position and, at an even one,
-M = [[ q[a], 1 ], [q^a, 0]], q^a times [[ [a]_{1/q}, q^-a ], [1, 0]];
-the recurrence steps are
-[[q^a, [a]], [0, 1]], [[0, -1], [q, 0]] and [[1, -[m]], [0, q^m]].  No route
-needs a gcd: a common factor of the new pair divides det M times the old
-pair, so the pair stays coprime from its start: (1, 0) on the nested
-route, ([n], 1) on the recurrence route and a unit column on the matrix
+The matrix and recurrence routes are recurrences on the pair (num, den),
+each step a matrix M whose determinant is a monomial, a unit of
+Z[q, 1/q].  The matrix route builds only the column of its word that it
+reads: it applies R^n = [[q^n, [n]], [0, 1]] or L^n = [[q^n, 0], [q[n], 1]]
+to a unit column, from the last quotient to the first.  The recurrence
+steps are [[q^a, [a]], [0, 1]], [[0, -1], [q, 0]] and
+[[1, -[m]], [0, q^m]].  No route needs a gcd: a common factor of the new
+pair divides det M times the old pair, so the pair stays coprime from its
+start: ([n], 1) on the recurrence route and a unit column on the matrix
 route.  Each route returns a ``LaurentFraction``, whose constructor fixes
 the remaining unit: the denominator has min_deg 0 and a positive lowest
 coefficient.
 
-Three routes run the packed kernel: the matrix, nested-fraction and
-continuant routes evaluate their polynomials at q = 2^B, each one int whose
-B-bit slots are its coefficients, so the one product by [n]_q per quotient
+Two computations run the packed kernel: the matrix column, from the last
+quotient to the first, and the continuant, from the first to the last,
+evaluate their polynomials at q = 2^B, each one int whose B-bit slots are
+its coefficients, so the one product by [n]_q per quotient
 (``_times_qint``) is a few shift-adds of ints, a product by q^k a shift by
-kB bits, and ``_unpack`` reads the slots back once, at the end.  These
-routes share a slot read, not a result: each computes its own ints, and
-``_slots`` keeps its last two reads, so a route whose int equals one read
-before, up to a power of q, takes that read's coefficient tuple, and a
-route whose int differs reads its own.  No step may shift below q^0: the
-nested route scales an even position's step by q^a, which the fraction's
-normalization drops, and the continuant keeps each term's power of q as an
-int beside it.  Every coefficient on these routes is a sum of nonnegative
+kB bits, and ``_unpack`` reads the slots back once, at the end.  The two
+share a slot read, not a result: each computes its own ints, and
+``_slots`` keeps its last two reads, so the continuant, whose int equals
+the matrix numerator's up to a power of q, takes that read's coefficient
+tuple, and a continuant whose int differs reads its own.  No step may
+shift below q^0: the continuant keeps each term's power of q as an int
+beside it.  Every coefficient on these routes is a sum of nonnegative
 terms, so it is at most its polynomial's value at q = 1, and a q = 1 pass
 over the same recurrence bounds it; that bound sets the slot width
 (``_slot_bytes``), so no slot ever carries.  The recurrence route and the
@@ -49,11 +50,9 @@ N in one list by slices, [1] as a copy, [2] as one shifted add and a wider
 [a] as prefix sums with one slice subtracted.  The recurrence route keeps N
 and D as lists with their valuations and signs beside them, and builds its
 two polynomials once, at the end, so it runs no ``LaurentPoly`` arithmetic
-at all.  The nested-fraction route is the matrix route with its two
-registers swapped at each step (both call ``_times_qint`` with the same
-arguments in the same order on every word tried), so against a fault in
-the packed kernel the independent evidence is the continuant route, run in
-the other direction, and the recurrence route, run on the other kernel.
+at all.  Against a fault in the packed kernel the independent evidence is
+the continuant, run in the other direction, and the recurrence route, run
+on the other kernel.
 """
 
 from __future__ import annotations
@@ -206,9 +205,10 @@ def _unpack(x: int, width: int) -> LaurentPoly:
 def _slots(x: int, width: int) -> tuple[int, ...]:
     """
     The width-byte slots of x > 0, lowest first, up to its top nonzero one.
-    The routes of one ``all_routes`` call pack the same two polynomials, up
-    to a power of q that ``_unpack`` strips, and read them in turn, so with
-    the last two reads kept its five reads make two; no more are kept, so
+    The packed computations of one ``all_routes`` call, the matrix column
+    and the continuant, pack its two polynomials, the continuant's up to a
+    power of q that ``_unpack`` strips, and read them in turn, so with the
+    last two reads kept its three reads make two; no more are kept, so
     that a single route does not hold an earlier call's polynomials.  The
     key is the packed int itself, so a route that computed a different int
     reads it afresh.
@@ -243,37 +243,28 @@ def q_matrix_eval(cf: CF) -> LaurentFraction:
 
 def q_cf_eval(cf: CF) -> LaurentFraction:
     """
-    Evaluate the deformed nested fraction bottom-up in the fraction field.
+    The deformed nested fraction, evaluated bottom-up from 1/0.
 
     Odd positions contribute [a]_q with numerator prefactor q^a over the tail;
     even positions contribute [a]_{1/q} = q^(1-a) [a]_q with prefactor q^-a.
-    From the last quotient to the first, starting from 1/0, an odd position
-    sends the pair (num, den) to ([a] num + q^a den, num), and an even one
-    to (q^(1-a) [a] num + q^-a den, num), which times q^a is
-    (q [a] num + den, q^a num): the same fraction with no negative
-    exponent.  The fraction's normalization drops the common power of q.
+    From the last quotient to the first, at the 0-based index i with quotient
+    n, the pair (u, v) takes ([n] u + q^n v, u) when i is even and
+    (q[n] u + v, q^n u) when i is odd: at odd i, an even position, the step
+    times q^n, a common power of q that the fraction's normalization drops.
 
-    The pair is packed as in ``cf_matrix_column``, one product by [a] per
-    quotient.  Every coefficient is nonnegative, and at q = 1 each step
-    sends (x, y) to (a x + y, x), so max(x, y) never falls: the last pair at
-    q = 1 bounds every coefficient on the way.  The result is reduced by
-    construction (see the module docstring).
+    That is the matrix column of ``cf_matrix_column`` with its two entries
+    swapped at each step.  The column (x, y) takes (q^n x + [n] y, y) when i
+    is even and (q^n x, q[n] x + y) when i is odd.  If (u, v) = (y, x)
+    before an even step, both give the same pair after it, now with
+    (u, v) = (x, y); if (u, v) = (x, y) before an odd step, the nested pair
+    after it is the column swapped.  Each step swaps the pairing, and the
+    start matches it: (1, 0) is e1 before the odd last index of an even
+    length and e2, swapped, before the even last index of an odd length.
+    After i = 0 the pairing is the identity, so the nested pair is the
+    column, ints and slot width alike, and the nested fraction is computed
+    as the column.
     """
-    x, y = 1, 0
-    for n in reversed(cf):
-        if n < 0:
-            raise ValueError(f"the nested fraction needs quotients >= 0, got {n}")
-        x, y = n * x + y, x
-    width = _slot_bytes(max(x, y))
-    bits = 8 * width
-    x, y = 1, 0
-    for i in reversed(range(len(cf))):
-        n = cf[i]
-        if i % 2 == 0:
-            x, y = _times_qint(x, n, bits) + (y << n * bits), x
-        else:
-            x, y = (_times_qint(x, n, bits) << bits) + y, x << n * bits
-    return LaurentFraction(_unpack(x, width), _unpack(y, width))
+    return LaurentFraction(*cf_matrix_column(cf))
 
 
 # -- continuant route ----------------------------------------------------------
@@ -411,11 +402,15 @@ class RouteTable:
 
 
 def all_routes(cf: CF) -> RouteTable:
-    """Compute [r/s]_q by every route from the continued fraction of r/s and compare."""
+    """
+    Compute [r/s]_q by every route from the continued fraction of r/s and
+    compare.  The nested fraction is the matrix column (see ``q_cf_eval``),
+    so one computation fills both entries.
+    """
     matrix = q_matrix_eval(cf)
     fractions = {
         "matrix": matrix,
-        "nested-fraction": q_cf_eval(cf),
+        "nested-fraction": matrix,
         "recurrence-map": q_map_general(cf_value(cf)),
     }
     continuant = q_continuant(cf)

@@ -436,6 +436,8 @@ def test_nested_and_continuant_match_references(nested_reference, continuant_ref
         cf = cf_expand(r, s)
         for word in (cf, cf_even_form(cf), cf_odd_form(cf)):
             assert q_cf_eval(word) == nested_reference(word), word
+            # the table's entry, computed as the matrix column, is the nested fraction
+            assert all_routes(word).fractions["nested-fraction"] == nested_reference(word), word
             assert continuant_det(word) == continuant_reference(word), word
     for word in ZERO_QUOTIENT_WORDS:
         assert q_cf_eval(word) == nested_reference(word), word
@@ -499,9 +501,10 @@ def test_nested_and_continuant_take_one_qint_product_per_quotient(monkeypatch):
 
 
 def test_routes_compare_two_kernels(monkeypatch):
-    # the matrix, nested and continuant routes run the packed _times_qint and
+    # the matrix column and the continuant run the packed _times_qint and
     # the recurrence route the list kernel times_qint_add, so a fault in
-    # either kernel turns the table's verdict
+    # either kernel, or in the matrix column that fills two entries of the
+    # table, turns the table's verdict
     words = [cf_expand(r, s) for r, s in [(13, 3), (29, 12), (61, 27), (179, 74)]]
     assert all(all_routes(cf).agree for cf in words)
     packed, listed, calls = qrational._times_qint, qrational.times_qint_add, []
@@ -528,26 +531,48 @@ def test_routes_compare_two_kernels(monkeypatch):
         low, out = listed(*args)
         return low, out[:-1]
 
+    column = qrational.cf_matrix_column
+
+    def bump_entry(j):
+        # q^(top + 1) added to one entry of the column
+        def fault(cf):
+            entries = list(column(cf))
+            entries[j] += LaurentPoly.monomial(entries[j].top_deg + 1)
+            return tuple(entries)
+        return fault
+
     for name, fault in [("_times_qint", drop_top_slot),
-                        ("times_qint_add", drop_top_coefficient)]:
+                        ("times_qint_add", drop_top_coefficient),
+                        ("cf_matrix_column", bump_entry(0)),
+                        ("cf_matrix_column", bump_entry(1))]:
         with monkeypatch.context() as m:
             m.setattr(qrational, name, fault)
             assert not any(all_routes(cf).agree for cf in words), name
 
 
 def test_all_routes_reads_each_polynomial_once(monkeypatch):
-    # the packed routes of one all_routes call compute its numerator and
-    # denominator up to a power of q, so their five slot reads make one per
-    # distinct polynomial, and the routes share the coefficient tuples; the
-    # cache is cleared before each call, and rebuilt around a counting reader
+    # the packed computations of one all_routes call, the matrix column and
+    # the continuant, compute its numerator and denominator up to a power of
+    # q, so their three slot reads make one per distinct polynomial, and the
+    # routes share the coefficient tuples; the nested-fraction entry is the
+    # matrix column itself, and the call takes one packed product by [n] per
+    # quotient on each of the two; the cache is cleared before each call,
+    # and rebuilt around a counting reader
     reads, uncached = [], qrational._slots.__wrapped__
 
     def counting(x, width):
         reads.append(x)
         return uncached(x, width)
 
+    kernel, products = qrational._times_qint, []
+
+    def counting_products(*args):
+        products.append(args[1])
+        return kernel(*args)
+
     cached = functools.lru_cache(**qrational._slots.cache_parameters())(counting)
     monkeypatch.setattr(qrational, "_slots", cached)
+    monkeypatch.setattr(qrational, "_times_qint", counting_products)
     rng = random.Random(11)
     deep = [tuple(rng.randint(1, 4) for _ in range(rng.randint(40, 80))) for _ in range(40)]
     pairs = [cf_expand(r, s) for r in range(1, 100) for s in range(1, r + 1)
@@ -556,12 +581,13 @@ def test_all_routes_reads_each_polynomial_once(monkeypatch):
     for cf in sorted(words) + deep:
         cached.cache_clear()
         reads.clear()
+        products.clear()
         table = all_routes(cf)
         matrix = table.fractions["matrix"]
         assert table.agree and len(reads) == (1 if cf_value(cf) == 1 else 2), cf
-        nested = table.fractions["nested-fraction"]
-        assert nested.num.coeffs is matrix.num.coeffs is table.continuant.coeffs, cf
-        assert nested.den.coeffs is matrix.den.coeffs, cf
+        assert len(products) == 2 * len(cf), cf
+        assert table.fractions["nested-fraction"] is matrix, cf
+        assert matrix.num.coeffs is table.continuant.coeffs, cf
 
 
 def test_unpack_round_trips_every_width():
