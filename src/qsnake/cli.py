@@ -28,8 +28,8 @@ JSON_CHUNK = 4096
 
 # Largest continued-fraction sum (snake boxes + 1) a single-pair command
 # accepts.  Time and memory grow at least linearly with it: `compute 1000000
-# 999999 --all-routes`, at the bound, took 4.2-4.6 s of user CPU and 154 MiB
-# peak RSS in text (printing holds most of it) and 0.7-0.8 s and 88 MiB in
+# 999999 --all-routes`, at the bound, took 2.6-2.9 s of user CPU and 146 MiB
+# peak RSS in text (printing holds most of it) and 0.5 s and 87 MiB in
 # JSON, and `compute 1000000 1 --format json` 44 MiB, on a shared 2-core VM.
 MAX_CF_SUM = 10**6
 
@@ -37,12 +37,12 @@ MAX_CF_SUM = 10**6
 # route takes a step per quotient on polynomials of degree up to sum(cf)
 # with coefficients of up to r.bit_length() bits, so the time grows with the
 # product, which MAX_CF_SUM does not bound: the ratio of Fibonacci numbers
-# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 1.9-2.7 s
-# (3.9-5.1 s with --all-routes), and its cost grows as the cube of the
+# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 1.9-2.3 s
+# (4.3-4.4 s with --all-routes), and its cost grows as the cube of the
 # length.  The pairs that set the bound are those near MAX_CF_SUM with a few
 # more quotients, in `compute --all-routes` text: 1000000/999999 (cost 4e7)
-# took 4.2-4.6 s, [1, 1, 1, 999997] (8.8e7) 4.8-5.5 s, and [1] * 8 + [999992]
-# (2.3e8) 3.9-6.2 s, on a shared 2-core VM.  Every other shape measured at
+# took 2.6-2.9 s, [1, 1, 1, 999997] (8.8e7) 4.2-4.7 s, and [1] * 8 + [999992]
+# (2.3e8) 3.9-4.1 s, on a shared 2-core VM.  Every other shape measured at
 # the bound took under 1 s; the last Fibonacci ratio accepted has 523
 # quotients.
 MAX_COMPUTE_COST = 10**8
@@ -58,13 +58,14 @@ MAX_COMPUTE_COST = 10**8
 MAX_KASTELEYN_BOXES = 600
 
 # Largest snake `snake` draws as svg, tikz or json.  Those renders take time
-# and memory linear in the box count, json the most, about 2.8 MiB per
-# thousand boxes: its blob is built whole, though its text is written a
-# piece at a time.  As json, 10001/1, 20001/1 and 30001/1 took 0.6-0.9,
-# 1.4-1.9 and 1.5-2.5 s of user CPU and peaked at 49, 76 and 105 MiB on a
-# shared 2-core VM (30001/1 as svg 79 MiB, as tikz 68 MiB).  The bound keeps
-# the heaviest render below `compute` at MAX_CF_SUM.  The ascii render has
-# its own bound, render.MAX_ASCII_CELLS.
+# and memory linear in the box count.  The json blob holds the boxes and
+# vertices whole and its edges as a generator, written one record at a
+# time: 10001/1, 20001/1 and 30001/1 took 0.5-0.6, 1.0-1.1 and 1.4-1.5 s of
+# user CPU and peaked at 32, 44 and 60 MiB, about 1.4 MiB per thousand
+# boxes (49, 76 and 105 MiB with the edge list built whole), on a shared
+# 2-core VM.  30001/1 peaked at 79 MiB as svg and 68 MiB as tikz.  The bound
+# keeps the heaviest render below `compute` at MAX_CF_SUM.  The ascii render
+# has its own bound, render.MAX_ASCII_CELLS.
 MAX_RENDER_BOXES = 30_000
 
 # Most edges `matchings` prints: the matching count times the boxes + 1 edges
@@ -238,11 +239,12 @@ def _json_pieces(value, pad: str, rendered: dict):
             sep = ",\n"
         yield "\n" + pad + "}"
     elif type(value) is LaurentPoly:
-        hit = rendered.get(value)
-        if hit is None:
+        # one dict operation, so that the polynomial is hashed once
+        hit = rendered.setdefault(value, [pad, None])
+        if hit[1] is None:
             blob = value.to_json()
-            hit = rendered[value] = (pad, [_json(blob, pad)] if len(value.coeffs) <= JSON_CHUNK
-                                     else list(_json_pieces(blob, pad, rendered)))
+            hit[1] = ([_json(blob, pad)] if len(value.coeffs) <= JSON_CHUNK
+                      else list(_json_pieces(blob, pad, rendered)))
         at, pieces = hit
         if at == pad:
             yield from pieces
@@ -269,34 +271,40 @@ def _json(value, pad: str = "") -> str:
     json.dumps(value, indent=2) as it appears nested at indent pad, its
     first line unpadded, for dicts, lists, tuples and scalars, a polynomial
     as its to_json().  A list whose first item is an int or a polynomial
-    holds only those: ints are written by str, and polynomials with a
-    constant-time zero test, since a dense Kasteleyn row is nearly all zeros
-    and a hash or a generator per entry would cost more than its text.  Only
-    the scalars go through json's encoder, which runs in pure Python when
-    given an indent.
+    holds only those: ints are written by one %-format of "%d" fields
+    joined by the separator, with no str call per item, and polynomials
+    with a constant-time zero test, since a dense Kasteleyn row is nearly
+    all zeros and a hash or a generator per entry would cost more than its
+    text.  Each level is built by one f-string or join, not a chain of
+    concatenations that would copy a long list's text once per operand.
+    Only the scalars other than ints go through json's encoder, which runs
+    in pure Python when given an indent.
     """
     if type(value) is list or type(value) is tuple:
         if not value:
             return "[]"
         inner = pad + "  "
+        sep = ",\n" + inner
         kind = type(value[0])
         if kind is int:
-            items = map(str, value)
+            text = sep.join(["%d"] * len(value)) % tuple(value)
         elif kind is LaurentPoly:
             zero = _json(ZERO, inner)
-            items = [_json(v, inner) if v.coeffs else zero for v in value]
+            text = sep.join([_json(v, inner) if v.coeffs else zero for v in value])
         else:
-            items = [_json(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+            text = sep.join([_json(v, inner) for v in value])
+        return f"[\n{inner}{text}\n{pad}]"
     if type(value) is dict:
         if not value:
             return "{}"
         inner = pad + "  "
-        return ("{\n" + ",\n".join([f"{inner}{json.dumps(k)}: {_json(v, inner)}"
-                                     for k, v in value.items()])
-                + "\n" + pad + "}")
+        text = ",\n".join([f"{inner}{json.dumps(k)}: {_json(v, inner)}"
+                           for k, v in value.items()])
+        return f"{{\n{text}\n{pad}}}"
     if type(value) is LaurentPoly:
         return _json(value.to_json(), pad)
+    if type(value) is int:
+        return "%d" % value
     return json.dumps(value)
 
 

@@ -34,7 +34,9 @@ quotient to the first, and the continuant, from the first to the last,
 evaluate their polynomials at q = 2^B, each one int whose B-bit slots are
 its coefficients, so the one product by [n]_q per quotient
 (``_times_qint``) is a few shift-adds of ints, a product by q^k a shift by
-kB bits, and ``_unpack`` reads the slots back once, at the end.  The two
+kB bits, and ``_unpack`` reads the slots back once, at the end.  The matrix
+column leaves the power q^n of each L step pending beside its first entry,
+so that entry is shifted once per R step, not once per step.  The two
 share a slot read, not a result: each computes its own ints, and
 ``_slots`` keeps its last two reads, so the continuant, whose int equals
 the matrix numerator's up to a power of q, takes that read's coefficient
@@ -141,6 +143,12 @@ def cf_matrix_column(cf: CF) -> tuple[LaurentPoly, LaurentPoly]:
     most the whole word's column; and every coefficient is nonnegative, so
     at most its polynomial's value at q = 1.  Slots of ``_slot_bytes`` of
     the largest entry of the column at q = 1 therefore never carry.
+
+    The first entry is kept as x q^sx, its power of q pending: an L step
+    adds q[n] x to y and sets sx = n, with no shift of x, and the R step
+    after it shifts x once, by sx + n slots, before it adds [n] y.  The
+    steps alternate, so sx is 0 at every L step and at the end, after the
+    R step at i = 0.
     """
     x0, y0 = (0, 1) if len(cf) % 2 else (1, 0)
     x, y = x0, y0
@@ -154,13 +162,15 @@ def cf_matrix_column(cf: CF) -> tuple[LaurentPoly, LaurentPoly]:
             y += n * x
     width = _slot_bytes(max(x, y))
     bits = 8 * width
-    x, y = x0, y0
+    x, sx, y = x0, 0, y0  # the first entry is x q^sx
     for i in reversed(range(len(cf))):
         n = cf[i]
         if i % 2 == 0:
-            x = (x << n * bits) + _times_qint(y, n, bits)
+            x, sx = (x << (sx + n) * bits) + _times_qint(y, n, bits), 0
         else:
-            x, y = x << n * bits, (_times_qint(x, n, bits) << bits) + y
+            # the steps alternate, so the R step before this one left sx = 0
+            y += _times_qint(x, n, bits) << bits
+            sx = n
     return _unpack(x, width), _unpack(y, width)
 
 
@@ -191,14 +201,20 @@ def _unpack(x: int, width: int) -> LaurentPoly:
     """
     The polynomial whose coefficients are the width-byte slots of x.  The
     zero slots at the bottom become the valuation, and ``_slots`` reads the
-    rest.  Each caller builds its own polynomial around the tuple it gets,
-    with its own valuation.
+    rest.  They are counted by a one-slot mask test each, which reads only
+    the slots it passes, and x is shifted down only when it has one: a
+    packed int has none or one on ``compute``'s words, and ``x & -x`` or a shift by
+    0 would cost a full-width pass each.  Each caller builds its own
+    polynomial around the tuple it gets, with its own valuation.
     """
     if not x:
         return ZERO
     bits = 8 * width
-    low = ((x & -x).bit_length() - 1) // bits  # the zero slots at the bottom
-    return LaurentPoly(low, _slots(x >> low * bits, width))
+    low, mask = 0, (1 << bits) - 1
+    while not x & mask:
+        low += 1
+        mask <<= bits
+    return LaurentPoly(low, _slots(x >> low * bits if low else x, width))
 
 
 @lru_cache(maxsize=2)

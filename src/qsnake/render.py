@@ -119,18 +119,22 @@ def tikz_render(g: SnakeGraph) -> str:
 
 
 def graph_json(g: SnakeGraph) -> dict:
-    edges = []
-    for e, exp in g.weight_exp.items():
-        tail, head = g.arrow(e)
-        edges.append({"u": list(e[0]), "v": list(e[1]),
-                      "weight_exp": exp,
-                      "tail": list(tail), "head": list(head)})
+    """The JSON dump's blob, its edges a generator of records, so that a
+    streaming writer holds one record at a time, never the whole list."""
     return {
         "boxes": [list(b) for b in g.boxes],
         "black": [list(v) for v in g.black_vertices],
         "white": [list(v) for v in g.white_vertices],
-        "edges": edges,
+        "edges": _edge_records(g),
     }
+
+
+def _edge_records(g: SnakeGraph):
+    for e, exp in g.weight_exp.items():
+        tail, head = g.arrow(e)
+        yield {"u": list(e[0]), "v": list(e[1]),
+               "weight_exp": exp,
+               "tail": list(tail), "head": list(head)}
 
 
 def render(g: SnakeGraph, fmt: str) -> str:

@@ -416,9 +416,41 @@ SLOT_EDGE_WORDS = [cf_expand(r, s) for r, s in SLOT_EDGE_PAIRS] + [
 CROSSED_BITS = {8, 9, 16, 17, 32, 33, 64, 65}
 
 
+def _column_at_one(word):
+    """The matrix route's column of word at q = 1, in plain int arithmetic."""
+    x, y = (0, 1) if len(word) % 2 else (1, 0)
+    for i in reversed(range(len(word))):
+        if i % 2 == 0:
+            x += word[i] * y
+        else:
+            y += word[i] * x
+    return x, y
+
+
+def _compute_big_words(count=24, seed=27):
+    """
+    Seeded words of the benchmark's compute-big shape: length 20-60 and
+    quotients 1-30, with one to three zeros inside, so that two L steps or
+    two R steps meet, kept when the column's slots are 10-27 bytes wide.
+    """
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        size = rng.randint(20, 60)
+        word = [rng.randint(1, 30) for _ in range(size)]
+        for i in rng.sample(range(1, size - 1), rng.randint(1, 3)):
+            word[i] = 0
+        if 10 <= _slot_bytes(max(_column_at_one(word))) <= 27:
+            words.append(tuple(word))
+    return words
+
+
+COMPUTE_BIG_WORDS = _compute_big_words()
+
+
 def test_matrix_route_at_slot_edges(matrix_column_reference):
     crossed = set()
-    for cf in SLOT_EDGE_WORDS:
+    for cf in SLOT_EDGE_WORDS + COMPUTE_BIG_WORDS:
         ref = matrix_column_reference(cf)
         assert cf_matrix_column(cf) == ref, cf
         assert q_matrix_eval(cf) == LaurentFraction(*ref), cf
@@ -590,12 +622,25 @@ def test_all_routes_reads_each_polynomial_once(monkeypatch):
         assert matrix.num.coeffs is table.continuant.coeffs, cf
 
 
-def test_unpack_round_trips_every_width():
-    # a full slot must not spill into its neighbours, and a zero slot at the
-    # bottom becomes the valuation, one inside a zero coefficient
+def test_unpack_round_trips_every_width(monkeypatch):
+    # a full slot must not spill into its neighbours, and the zero slots at
+    # the bottom, none to three of them, become the valuation, one inside a
+    # zero coefficient; _slots reads the int without them, so that ints
+    # equal up to a power of q share one read
+    reads, uncached = [], qrational._slots.__wrapped__
+
+    def counting(x, width):
+        reads.append(x)
+        return uncached(x, width)
+
+    monkeypatch.setattr(qrational, "_slots", counting)
     for width in range(1, 41):
-        full = (1 << 8 * width) - 1
-        coeffs = [0, full, 0, 1, full]
-        x = sum(c << 8 * width * i for i, c in enumerate(coeffs))
-        assert _unpack(x, width) == LaurentPoly(1, (full, 0, 1, full)), width
+        bits = 8 * width
+        full = (1 << bits) - 1
+        coeffs = (full, 0, 1, full)
+        top = sum(c << bits * i for i, c in enumerate(coeffs))
+        for low in range(4):
+            reads.clear()
+            assert _unpack(top << low * bits, width) == LaurentPoly(low, coeffs), (width, low)
+            assert reads == [top], (width, low)
         assert _unpack(0, width) == ZERO, width

@@ -47,6 +47,22 @@ def test_no_indented_json_dumps():
     assert SOURCES and not found, found
 
 
+def test_no_struct_format_grown_per_call():
+    # struct caches every format it compiles, so a format that grows with
+    # its input, such as f"{w}s" * n, keeps one compiled format per size:
+    # such a slot reader in qrational._slots raised the peak RSS of 2400
+    # `compute --format json` calls in one process from 17.3 to 19.4 MiB.
+    # A format names one record, and iter_unpack repeats it.
+    calls = ("pack", "unpack", "iter_unpack", "Struct", "calcsize")
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and node.args
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in calls
+             and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Mult)]
+    assert SOURCES and not found, found
+
+
 def test_traced_names_resolve():
     # bench/tracing.py wraps qsnake functions by name; a renamed or deleted
     # one must fail here rather than break the traced benchmark run
