@@ -181,21 +181,21 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly(0, (1,))
 
 
-def times_qint_add(p: Sequence[int], n: int, e: Sequence[int] = (), k: int = 0,
-                   sign: int = 1) -> tuple[int, list[int]]:
+def times_qint_add(p: Sequence[int], n: int, e: Sequence[int] = (),
+                   k: int = 0) -> tuple[int, list[int]]:
     """
-    The product by the q-integer [n]_q, with an addend: p [n]_q + sign q^k e
-    for coefficient sequences p and e read from degree 0, n >= 0 and sign
-    +1 or -1, as (low, out), out[i] the coefficient of q^(low + i), trimmed
-    at both ends; the zero polynomial is (0, []).  The one list built is the
-    result, laid out over the whole span and filled by slices: [1] is a copy
-    of p, [2] that copy plus itself shifted by one place, and a wider [n] a
-    running sum of width n, coefficient j being S[j] - S[j-n] with S the
-    prefix sums of p, so the prefix sums with one slice subtracted.  The
-    addend is one slice added or subtracted.  Each slice read is a copy, so
-    no list is read while it is being assigned.
+    The product by the q-integer [n]_q, with an addend: p [n]_q + q^k e for
+    coefficient sequences p and e read from degree 0 and n >= 0, as (low,
+    out), out[i] the coefficient of q^(low + i), trimmed at both ends; the
+    zero polynomial is (0, []).  The one list built is the result, laid out
+    over the whole span and filled by slices: [1] is a copy of p, [2] that
+    copy plus itself shifted by one place, and a wider [n] a running sum of
+    width n, coefficient j being S[j] - S[j-n] with S the prefix sums of p,
+    so the prefix sums with one slice subtracted.  The addend is one slice
+    added; a caller that subtracts passes e negated.  Each slice read is a
+    copy, so no list is read while it is being assigned.
 
-    >>> times_qint_add([1, 2], 3, [5], -1, -1)
+    >>> times_qint_add([1, 2], 3, [-5], -1)
     (-1, [-5, 1, 3, 3, 2])
     """
     if n < 0:
@@ -223,8 +223,7 @@ def times_qint_add(p: Sequence[int], n: int, e: Sequence[int] = (), k: int = 0,
         # S[j - n] runs over S[0] .. S[m - 2], under q^n .. q^(size - 1)
         out[n - lo:size - lo] = map(sub, out[n - lo:size - lo], sums)
     if e:
-        out[k - lo:k + len(e) - lo] = map(add if sign > 0 else sub,
-                                          out[k - lo:k + len(e) - lo], e)
+        out[k - lo:k + len(e) - lo] = map(add, out[k - lo:k + len(e) - lo], e)
     while out and not out[-1]:
         out.pop()
     if not out:

@@ -47,12 +47,14 @@ terms, so it is at most its polynomial's value at q = 1, and a q = 1 pass
 over the same recurrence bounds it; that bound sets the slot width
 (``_slot_bytes``), so no slot ever carries.  The recurrence route and the
 Fibonacci families run the other kernel, ``laurent.times_qint_add``, on
-coefficient lists: one call per step builds [a] D plus or minus a shift of
-N in one list by slices, [1] as a copy, [2] as one shifted add and a wider
-[a] as prefix sums with one slice subtracted.  The recurrence route keeps N
-and D as lists with their valuations and signs beside them, and builds its
-two polynomials once, at the end, so it runs no ``LaurentPoly`` arithmetic
-at all.  Against a fault in the packed kernel the independent evidence is
+coefficient lists: one call per step builds [a] D plus a shift of N in one
+list by slices, [1] as a copy, [2] as one shifted add and a wider [a] as
+prefix sums with one slice subtracted.  No step of the recurrence route
+subtracts: the value at each step has the sign of that step's x (see
+``q_map_general``), so the route keeps the magnitudes N and D as lists of
+nonnegative coefficients with their valuations beside them, puts the one
+sign on N at the end, and builds its two polynomials once, so it runs no
+``LaurentPoly`` arithmetic at all.  Against a fault in the packed kernel the independent evidence is
 the continuant, run in the other direction, and the recurrence route, run
 on the other kernel.
 """
@@ -230,9 +232,6 @@ def _slots(x: int, width: int) -> tuple[int, ...]:
     reads it afresh.
     """
     size = -(-x.bit_length() // (8 * width)) * width
-    if width == 1:
-        # bytes are already a sequence of one-byte slots
-        return tuple(x.to_bytes(size, "little"))
     fmt = _SLOT_FORMATS.get(width)
     if fmt is None:
         # one bytes object per slot, read by int.from_bytes; the format names
@@ -368,33 +367,31 @@ def q_map_general(x) -> LaurentFraction:
             p, d = (-d, p) if p > 0 else (d, -p)
         else:
             p -= a * d
-    # The ascent holds num = sn q^vn N and den = sd q^vd D, N and D trimmed
-    # coefficient lists, with the signs sn, sd apart, so that no step
-    # negates a list: a subtracting step flips sn instead.  Each nonzero
-    # step is one call of the kernel, [a] D plus or minus a shift of N.
-    # [-m] = -q^-m [m]
-    sn, sd = (1 if p >= 0 else -1), 1
+    # Every step adds.  The descent takes a > 0 only at x > 0, leaving
+    # x - a >= 0, and a < 0 only at x < 0, leaving x + m <= 0; a = 0 sends x
+    # to -1/x, of the other sign.  So the value held at each step has the
+    # sign of that step's x, and the ascent holds its magnitude, |num| =
+    # q^vn N and den = q^vd D, N and D trimmed lists of nonnegative
+    # coefficients.  Each nonzero step is one call of the kernel, [a] D plus
+    # a shift of N; the sign of x goes on N at the end.
+    # |[-m]| = q^-m [m]
     N, vn, D, vd = [1] * abs(p), min(p, 0), [1], 0
     for a in reversed(steps):
         if a > 0:
-            # [x] = q^a [x - a] + [a]: num = sd q^vd ([a] D + sn sd q^(vn + a - vd) N)
-            low, N = times_qint_add(D, a, N, vn + a - vd, sn * sd)
-            vn, sn = vd + low, sd
+            # [x] = q^a [x - a] + [a]: |num| = q^vd ([a] D + q^(vn + a - vd) N)
+            low, N = times_qint_add(D, a, N, vn + a - vd)
+            vn = vd + low
         elif a == 0:
             # x in (-1, 1): [x] = -1/(q [-1/x])
-            N, vn, D, vd, sn, sd = D, vd, N, vn + 1, -sd, sn
+            N, vn, D, vd = D, vd, N, vn + 1
         else:
-            # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m:
-            # num = -sd q^vd ([m] D - sn sd q^(vn - vd) N), den = q^m den
-            low, N = times_qint_add(D, -a, N, vn - vd, -sn * sd)
-            vn, vd, sn = vd + low, vd - a, -sd
-    # the fraction wants a denominator at q^0 with a positive lowest
-    # coefficient: settle the signs and the shift here, so that it moves
-    # nothing more
-    if sd * D[0] < 0:
-        sn, sd = -sn, -sd
-    return LaurentFraction(LaurentPoly(vn - vd, N if sn > 0 else [-c for c in N]),
-                           LaurentPoly(0, D if sd > 0 else [-c for c in D]))
+            # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m, both terms at
+            # most 0: |num| = q^vd ([m] D + q^(vn - vd) N), den = q^m den
+            low, N = times_qint_add(D, -a, N, vn - vd)
+            vn, vd = vd + low, vd - a
+    # D[0] > 0, so the fraction's normalization moves nothing more
+    return LaurentFraction(LaurentPoly(vn - vd, N if x > 0 else [-c for c in N]),
+                           LaurentPoly(0, D))
 
 
 # -- the public map ------------------------------------------------------------
@@ -457,7 +454,7 @@ def _fib_family(n: int, seeds: list[LaurentPoly]) -> list[LaurentPoly]:
     vals = list(seeds)
     for k in range(5, n + 1):
         a, b = vals[k - 3], vals[k - 5]
-        low, out = times_qint_add(a.coeffs, 3, b.coeffs, b.min_deg + 2 - a.min_deg, -1)
+        low, out = times_qint_add(a.coeffs, 3, [-c for c in b.coeffs], b.min_deg + 2 - a.min_deg)
         vals.append(LaurentPoly(a.min_deg + low, out))
     return vals[:n]
 

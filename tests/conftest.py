@@ -172,7 +172,8 @@ def recurrence_reference():
     in ``Fraction`` steps and its ascent on signed polynomials by the
     schoolbook product by ``q_int``, a negation on every inversion and
     every a < 0 step: a reference for ``q_map_general``, which descends on
-    an integer pair and keeps its signs apart."""
+    an integer pair and ascends on nonnegative lists, with one sign at the
+    end."""
     import math
     from fractions import Fraction
 

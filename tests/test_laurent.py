@@ -49,7 +49,7 @@ def test_times_qint_edges():
     assert times_qint_add((), 4) == (0, [])
     assert times_qint_add(p, 2) == (0, [3, 3, -1, -1])
     # an addend that cancels the product to zero
-    assert times_qint_add(p, 1, p, 0, -1) == (0, [])
+    assert times_qint_add(p, 1, [-c for c in p], 0) == (0, [])
 
 
 def test_ring_axioms_exhaustive():

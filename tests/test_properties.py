@@ -131,15 +131,14 @@ def test_times_qint_is_schoolbook(p, c, k, n, e, j):
     a = (c * p).shifted(k)
     low, out = times_qint_add(a.coeffs, n)
     assert LaurentPoly(a.min_deg + low, out) == a * q_int(n)
-    # with an addend q^j e, both signs: [0], [1] and [2] take their own
-    # paths, [3] and wider the running sum
+    # with an addend q^j f, f = e or -e, so that -e checks the subtraction:
+    # [0], [1] and [2] take their own paths, [3] and wider the running sum
     for m in range(8):
-        for sign in (1, -1):
-            low, out = times_qint_add(a.coeffs, m, e.coeffs, e.min_deg + j - a.min_deg, sign)
-            want = a * q_int(m) + e.shifted(j) if sign > 0 else a * q_int(m) - e.shifted(j)
-            assert LaurentPoly(a.min_deg + low, out) == want, (m, sign)
+        for f in (e, -e):
+            low, out = times_qint_add(a.coeffs, m, f.coeffs, f.min_deg + j - a.min_deg)
+            assert LaurentPoly(a.min_deg + low, out) == a * q_int(m) + f.shifted(j), (m, f)
             # trimmed at both ends, and zero as (0, [])
-            assert out[:1] != [0] and out[-1:] != [0] and (out or low == 0), (m, sign)
+            assert out[:1] != [0] and out[-1:] != [0] and (out or low == 0), (m, f)
 
 
 # words of quotients 0..1000, runs of small ones among them, cut where the

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsnake import laurent, qrational
 from qsnake.laurent import LaurentFraction, LaurentPoly, ONE, ZERO
@@ -225,7 +226,7 @@ def test_routes_multiply_no_polynomials(monkeypatch):
 
 def test_recurrence_route_matches_reference(recurrence_reference):
     # each pair as r/s, s/r and their negatives, so that the descent takes
-    # every kind of step and the ascent meets every pair of signs
+    # every kind of step from either sign
     for r, s in SWEEP:
         for x in (Fraction(r, s), Fraction(s, r), Fraction(-r, s), Fraction(-s, r)):
             assert q_map_general(x) == recurrence_reference(x), x
@@ -235,8 +236,9 @@ def test_recurrence_route_matches_reference(recurrence_reference):
 
 def test_recurrence_route_runs_no_fraction_arithmetic(monkeypatch):
     # past converting its argument, the route descends on an int pair and
-    # ascends with its signs apart, folding them into its two lists at the
-    # end, so the fraction it builds negates no polynomial
+    # ascends on lists of nonnegative coefficients, putting the sign of its
+    # argument on the numerator list at the end, so the fraction it builds
+    # negates no polynomial
     values = [0, 7, -5, Fraction(1, 2), Fraction(-3, 2), Fraction(3, 4), Fraction(-17, 4),
               Fraction(-7, 3), Fraction(5, 12),
               cf_value(cf_expand(fibonacci_number(81), fibonacci_number(80))),
@@ -304,6 +306,42 @@ def test_recurrence_route_uses_no_polynomial_arithmetic(monkeypatch):
     for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
     assert [q_map_general(x) for x in DEEP_VALUES] == before
+
+
+# the shapes of DEEP_WORDS with quotients up to 300, so that the schoolbook
+# reference stays cheap, each as r/s or s/r, of either sign
+DEEP_SHAPES = st.one_of(
+    st.builds(lambda n: (1, 1, n), st.integers(1, 300)),
+    st.builds(lambda k, n: (1,) * k + (n,), st.integers(1, 100), st.integers(1, 300)),
+    st.builds(lambda n, m: (2, n, 5, 1, m, 2), st.integers(1, 300), st.integers(1, 300)),
+    st.just((7, 1, 1, 9)))
+DEEP_SHAPED_VALUES = st.builds(
+    lambda cf, sign, inverted: sign / cf_value(cf) if inverted else sign * cf_value(cf),
+    DEEP_SHAPES, st.sampled_from((1, -1)), st.booleans())
+
+# rationals of either sign, rationals inside (-1, 1), whose first step is
+# an inversion, and the deep shapes
+ASCENT_INPUTS = (st.fractions(min_value=-30, max_value=30, max_denominator=200)
+                 | st.fractions(min_value=-1, max_value=1, max_denominator=10**4)
+                 .filter(lambda x: abs(x) < 1)
+                 | DEEP_SHAPED_VALUES)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(ASCENT_INPUTS)
+def test_recurrence_route_only_adds(recurrence_reference, x):
+    # every step of the ascent adds: the kernel is only ever handed lists of
+    # nonnegative coefficients, and the sign of x goes on at the end
+    kernel = qrational.times_qint_add
+
+    def nonnegative(p, n, e=(), k=0):
+        assert min(p, default=0) >= 0 and min(e, default=0) >= 0, (x, p, e)
+        return kernel(p, n, e, k)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(qrational, "times_qint_add", nonnegative)
+        got = q_map_general(x)
+    assert got == recurrence_reference(x), x
 
 
 def test_fibonacci_polys():
