@@ -28,8 +28,8 @@ JSON_CHUNK = 4096
 
 # Largest continued-fraction sum (snake boxes + 1) a single-pair command
 # accepts.  Time and memory grow at least linearly with it: `compute 1000000
-# 999999 --all-routes`, at the bound, took 2.6-2.9 s of user CPU and 146 MiB
-# peak RSS in text (printing holds most of it) and 0.5 s and 87 MiB in
+# 999999 --all-routes`, at the bound, took 2.5-3.8 s of user CPU and 130 MiB
+# peak RSS in text (printing holds most of it) and 0.3-0.5 s and 72 MiB in
 # JSON, and `compute 1000000 1 --format json` 44 MiB, on a shared 2-core VM.
 MAX_CF_SUM = 10**6
 
@@ -37,14 +37,14 @@ MAX_CF_SUM = 10**6
 # route takes a step per quotient on polynomials of degree up to sum(cf)
 # with coefficients of up to r.bit_length() bits, so the time grows with the
 # product, which MAX_CF_SUM does not bound: the ratio of Fibonacci numbers
-# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 1.9-2.3 s
-# (4.3-4.4 s with --all-routes), and its cost grows as the cube of the
+# with the 4000 quotients [1, ..., 1, 2] costs 4.5e10 and took 1.2-1.3 s
+# (3.7-4.2 s with --all-routes), and its cost grows as the cube of the
 # length.  The pairs that set the bound are those near MAX_CF_SUM with a few
 # more quotients, in `compute --all-routes` text: 1000000/999999 (cost 4e7)
-# took 2.6-2.9 s, [1, 1, 1, 999997] (8.8e7) 4.2-4.7 s, and [1] * 8 + [999992]
-# (2.3e8) 3.9-4.1 s, on a shared 2-core VM.  Every other shape measured at
+# took 2.5-3.8 s, [1, 1, 1, 999997] (8.8e7) 3.2-3.4 s, and [1] * 8 + [999992]
+# (2.3e8) 3.1-4.0 s, on a shared 2-core VM.  Every other shape measured at
 # the bound took under 1 s; the last Fibonacci ratio accepted has 523
-# quotients.
+# quotients and took 0.05-0.07 s with --all-routes.
 MAX_COMPUTE_COST = 10**8
 
 # Largest snake `kasteleyn` accepts.  It prints the matrix dense, every zero
@@ -213,22 +213,23 @@ def _write_json(blob, out=None) -> None:
     document is never held whole; an iterator in it is written as a list.
     """
     out = out or sys.stdout
-    out.writelines(_json_pieces(blob, "", {}))
+    out.writelines(_json_pieces(blob, "", []))
     out.write("\n")
 
 
-def _json_pieces(value, pad: str, rendered: dict):
+def _json_pieces(value, pad: str, rendered: list):
     """
     The pieces of _json(value, pad), an iterator as the list of its items:
     one piece per key, scalar, short list, polynomial or iterator item, and
     a list of more than JSON_CHUNK items one piece per JSON_CHUNK items, so
     no text of a long list is built whole.  An iterator is read as the
     value itself or as a dict's value outside every list and iterator.  A
-    polynomial's pieces are kept in rendered with the pad they were
-    rendered at, so each distinct polynomial is rendered once: at another
-    indent every line of a cached piece starts with the old pad and takes
-    the new one by one replace.  Not a closure: a recursive closure is a
-    reference cycle, which holds its texts until the cyclic collector runs.
+    polynomial's pieces are kept in rendered, a list of (polynomial, pad,
+    pieces) with the pad they were rendered at, so each distinct polynomial
+    is rendered once: at another indent every line of a cached piece starts
+    with the old pad and takes the new one by one replace.  Not a closure:
+    a recursive closure is a reference cycle, which holds its texts until
+    the cyclic collector runs.
     """
     if type(value) is dict and value:
         inner = pad + "  "
@@ -239,13 +240,16 @@ def _json_pieces(value, pad: str, rendered: dict):
             sep = ",\n"
         yield "\n" + pad + "}"
     elif type(value) is LaurentPoly:
-        # one dict operation, so that the polynomial is hashed once
-        hit = rendered.setdefault(value, [pad, None])
-        if hit[1] is None:
+        # found by identity, then by equality, which stops at the first
+        # coefficient that differs; no polynomial is hashed
+        hit = (next((h for h in rendered if h[0] is value), None)
+               or next((h for h in rendered if h[0] == value), None))
+        if hit is None:
             blob = value.to_json()
-            hit[1] = ([_json(blob, pad)] if len(value.coeffs) <= JSON_CHUNK
-                      else list(_json_pieces(blob, pad, rendered)))
-        at, pieces = hit
+            hit = (value, pad, [_json(blob, pad)] if len(value.coeffs) <= JSON_CHUNK
+                   else list(_json_pieces(blob, pad, rendered)))
+            rendered.append(hit)
+        _, at, pieces = hit
         if at == pad:
             yield from pieces
         else:

@@ -29,34 +29,35 @@ route.  Each route returns a ``LaurentFraction``, whose constructor fixes
 the remaining unit: the denominator has min_deg 0 and a positive lowest
 coefficient.
 
-Two computations run the packed kernel: the matrix column, from the last
-quotient to the first, and the continuant, from the first to the last,
-evaluate their polynomials at q = 2^B, each one int whose B-bit slots are
-its coefficients, so the one product by [n]_q per quotient
-(``_times_qint``) is a few shift-adds of ints, a product by q^k a shift by
-kB bits, and ``_unpack`` reads the slots back once, at the end.  The matrix
-column leaves the power q^n of each L step pending beside its first entry,
-so that entry is shifted once per R step, not once per step.  The two
-share a slot read, not a result: each computes its own ints, and
-``_slots`` keeps its last two reads, so the continuant, whose int equals
-the matrix numerator's up to a power of q, takes that read's coefficient
-tuple, and a continuant whose int differs reads its own.  No step may
+Every route evaluates its polynomials at q = 2^B, each one int whose B-bit
+slots are its coefficients (Kronecker substitution), so a product by q^k
+is a shift by kB bits and ``_unpack`` or ``_slots`` reads the slots back
+once, at the end.  Every coefficient on every route is a sum of
+nonnegative terms, so it is at most its polynomial's value at q = 1; a
+bound on those values sets the slot width (``_slot_bytes``), so no slot
+ever carries.  The matrix column, from the last quotient to the first, and
+the continuant, from the first to the last, take their one product by
+[n]_q per quotient as a few shift-adds (``_times_qint``), and a q = 1 pass
+over the same recurrence bounds their coefficients.  The matrix column
+leaves the power q^n of each L step pending beside its first entry, so
+that entry is shifted once per R step, not once per step.  No step may
 shift below q^0: the continuant keeps each term's power of q as an int
-beside it.  Every coefficient on these routes is a sum of nonnegative
-terms, so it is at most its polynomial's value at q = 1, and a q = 1 pass
-over the same recurrence bounds it; that bound sets the slot width
-(``_slot_bytes``), so no slot ever carries.  The recurrence route and the
-Fibonacci families run the other kernel, ``laurent.times_qint_add``, on
-coefficient lists: one call per step builds [a] D plus a shift of N in one
-list by slices, [1] as a copy, [2] as one shifted add and a wider [a] as
-prefix sums with one slice subtracted.  No step of the recurrence route
-subtracts: the value at each step has the sign of that step's x (see
-``q_map_general``), so the route keeps the magnitudes N and D as lists of
-nonnegative coefficients with their valuations beside them, puts the one
-sign on N at the end, and builds its two polynomials once, so it runs no
-``LaurentPoly`` arithmetic at all.  Against a fault in the packed kernel the independent evidence is
-the continuant, run in the other direction, and the recurrence route, run
-on the other kernel.
+beside it.  The recurrence route takes its products by [m]_q as one
+multiplication by the packed q-integer (``_times_qint_mul``), and its
+argument p/d bounds its coefficients by max(|p|, d), with no q = 1 pass
+(see ``q_map_general``).  No step of the recurrence route subtracts: the
+value at each step has the sign of that step's x, so the route keeps the
+magnitudes N and D with their valuations beside them, puts the one sign on
+the numerator at the end, and runs no ``LaurentPoly`` arithmetic at all.
+
+The routes share a slot read, not a result: each computes its own ints,
+and ``_slots`` keeps its last two reads.  The continuant's int equals the
+matrix numerator's up to a power of q, and the recurrence route's two ints
+equal the matrix column's, so the five reads of ``all_routes`` make two.
+Against a fault in one product kernel the independent evidence is the
+route on the other: the recurrence route against the matrix column and the
+continuant, which also run in opposite directions.  The Fibonacci families
+run the list kernel ``laurent.times_qint_add``.
 """
 
 from __future__ import annotations
@@ -199,6 +200,16 @@ def _times_qint(x: int, n: int, bits: int) -> int:
     return acc
 
 
+def _times_qint_mul(x: int, n: int, bits: int) -> int:
+    """
+    x [n]_q at q = 2^bits, by one multiplication: the packed [n]_q, n slots
+    of 1, is built from a byte pattern, and [1] is x itself.
+    """
+    if n == 1:
+        return x
+    return x * int.from_bytes((b"\x01" + bytes(bits // 8 - 1)) * n, "little")
+
+
 def _unpack(x: int, width: int) -> LaurentPoly:
     """
     The polynomial whose coefficients are the width-byte slots of x.  The
@@ -222,14 +233,15 @@ def _unpack(x: int, width: int) -> LaurentPoly:
 @lru_cache(maxsize=2)
 def _slots(x: int, width: int) -> tuple[int, ...]:
     """
-    The width-byte slots of x > 0, lowest first, up to its top nonzero one.
-    The packed computations of one ``all_routes`` call, the matrix column
-    and the continuant, pack its two polynomials, the continuant's up to a
-    power of q that ``_unpack`` strips, and read them in turn, so with the
-    last two reads kept its three reads make two; no more are kept, so
-    that a single route does not hold an earlier call's polynomials.  The
-    key is the packed int itself, so a route that computed a different int
-    reads it afresh.
+    The width-byte slots of x >= 0, lowest first, up to its top nonzero one.
+    The three computations of one ``all_routes`` call pack its two
+    polynomials at one width, the continuant's up to a power of q that
+    ``_unpack`` strips, and read them in turn: the matrix column both, the
+    recurrence route both and the continuant the numerator, so with the
+    last two reads kept its five reads make two; no more are kept, so that
+    a single route does not hold an earlier call's polynomials.  The key is
+    the packed int itself, so a route that computed a different int reads
+    it afresh.
     """
     size = -(-x.bit_length() // (8 * width)) * width
     fmt = _SLOT_FORMATS.get(width)
@@ -344,6 +356,18 @@ def q_map_general(x) -> LaurentFraction:
     Infinity is represented by the canonical fraction 1/0.  Termination
     follows from the Euclidean descent of denominators.  The result is
     reduced by construction (see the module docstring).
+
+    The ascent runs on packed ints at q = 2^B, as the matrix column does,
+    with slots of ``_slot_bytes(max(|p|, d))`` for the argument p/d in
+    lowest terms, and no slot ever carries.  The descent never raises
+    max(|p|, d): a step x - a keeps d and leaves |p| < d, and an inversion
+    takes (p, d) with |p| < d to a pair of d and |p|.  At q = 1 the ascent
+    runs the same steps, unimodular maps of integer pairs, from the coprime
+    pair (p, 1) where the descent ends, so at each step it holds that
+    step's |p| and d exactly, in lowest terms.  Every coefficient is
+    nonnegative (each step adds), so each is at most its polynomial's value
+    at q = 1, at most max(|p|, d) of that step, and so at most the
+    argument's.
     """
     if x == math.inf:
         return LaurentFraction.infinity()
@@ -358,6 +382,8 @@ def q_map_general(x) -> LaurentFraction:
     # loop, so deep continued fractions cannot exhaust the interpreter's
     # recursion limit.
     p, d = x.numerator, x.denominator
+    width = _slot_bytes(max(abs(p), d))
+    bits = 8 * width
     steps = []
     while d != 1:
         a = p // d if p > 0 else -(-p // d)
@@ -371,27 +397,40 @@ def q_map_general(x) -> LaurentFraction:
     # x - a >= 0, and a < 0 only at x < 0, leaving x + m <= 0; a = 0 sends x
     # to -1/x, of the other sign.  So the value held at each step has the
     # sign of that step's x, and the ascent holds its magnitude, |num| =
-    # q^vn N and den = q^vd D, N and D trimmed lists of nonnegative
-    # coefficients.  Each nonzero step is one call of the kernel, [a] D plus
-    # a shift of N; the sign of x goes on N at the end.
+    # q^vn N and den = q^vd D, N and D packed ints whose lowest slots are
+    # nonzero.  Each nonzero step is one int expression, [m] D plus a shift
+    # of N, in which only the higher term is shifted; its lowest and top
+    # slots are sums of positive terms, so nothing needs trimming.  The
+    # sign of x goes on the numerator at the end.
     # |[-m]| = q^-m [m]
-    N, vn, D, vd = [1] * abs(p), min(p, 0), [1], 0
+    N, vn, D, vd = _times_qint_mul(1, abs(p), bits), min(p, 0), 1, 0
     for a in reversed(steps):
-        if a > 0:
-            # [x] = q^a [x - a] + [a]: |num| = q^vd ([a] D + q^(vn + a - vd) N)
-            low, N = times_qint_add(D, a, N, vn + a - vd)
-            vn = vd + low
-        elif a == 0:
+        if a == 0:
             # x in (-1, 1): [x] = -1/(q [-1/x])
             N, vn, D, vd = D, vd, N, vn + 1
+            continue
+        # a > 0: [x] = q^a [x - a] + [a], so |num| = q^vd ([a] D + q^k N)
+        # with k = vn + a - vd.  a < 0, x < 0 with m = -a: [x] = ([x + m] -
+        # [m]) / q^m, both terms at most 0, so |num| = q^vd ([m] D + q^k N)
+        # with k = vn - vd, and den = q^m den.
+        m, k = (a, vn + a - vd) if a > 0 else (-a, vn - vd)
+        term = _times_qint_mul(D, m, bits)
+        # an int shifted by 0 is still copied
+        if k > 0:
+            N = term + (N << k * bits)
+        elif k < 0:
+            N = (term << -k * bits) + N
         else:
-            # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m, both terms at
-            # most 0: |num| = q^vd ([m] D + q^(vn - vd) N), den = q^m den
-            low, N = times_qint_add(D, -a, N, vn - vd)
-            vn, vd = vd + low, vd - a
-    # D[0] > 0, so the fraction's normalization moves nothing more
-    return LaurentFraction(LaurentPoly(vn - vd, N if x > 0 else [-c for c in N]),
-                           LaurentPoly(0, D))
+            N += term
+        vn = vd + min(k, 0)
+        if a < 0:
+            vd += m
+    # D's lowest slot is nonzero, so the fraction's normalization moves
+    # nothing more.  N and D are the matrix column's ints for the same
+    # value, so inside all_routes both reads hit its cached slot reads.
+    num, den = _slots(N, width), _slots(D, width)
+    return LaurentFraction(LaurentPoly(vn - vd, num if x > 0 else [-c for c in num]),
+                           LaurentPoly(0, den))
 
 
 # -- the public map ------------------------------------------------------------

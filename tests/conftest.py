@@ -172,8 +172,10 @@ def recurrence_reference():
     in ``Fraction`` steps and its ascent on signed polynomials by the
     schoolbook product by ``q_int``, a negation on every inversion and
     every a < 0 step: a reference for ``q_map_general``, which descends on
-    an integer pair and ascends on nonnegative lists, with one sign at the
-    end."""
+    an integer pair and ascends on packed ints of nonnegative slots, with
+    one sign at the end.  The schoolbook product costs len(p) * n additions
+    per step, so a quotient of a few thousand takes seconds; the words of
+    such quotients are compared with ``list_recurrence_reference``."""
     import math
     from fractions import Fraction
 
@@ -209,5 +211,57 @@ def recurrence_reference():
                 # shares no subtraction with the route
                 num, den = num + -(den * q_int(-a)), den.shifted(-a)
         return LaurentFraction(num, den)
+
+    return q_map_general
+
+
+@pytest.fixture(scope="session")
+def list_recurrence_reference():
+    """``list_recurrence_reference(x)``: the recurrence map of x with the
+    route's own descent and its ascent on lists of nonnegative
+    coefficients, one call of the list kernel ``times_qint_add`` per
+    nonzero step, [a] D plus a shift of N, with the valuations beside the
+    lists and one sign at the end: a second reference for
+    ``q_map_general``, which ascends on packed ints and shares neither the
+    list kernel nor the slot reads.  The kernel is linear in the length of
+    its result, so the reference runs words of any quotient at full size."""
+    import math
+    from fractions import Fraction
+
+    from qsnake.laurent import LaurentFraction, LaurentPoly, times_qint_add
+
+    def q_map_general(x) -> LaurentFraction:
+        if x == math.inf:
+            return LaurentFraction.infinity()
+        x = Fraction(x)
+        # descend toward zero on the coprime pair (p, d), one step per
+        # integer part, at most two per quotient
+        p, d = x.numerator, x.denominator
+        steps = []
+        while d != 1:
+            a = p // d if p > 0 else -(-p // d)
+            steps.append(a)
+            if a == 0:
+                p, d = (-d, p) if p > 0 else (d, -p)
+            else:
+                p -= a * d
+        # |num| = q^vn N and den = q^vd D, N and D trimmed lists of
+        # nonnegative coefficients; |[-m]| = q^-m [m]
+        N, vn, D, vd = [1] * abs(p), min(p, 0), [1], 0
+        for a in reversed(steps):
+            if a > 0:
+                # [x] = q^a [x - a] + [a]: |num| = q^vd ([a] D + q^(vn + a - vd) N)
+                low, N = times_qint_add(D, a, N, vn + a - vd)
+                vn = vd + low
+            elif a == 0:
+                # x in (-1, 1): [x] = -1/(q [-1/x])
+                N, vn, D, vd = D, vd, N, vn + 1
+            else:
+                # x < 0 with m = -a: [x] = ([x + m] - [m]) / q^m, both terms
+                # at most 0: |num| = q^vd ([m] D + q^(vn - vd) N), den = q^m den
+                low, N = times_qint_add(D, -a, N, vn - vd)
+                vn, vd = vd + low, vd - a
+        return LaurentFraction(LaurentPoly(vn - vd, N if x > 0 else [-c for c in N]),
+                               LaurentPoly(0, D))
 
     return q_map_general

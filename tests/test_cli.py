@@ -76,15 +76,19 @@ def test_compute_json_round_trip(capsys):
 
 def test_compute_json_is_json_dumps(capsys, monkeypatch):
     # the compute writer against json.dumps(blob, indent=2) of the same blob,
-    # with each distinct polynomial rendered once: with --all-routes the
-    # routes' numerator and denominator, the continuant being the numerator
-    # at another indent; lists past cli.JSON_CHUNK coefficients are written
-    # in pieces
+    # with each distinct polynomial rendered once and none hashed (the
+    # writer finds a rendered one by identity, then by equality): with
+    # --all-routes the routes' numerator and denominator, the continuant
+    # being the numerator at another indent; lists past cli.JSON_CHUNK
+    # coefficients are written in pieces
     to_json, rendered = LaurentPoly.to_json, []
 
     def counting(self):
         rendered.append(self)
         return to_json(self)
+
+    def refuse_hash(self):
+        raise AssertionError("the JSON writer hashed a polynomial")
 
     for r, s in [(1, 1), (2, 1), (13, 3), (29, 12), (10**5 + 1, 2), (832040, 514229)]:
         cf = list(cf_expand(r, s))
@@ -92,6 +96,7 @@ def test_compute_json_is_json_dumps(capsys, monkeypatch):
         rendered.clear()
         with monkeypatch.context() as m:
             m.setattr(LaurentPoly, "to_json", counting)
+            m.setattr(LaurentPoly, "__hash__", refuse_hash)
             code, out = run(capsys, "compute", str(r), str(s), "--format", "json")
         assert sorted(map(str, rendered)) == sorted(map(str, {qr.num, qr.den})), (r, s)
         blob = {"r": r, "s": s, "cf": cf, "num": qr.num.to_json(), "den": qr.den.to_json()}
@@ -100,6 +105,7 @@ def test_compute_json_is_json_dumps(capsys, monkeypatch):
         rendered.clear()
         with monkeypatch.context() as m:
             m.setattr(LaurentPoly, "to_json", counting)
+            m.setattr(LaurentPoly, "__hash__", refuse_hash)
             code, out = run(capsys, "compute", str(r), str(s), "--all-routes", "--format", "json")
         matrix = table.fractions["matrix"]
         assert sorted(map(str, rendered)) == sorted(map(str, {matrix.num, matrix.den})), (r, s)

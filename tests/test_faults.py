@@ -5,10 +5,12 @@ Each row plants one fault, a ``monkeypatch`` of one function (or of the one
 sign table) of the package, runs ``check_pair`` on every coprime pair with
 r <= 30, and asserts the set of families that fail on some pair, not how
 many pairs fail.  A family's claim to be independent evidence is a row in
-which it fails alone: ``routes`` for either kernel of the recurrence route
-and for the continuant, ``counts`` for the tail snake, ``kasteleyn`` for
-the band and the determinant.  Add a row whenever a check or a kernel is
-added.
+which it fails alone: ``routes`` for the recurrence route's product by a
+q-integer and for the continuant, ``counts`` for the tail snake,
+``kasteleyn`` for the band and the determinant.  Every route reads its
+packed ints through the one slot reader ``_slots``, so a fault there turns
+all of them alike and only ``theorem`` and ``counts`` see it.  Add a row
+whenever a check or a kernel is added.
 """
 
 from dataclasses import replace
@@ -74,24 +76,25 @@ def last_box_negated(exps):
     return exps
 
 
-def top_coefficient_bumped(kernel):
-    def fault(p, n, e=(), k=0):
-        low, out = kernel(p, n, e, k)
-        if n >= 3 and out:
-            out[-1] += 1
-        return low, out
+def bottom_slot_bumped_once(kernel):
+    # a fresh fault per pair: the first product by [n]_q, n >= 2, has its
+    # bottom slot one too high
+    bumped = []
+
+    def fault(x, n, bits):
+        acc = kernel(x, n, bits)
+        if n >= 2 and not bumped:
+            bumped.append(n)
+            acc += 1
+        return acc
     return fault
 
 
-def addend_negated_once(kernel):
-    # a fresh fault per pair: the first call with an addend subtracts it
-    negated = []
-
-    def fault(p, n, e=(), k=0):
-        if e and not negated:
-            negated.append(e)
-            e = [-c for c in e]
-        return kernel(p, n, e, k)
+def top_slot_bumped(read):
+    # a slot read of three or more slots returns its top slot one too high
+    def fault(x, width):
+        slots = read(x, width)
+        return slots[:-1] + (slots[-1] + 1,) if len(slots) >= 3 else slots
     return fault
 
 
@@ -150,12 +153,14 @@ FAULTS = [
      {"theorem", "counts", "cases"}),
     ("tail-snake-mirrored", verify, "denominator_snake", snake_built(mirrored),
      {"counts"}),
-    ("list-kernel-top-coefficient-bumped", qrational, "times_qint_add",
-     top_coefficient_bumped, {"routes"}),
-    ("list-kernel-addend-negated-once", qrational, "times_qint_add",
-     addend_negated_once, {"routes"}),
+    ("product-kernel-extra-top-slot", qrational, "_times_qint_mul", extra_top_slot,
+     {"routes"}),
+    ("product-kernel-bottom-slot-bumped-once", qrational, "_times_qint_mul",
+     bottom_slot_bumped_once, {"routes"}),
     ("packed-kernel-extra-top-slot", qrational, "_times_qint", extra_top_slot,
      {"routes", "theorem", "counts"}),
+    ("slot-read-top-slot-bumped", qrational, "_slots", top_slot_bumped,
+     {"theorem", "counts"}),
     ("band-last-row-sign-flipped", kasteleyn, "kasteleyn_matrix", last_row_sign_flipped,
      {"kasteleyn"}),
     ("det-inversion-sign-flipped", kasteleyn, "_INVERSION_SIGN", inversion_sign_flipped,

@@ -202,9 +202,9 @@ def test_routes_call_no_gcd(monkeypatch):
 
 def test_routes_multiply_no_polynomials(monkeypatch):
     # every product on a route is by a q-integer: shift-adds of packed ints on
-    # the matrix, nested and continuant routes, the running sum of times_qint_add
-    # on the recurrence route; the schoolbook product is left to general
-    # operands
+    # the matrix, nested and continuant routes, one int multiplication by the
+    # packed q-integer on the recurrence route; the schoolbook product is left
+    # to general operands
     pairs = [(13, 3), (29, 12), (64, 1), (64, 63),
              (fibonacci_number(201), fibonacci_number(200))]
     words = [cf_expand(r, s) for r, s in pairs] + [(30, 1, 17, 2, 25, 3, 30, 12)]
@@ -224,21 +224,23 @@ def test_routes_multiply_no_polynomials(monkeypatch):
     assert fibonacci_families(40) == fibonacci
 
 
-def test_recurrence_route_matches_reference(recurrence_reference):
+def test_recurrence_route_matches_reference(recurrence_reference, list_recurrence_reference):
     # each pair as r/s, s/r and their negatives, so that the descent takes
     # every kind of step from either sign
     for r, s in SWEEP:
         for x in (Fraction(r, s), Fraction(s, r), Fraction(-r, s), Fraction(-s, r)):
-            assert q_map_general(x) == recurrence_reference(x), x
-    for x in (0, -1, math.inf):
-        assert q_map_general(x) == recurrence_reference(x), x
+            want = recurrence_reference(x)
+            assert q_map_general(x) == want == list_recurrence_reference(x), x
+    for x in (0, -1, 5, -7, math.inf):
+        want = recurrence_reference(x)
+        assert q_map_general(x) == want == list_recurrence_reference(x), x
 
 
 def test_recurrence_route_runs_no_fraction_arithmetic(monkeypatch):
     # past converting its argument, the route descends on an int pair and
-    # ascends on lists of nonnegative coefficients, putting the sign of its
-    # argument on the numerator list at the end, so the fraction it builds
-    # negates no polynomial
+    # ascends on packed ints of nonnegative slots, putting the sign of its
+    # argument on the numerator's coefficients at the end, so the fraction
+    # it builds negates no polynomial
     values = [0, 7, -5, Fraction(1, 2), Fraction(-3, 2), Fraction(3, 4), Fraction(-17, 4),
               Fraction(-7, 3), Fraction(5, 12),
               cf_value(cf_expand(fibonacci_number(81), fibonacci_number(80))),
@@ -277,18 +279,25 @@ DEEP_WORDS = [(1, 1, 3000), (1,) * 100 + (3000,), (2, 3000, 5, 1, 4000, 2), (7, 
 DEEP_VALUES = [v for cf in DEEP_WORDS for v in (cf_value(cf), -cf_value(cf), 1 / cf_value(cf))]
 
 
+def test_recurrence_route_matches_list_reference_at_full_size(list_recurrence_reference):
+    # quotients of 3000 and 4000, which the schoolbook reference takes
+    # seconds a value to multiply by
+    for x in DEEP_VALUES:
+        assert q_map_general(x) == list_recurrence_reference(x), x
+
+
 def test_recurrence_route_takes_two_steps_per_quotient(monkeypatch):
     # the descent follows the regular continued fraction; rounding each
     # integer part down instead walks [1; 1, 3000] in 6000 unit steps, each
-    # a product by [a] in the ascent
+    # a packed product by [a] in the ascent, and the start [p] is one more
     before = [q_map_general(x) for x in DEEP_VALUES]
-    kernel, calls = qrational.times_qint_add, []
+    kernel, calls = qrational._times_qint_mul, []
 
     def counting(*args):
         calls.append(args[1])
         return kernel(*args)
 
-    monkeypatch.setattr(qrational, "times_qint_add", counting)
+    monkeypatch.setattr(qrational, "_times_qint_mul", counting)
     for i, (x, want) in enumerate(zip(DEEP_VALUES, before)):
         calls.clear()
         assert q_map_general(x) == want, x
@@ -296,8 +305,8 @@ def test_recurrence_route_takes_two_steps_per_quotient(monkeypatch):
 
 
 def test_recurrence_route_uses_no_polynomial_arithmetic(monkeypatch):
-    # the route ascends on coefficient lists, one times_qint_add per nonzero
-    # step, so it shares no arithmetic with the matching DP or det_exact
+    # the route ascends on packed ints, one int expression per nonzero step,
+    # so it shares no arithmetic with the matching DP or det_exact
     before = [q_map_general(x) for x in DEEP_VALUES]
 
     def refuse(*args):
@@ -329,19 +338,31 @@ ASCENT_INPUTS = (st.fractions(min_value=-30, max_value=30, max_denominator=200)
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(ASCENT_INPUTS)
-def test_recurrence_route_only_adds(recurrence_reference, x):
-    # every step of the ascent adds: the kernel is only ever handed lists of
-    # nonnegative coefficients, and the sign of x goes on at the end
-    kernel = qrational.times_qint_add
+def test_recurrence_route_only_adds(recurrence_reference, list_recurrence_reference, x):
+    # every step of the ascent adds, so every slot of every int it builds is
+    # at most max(|p|, d) of x = p/d, the bound that sets its slot width:
+    # the operand and result of each product by [m]_q and the two ints read
+    # at the end, each int of the ascent a term of one of those
+    bound = max(abs(x.numerator), x.denominator)
+    product, read, seen = qrational._times_qint_mul, qrational._slots.__wrapped__, []
 
-    def nonnegative(p, n, e=(), k=0):
-        assert min(p, default=0) >= 0 and min(e, default=0) >= 0, (x, p, e)
-        return kernel(p, n, e, k)
+    def products(y, n, bits):
+        out = product(y, n, bits)
+        seen.extend([(y, bits), (out, bits)])
+        return out
+
+    def reads(y, width):
+        seen.append((y, 8 * width))
+        return read(y, width)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(qrational, "times_qint_add", nonnegative)
+        m.setattr(qrational, "_times_qint_mul", products)
+        m.setattr(qrational, "_slots", reads)
         got = q_map_general(x)
-    assert got == recurrence_reference(x), x
+    for y, bits in seen:
+        assert bits == 8 * _slot_bytes(bound), (x, bits)
+        assert max(read(y, bits // 8), default=0) <= bound, (x, y)
+    assert got == recurrence_reference(x) == list_recurrence_reference(x), x
 
 
 def test_fibonacci_polys():
@@ -394,8 +415,9 @@ def test_matrix_word_refuses_negative_quotients():
 
 
 def test_matrix_word_uses_no_polynomial_arithmetic(monkeypatch):
-    # the route keeps to the packed kernel, so agreeing with the recurrence
-    # route, which runs the list kernel times_qint_add, is evidence about both
+    # the route keeps to the shift-add kernel, so agreeing with the
+    # recurrence route, which multiplies by the packed q-integer
+    # (_times_qint_mul), is evidence about both
     words = [cf_expand(r, s) for r, s in SWEEP[::7]] + [
         (1,) * 200 + (2,), (30, 1, 17, 2, 25, 3, 30, 12), (2, 0, 3), (0,), (10**4,)]
     before = [cf_matrix_column(cf) for cf in words]
@@ -535,6 +557,20 @@ def test_nested_and_continuant_at_slot_edges(nested_reference, continuant_refere
     assert CROSSED_BITS <= crossed
 
 
+def test_recurrence_route_at_slot_edges(list_recurrence_reference):
+    # the slot-edge words as r/s, s/r and their negatives, r at 2^8, 2^16,
+    # 2^32 and 2^64 +- 1: the route's width is set by max(|p|, d) = r, and
+    # the largest coefficients cross each byte edge
+    crossed = set()
+    for cf in SLOT_EDGE_WORDS:
+        v = cf_value(cf)
+        for x in (v, 1 / v, -v, -1 / v):
+            want = list_recurrence_reference(x)
+            assert q_map_general(x) == want, x
+            crossed.add(max(abs(c) for c in want.num.coeffs + want.den.coeffs).bit_length())
+    assert CROSSED_BITS <= crossed
+
+
 def test_nested_and_continuant_use_no_polynomial_arithmetic(monkeypatch):
     # both routes keep to the packed kernel, as the matrix route does
     words = [cf_expand(r, s) for r, s in SWEEP[::7]] + ZERO_QUOTIENT_WORDS + [
@@ -571,35 +607,40 @@ def test_nested_and_continuant_take_one_qint_product_per_quotient(monkeypatch):
 
 
 def test_routes_compare_two_kernels(monkeypatch):
-    # the matrix column and the continuant run the packed _times_qint and
-    # the recurrence route the list kernel times_qint_add, so a fault in
-    # either kernel, or in the matrix column that fills two entries of the
-    # table, turns the table's verdict
+    # the matrix column and the continuant take their products by [n]_q as
+    # the shift-adds of _times_qint, the recurrence route as one
+    # multiplication each (_times_qint_mul) and neither of the other
+    # kernels, so a fault in either product kernel, or in the matrix column
+    # that fills two entries of the table, turns the table's verdict
     words = [cf_expand(r, s) for r, s in [(13, 3), (29, 12), (61, 27), (179, 74)]]
     assert all(all_routes(cf).agree for cf in words)
-    packed, listed, calls = qrational._times_qint, qrational.times_qint_add, []
+    shift_adds, product, calls = qrational._times_qint, qrational._times_qint_mul, []
 
     def counting(*args):
         calls.append(args[1])
-        return listed(*args)
+        return product(*args)
+
+    def refuse(*args):
+        raise AssertionError("the recurrence route ran another product kernel")
 
     with monkeypatch.context() as m:
-        m.setattr(qrational, "times_qint_add", counting)
+        m.setattr(qrational, "_times_qint_mul", counting)
         for cf in words:
             calls.clear()
             all_routes(cf)
             in_table = len(calls)
             calls.clear()
-            q_map_general(cf_value(cf))
+            with monkeypatch.context() as alone:
+                alone.setattr(qrational, "_times_qint", refuse)
+                alone.setattr(qrational, "times_qint_add", refuse)
+                q_map_general(cf_value(cf))
             assert in_table == len(calls) > 0, cf
 
-    def drop_top_slot(x, n, bits):
-        acc = packed(x, n, bits)
-        return acc % (1 << max(acc.bit_length() - 1, 0) // bits * bits)
-
-    def drop_top_coefficient(*args):
-        low, out = listed(*args)
-        return low, out[:-1]
+    def drop_top_slot(kernel):
+        def fault(x, n, bits):
+            acc = kernel(x, n, bits)
+            return acc % (1 << max(acc.bit_length() - 1, 0) // bits * bits)
+        return fault
 
     column = qrational.cf_matrix_column
 
@@ -611,8 +652,8 @@ def test_routes_compare_two_kernels(monkeypatch):
             return tuple(entries)
         return fault
 
-    for name, fault in [("_times_qint", drop_top_slot),
-                        ("times_qint_add", drop_top_coefficient),
+    for name, fault in [("_times_qint", drop_top_slot(shift_adds)),
+                        ("_times_qint_mul", drop_top_slot(product)),
                         ("cf_matrix_column", bump_entry(0)),
                         ("cf_matrix_column", bump_entry(1))]:
         with monkeypatch.context() as m:
@@ -621,14 +662,16 @@ def test_routes_compare_two_kernels(monkeypatch):
 
 
 def test_all_routes_reads_each_polynomial_once(monkeypatch):
-    # the packed computations of one all_routes call, the matrix column and
-    # the continuant, compute its numerator and denominator up to a power of
-    # q, so their three slot reads make one per distinct polynomial, and the
-    # routes share the coefficient tuples; the nested-fraction entry is the
-    # matrix column itself, and the call takes one packed product by [n] per
-    # quotient on each of the two; the cache is cleared before each call,
-    # and rebuilt around a counting reader
-    reads, uncached = [], qrational._slots.__wrapped__
+    # the three computations of one all_routes call, the matrix column, the
+    # recurrence route and the continuant, compute its numerator and
+    # denominator up to a power of q at one slot width, so their five slot
+    # reads make one per distinct polynomial, the recurrence route's two
+    # among the hits, and the routes share the coefficient tuples; the
+    # nested-fraction entry is the matrix column itself, and the call takes
+    # one packed shift-add product by [n] per quotient on each of the matrix
+    # column and the continuant; the cache is cleared before each call, and
+    # rebuilt around a counting reader
+    reads, calls, uncached = [], [], qrational._slots.__wrapped__
 
     def counting(x, width):
         reads.append(x)
@@ -641,7 +684,12 @@ def test_all_routes_reads_each_polynomial_once(monkeypatch):
         return kernel(*args)
 
     cached = functools.lru_cache(**qrational._slots.cache_parameters())(counting)
-    monkeypatch.setattr(qrational, "_slots", cached)
+
+    def calling(x, width):
+        calls.append(x)
+        return cached(x, width)
+
+    monkeypatch.setattr(qrational, "_slots", calling)
     monkeypatch.setattr(qrational, "_times_qint", counting_products)
     rng = random.Random(11)
     deep = [tuple(rng.randint(1, 4) for _ in range(rng.randint(40, 80))) for _ in range(40)]
@@ -651,13 +699,17 @@ def test_all_routes_reads_each_polynomial_once(monkeypatch):
     for cf in sorted(words) + deep:
         cached.cache_clear()
         reads.clear()
+        calls.clear()
         products.clear()
         table = all_routes(cf)
-        matrix = table.fractions["matrix"]
+        matrix, recurrence = table.fractions["matrix"], table.fractions["recurrence-map"]
         assert table.agree and len(reads) == (1 if cf_value(cf) == 1 else 2), cf
+        assert len(calls) == 5, cf
         assert len(products) == 2 * len(cf), cf
         assert table.fractions["nested-fraction"] is matrix, cf
         assert matrix.num.coeffs is table.continuant.coeffs, cf
+        assert recurrence.num.coeffs is matrix.num.coeffs, cf
+        assert recurrence.den.coeffs is matrix.den.coeffs, cf
 
 
 def test_unpack_round_trips_every_width(monkeypatch):
