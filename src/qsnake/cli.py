@@ -80,7 +80,8 @@ MAX_MATCHING_EDGES = 400_000
 
 # Largest table `fibonacci` prints.  The rows' determinants come from one
 # expansion of the strip's matrix, but each row still computes q_rational, so
-# the table takes time cubic in n: 300 rows took 0.26-0.28 s of CPU.
+# the table takes time cubic in n: 300 rows took 0.24-0.38 s of CPU on a
+# shared 2-core Xeon.
 MAX_FIBONACCI_ROWS = 300
 
 # Largest `verify --max-r`.  The sweep checks every coprime pair s < r <= N,

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, sub
+from operator import add
 from typing import Iterator, Sequence
 
 
@@ -179,59 +178,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly(0, (1,))
-
-
-def times_qint_add(p: Sequence[int], n: int, e: Sequence[int] = (),
-                   k: int = 0) -> tuple[int, list[int]]:
-    """
-    The product by the q-integer [n]_q, with an addend: p [n]_q + q^k e for
-    coefficient sequences p and e read from degree 0 and n >= 0, as (low,
-    out), out[i] the coefficient of q^(low + i), trimmed at both ends; the
-    zero polynomial is (0, []).  The one list built is the result, laid out
-    over the whole span and filled by slices: [1] is a copy of p, [2] that
-    copy plus itself shifted by one place, and a wider [n] a running sum of
-    width n, coefficient j being S[j] - S[j-n] with S the prefix sums of p,
-    so the prefix sums with one slice subtracted.  The addend is one slice
-    added; a caller that subtracts passes e negated.  Each slice read is a
-    copy, so no list is read while it is being assigned.
-
-    >>> times_qint_add([1, 2], 3, [-5], -1)
-    (-1, [-5, 1, 3, 3, 2])
-    """
-    if n < 0:
-        raise ValueError("times_qint_add needs n >= 0")
-    m = len(p)
-    size = m + n - 1 if m and n else 0  # the span of p [n] from q^0
-    lo = k if e and k < 0 else 0
-    hi = k + len(e) if e and k + len(e) > size else size
-    # out[i] is the coefficient of q^(lo + i), so q^0 sits at index -lo
-    out = [0] * -lo
-    if not size:
-        out += [0] * hi
-    elif n <= 2:
-        out += p
-        if n == 2:
-            # p[j] + p[j - 1] under q^1 .. q^(m - 1), then p[m - 1] alone
-            out[1 - lo:m - lo] = map(add, out[1 - lo:m - lo], p)
-            out.append(p[-1])
-        out += [0] * (hi - size)
-    else:
-        sums = list(accumulate(p))
-        out += sums
-        out += [sums[-1]] * (n - 1)
-        out += [0] * (hi - size)
-        # S[j - n] runs over S[0] .. S[m - 2], under q^n .. q^(size - 1)
-        out[n - lo:size - lo] = map(sub, out[n - lo:size - lo], sums)
-    if e:
-        out[k - lo:k + len(e) - lo] = map(add, out[k - lo:k + len(e) - lo], e)
-    while out and not out[-1]:
-        out.pop()
-    if not out:
-        return 0, out
-    i = 0
-    while not out[i]:
-        i += 1
-    return (lo + i, out[i:]) if i else (lo, out)
 
 
 # -- polynomial gcd ---------------------------------------------------------

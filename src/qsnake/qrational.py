@@ -57,7 +57,8 @@ equal the matrix column's, so the five reads of ``all_routes`` make two.
 Against a fault in one product kernel the independent evidence is the
 route on the other: the recurrence route against the matrix column and the
 continuant, which also run in opposite directions.  The Fibonacci families
-run the list kernel ``laurent.times_qint_add``.
+run on the ring's own operations: one family, the denominators, and its
+mirror.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from operator import itemgetter
 from struct import iter_unpack
 from sys import byteorder
 
-from .laurent import ONE, ZERO, LaurentFraction, LaurentPoly, times_qint_add
+from .laurent import ONE, ZERO, LaurentFraction, LaurentPoly
 
 CF = tuple[int, ...]
 
@@ -476,26 +477,24 @@ def all_routes(cf: CF) -> RouteTable:
 def fibonacci_families(n: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
     """
     The numerator and denominator families of the deformed ratios of
-    consecutive Fibonacci numbers at every index 0 .. n, from one run of
-    each: the deformation of F(k+1)/F(k) is nums[k+1] / dens[k].
+    consecutive Fibonacci numbers at every index 0 .. n: the deformation of
+    F(k+1)/F(k) is nums[k+1] / dens[k].
 
-    Both families satisfy p(k+2) = [3]_q p(k) - q^2 p(k-2); they are mirrors
-    of each other: nums[k] = q^(k-2) * dens[k](1/q) for k >= 2.
+    The denominators satisfy p(k) = [3]_q p(k-2) - q^2 p(k-4) from the
+    seeds 1, 1, [2]_q, [3]_q at k = 1 .. 4.  The numerators are their
+    mirrors, nums[k] = q^(k-2) dens[k](1/q) for k >= 2: from [1/x]_q =
+    1/[x]_(1/q) and [x+1]_q = q [x]_q + 1 (Morier-Genoud and Ovsienko,
+    q-deformed rationals and q-continued fractions, 2020), the numerator of
+    [F(k)/F(k-1)]_q is the denominator of [F(k+1)/F(k)]_q mirrored.
     """
-    den = _fib_family(n, [ONE, ONE, q_int(2), q_int(3)])
-    # mirror-consistent seed at index 1 is q^-1; index 1 is reported as 1
-    num = _fib_family(n, [LaurentPoly.monomial(-1), ONE, q_int(2), q_int(3)])
-    return [ONE, ONE] + num[1:], [ONE] + den
-
-
-def _fib_family(n: int, seeds: list[LaurentPoly]) -> list[LaurentPoly]:
-    """A family at indices 1 .. n: its seeds, then the recurrence."""
-    vals = list(seeds)
+    if n < 0:
+        raise ValueError("fibonacci_families needs n >= 0")
+    dens = [ONE, ONE, ONE, q_int(2), q_int(3)]
     for k in range(5, n + 1):
-        a, b = vals[k - 3], vals[k - 5]
-        low, out = times_qint_add(a.coeffs, 3, [-c for c in b.coeffs], b.min_deg + 2 - a.min_deg)
-        vals.append(LaurentPoly(a.min_deg + low, out))
-    return vals[:n]
+        a, b = dens[k - 2], dens[k - 4]
+        dens.append(a + a.shifted(1) + (a - b).shifted(2))
+    del dens[n + 1:]
+    return [ONE, ONE] + [dens[k].mirror(k - 2) for k in range(2, n + 1)], dens
 
 
 def fibonacci_number(n: int) -> int:

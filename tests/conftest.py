@@ -219,7 +219,7 @@ def recurrence_reference():
 def list_recurrence_reference():
     """``list_recurrence_reference(x)``: the recurrence map of x with the
     route's own descent and its ascent on lists of nonnegative
-    coefficients, one call of the list kernel ``times_qint_add`` per
+    coefficients, one call of the list kernel ``oracles.times_qint_add`` per
     nonzero step, [a] D plus a shift of N, with the valuations beside the
     lists and one sign at the end: a second reference for
     ``q_map_general``, which ascends on packed ints and shares neither the
@@ -228,7 +228,8 @@ def list_recurrence_reference():
     import math
     from fractions import Fraction
 
-    from qsnake.laurent import LaurentFraction, LaurentPoly, times_qint_add
+    from qsnake.laurent import LaurentFraction, LaurentPoly
+    from oracles import times_qint_add
 
     def q_map_general(x) -> LaurentFraction:
         if x == math.inf:

@@ -10,10 +10,14 @@ runs without pytest.  It imports only public qsnake names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
+from typing import Sequence
 
 from qsnake.kasteleyn import KasteleynMatrix
 from qsnake.laurent import ONE, ZERO, LaurentFraction, LaurentPoly, laurent_gcd
 from qsnake.matching import enumerate_matchings, matching_weight_exp
+from qsnake.qrational import q_int
 from qsnake.snake import Box, Edge, SnakeGraph, box_edges, sign_sequence
 
 Entries = tuple[tuple[LaurentPoly, ...], ...]
@@ -49,6 +53,82 @@ def reduced(f: LaurentFraction) -> LaurentFraction:
     """
     g = laurent_gcd(f.num, f.den)
     return LaurentFraction(f.num.div_exact(g), f.den.div_exact(g))
+
+
+# -- the list kernel and the Fibonacci families ------------------------------
+
+def times_qint_add(p: Sequence[int], n: int, e: Sequence[int] = (),
+                   k: int = 0) -> tuple[int, list[int]]:
+    """
+    The product by the q-integer [n]_q, with an addend: p [n]_q + q^k e for
+    coefficient sequences p and e read from degree 0 and n >= 0, as (low,
+    out), out[i] the coefficient of q^(low + i), trimmed at both ends; the
+    zero polynomial is (0, []).  The one list built is the result, laid out
+    over the whole span and filled by slices: [1] is a copy of p, [2] that
+    copy plus itself shifted by one place, and a wider [n] a running sum of
+    width n, coefficient j being S[j] - S[j-n] with S the prefix sums of p,
+    so the prefix sums with one slice subtracted.  The addend is one slice
+    added; a caller that subtracts passes e negated.  Each slice read is a
+    copy, so no list is read while it is being assigned.  The reference
+    kernel of ``list_recurrence_reference`` and of the two families below.
+    """
+    if n < 0:
+        raise ValueError("times_qint_add needs n >= 0")
+    m = len(p)
+    size = m + n - 1 if m and n else 0  # the span of p [n] from q^0
+    lo = k if e and k < 0 else 0
+    hi = k + len(e) if e and k + len(e) > size else size
+    # out[i] is the coefficient of q^(lo + i), so q^0 sits at index -lo
+    out = [0] * -lo
+    if not size:
+        out += [0] * hi
+    elif n <= 2:
+        out += p
+        if n == 2:
+            # p[j] + p[j - 1] under q^1 .. q^(m - 1), then p[m - 1] alone
+            out[1 - lo:m - lo] = map(add, out[1 - lo:m - lo], p)
+            out.append(p[-1])
+        out += [0] * (hi - size)
+    else:
+        sums = list(accumulate(p))
+        out += sums
+        out += [sums[-1]] * (n - 1)
+        out += [0] * (hi - size)
+        # S[j - n] runs over S[0] .. S[m - 2], under q^n .. q^(size - 1)
+        out[n - lo:size - lo] = map(sub, out[n - lo:size - lo], sums)
+    if e:
+        out[k - lo:k + len(e) - lo] = map(add, out[k - lo:k + len(e) - lo], e)
+    while out and not out[-1]:
+        out.pop()
+    if not out:
+        return 0, out
+    i = 0
+    while not out[i]:
+        i += 1
+    return (lo + i, out[i:]) if i else (lo, out)
+
+
+def fibonacci_families_reference(n: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
+    """
+    The Fibonacci families as two independent runs of p(k) = [3]_q p(k-2)
+    - q^2 p(k-4) on ``times_qint_add``, one per seed list: a reference for
+    ``fibonacci_families``, which runs the denominators alone and mirrors
+    them.  The numerators' mirror-consistent seed at index 1 is q^-1, which
+    is reported as 1.
+    """
+    den = _fib_family(n, [ONE, ONE, q_int(2), q_int(3)])
+    num = _fib_family(n, [LaurentPoly.monomial(-1), ONE, q_int(2), q_int(3)])
+    return [ONE, ONE] + num[1:], [ONE] + den
+
+
+def _fib_family(n: int, seeds: list[LaurentPoly]) -> list[LaurentPoly]:
+    """A family at indices 1 .. n: its seeds, then the recurrence."""
+    vals = list(seeds)
+    for k in range(5, n + 1):
+        a, b = vals[k - 3], vals[k - 5]
+        low, out = times_qint_add(a.coeffs, 3, [-c for c in b.coeffs], b.min_deg + 2 - a.min_deg)
+        vals.append(LaurentPoly(a.min_deg + low, out))
+    return vals[:n]
 
 
 # -- continued fractions -----------------------------------------------------

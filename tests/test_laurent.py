@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from qsnake.laurent import LaurentFraction, LaurentPoly, ONE, ZERO, laurent_gcd, times_qint_add
+from qsnake.laurent import LaurentFraction, LaurentPoly, ONE, ZERO, laurent_gcd
 
-from oracles import poly_from_json, reduced
+from oracles import poly_from_json, reduced, times_qint_add
 
 # a large prime: gcd cases whose coefficients vanish or collide modulo it
 P = 2**61 - 1
@@ -50,6 +50,8 @@ def test_times_qint_edges():
     assert times_qint_add(p, 2) == (0, [3, 3, -1, -1])
     # an addend that cancels the product to zero
     assert times_qint_add(p, 1, [-c for c in p], 0) == (0, [])
+    # an addend below the product: (1 + 2q)[3] - 5q^-1
+    assert times_qint_add([1, 2], 3, [-5], -1) == (-1, [-5, 1, 3, 3, 2])
 
 
 def test_ring_axioms_exhaustive():

@@ -14,13 +14,13 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from qsnake import cli
 from qsnake.kasteleyn import det_exact, kasteleyn_matrix
-from qsnake.laurent import ONE, ZERO, LaurentFraction, LaurentPoly, laurent_gcd, times_qint_add
+from qsnake.laurent import ONE, ZERO, LaurentFraction, LaurentPoly, laurent_gcd
 from qsnake.matching import matching_stat_dp, scalar_exponent
 from qsnake.qrational import (all_routes, cf_expand, cf_matrix_column, cf_value, q_int,
                               q_map_general)
 from qsnake.snake import snake_graph
 
-from oracles import qmatrix_det, reduced
+from oracles import qmatrix_det, reduced, times_qint_add
 
 # reproducible and writes no example database
 REPRODUCIBLE = settings(derandomize=True, database=None, deadline=None)

@@ -15,7 +15,7 @@ from qsnake.qrational import (_slot_bytes, _unpack, all_routes, cf_even_form,
                               q_rational)
 from qsnake.verify import check_pair
 
-from oracles import cf_odd_form, qmatrix_det
+from oracles import cf_odd_form, fibonacci_families_reference, qmatrix_det
 
 
 def lp(min_deg, *coeffs):
@@ -372,15 +372,31 @@ def test_fibonacci_polys():
     assert nums[7] == poly(1, 2, 3, 3, 3, 1)
     assert dens[6] == poly(1, 2, 2, 2, 1)
     assert (nums[1], dens[1]) == (ONE, ONE)
-    # a shorter run gives the same families, cut at its index
-    for n in range(1, 22):
-        assert fibonacci_families(n) == (nums[:n + 1], dens[:n + 1]), n
-    for n in range(1, 21):
-        qr = q_rational(fibonacci_number(n + 1), fibonacci_number(n))
-        assert nums[n + 1] == qr.num, n
-        assert dens[n] == qr.den, n
-    for n in range(2, 21):
-        assert nums[n] == dens[n].mirror(n - 2), n
+
+
+def test_fibonacci_families_match_two_family_reference():
+    # the numerators are mirrors of the denominators by definition, so the
+    # evidence is a reference that runs both families on the list kernel;
+    # a run of it to n >= 1 is its run to 301 cut at n, which the first
+    # indices check directly, and n = 0 reports the index-1 numerator too
+    nums, dens = fibonacci_families_reference(301)
+    for n in range(22):
+        assert fibonacci_families_reference(n) == (
+            (nums[:n + 1], dens[:n + 1]) if n else ([ONE, ONE], [ONE])), n
+    for n in range(302):
+        want = fibonacci_families_reference(n) if n < 22 else (nums[:n + 1], dens[:n + 1])
+        assert fibonacci_families(n) == want, n
+    # and every row against the matrix route
+    nums, dens = fibonacci_families(301)
+    for k in range(1, 301):
+        qr = q_rational(fibonacci_number(k + 1), fibonacci_number(k))
+        assert (nums[k + 1], dens[k]) == (qr.num, qr.den), k
+
+
+def test_fibonacci_families_refuse_negative_n():
+    for n in (-1, -2, -302):
+        with pytest.raises(ValueError, match="n >= 0"):
+            fibonacci_families(n)
 
 
 def test_continuant_shift_matches_paperless_scalar():
@@ -427,7 +443,6 @@ def test_matrix_word_uses_no_polynomial_arithmetic(monkeypatch):
 
     for name in ("__add__", "__mul__", "__rmul__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
-    monkeypatch.setattr(qrational, "times_qint_add", refuse)
     assert [cf_matrix_column(cf) for cf in words] == before
 
 
@@ -582,7 +597,6 @@ def test_nested_and_continuant_use_no_polynomial_arithmetic(monkeypatch):
 
     for name in ("__add__", "__mul__", "__rmul__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
-    monkeypatch.setattr(qrational, "times_qint_add", refuse)
     assert [(q_cf_eval(cf), continuant_det(cf), q_continuant(cf)) for cf in words] == before
 
 
@@ -609,9 +623,9 @@ def test_nested_and_continuant_take_one_qint_product_per_quotient(monkeypatch):
 def test_routes_compare_two_kernels(monkeypatch):
     # the matrix column and the continuant take their products by [n]_q as
     # the shift-adds of _times_qint, the recurrence route as one
-    # multiplication each (_times_qint_mul) and neither of the other
-    # kernels, so a fault in either product kernel, or in the matrix column
-    # that fills two entries of the table, turns the table's verdict
+    # multiplication each (_times_qint_mul) and not the shift-adds, so a
+    # fault in either product kernel, or in the matrix column that fills
+    # two entries of the table, turns the table's verdict
     words = [cf_expand(r, s) for r, s in [(13, 3), (29, 12), (61, 27), (179, 74)]]
     assert all(all_routes(cf).agree for cf in words)
     shift_adds, product, calls = qrational._times_qint, qrational._times_qint_mul, []
@@ -632,7 +646,6 @@ def test_routes_compare_two_kernels(monkeypatch):
             calls.clear()
             with monkeypatch.context() as alone:
                 alone.setattr(qrational, "_times_qint", refuse)
-                alone.setattr(qrational, "times_qint_add", refuse)
                 q_map_general(cf_value(cf))
             assert in_table == len(calls) > 0, cf
 
