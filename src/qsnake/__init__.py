@@ -9,7 +9,7 @@ from .kasteleyn import (KasteleynMatrix, det_exact, kasteleyn_matrix,
 from .qrational import (RouteTable, all_routes, cf_even_form, cf_expand,
                         fibonacci_families, q_cf_eval, q_continuant, q_int,
                         q_map_general, q_matrix_eval, q_rational)
-from .snake import SnakeGraph, denominator_snake, sign_sequence, snake_graph
+from .snake import SnakeGraph, sign_sequence, snake_graph
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,7 @@ __all__ = [
     "cf_expand", "cf_even_form", "q_int",
     "q_cf_eval", "q_matrix_eval", "q_continuant", "q_map_general",
     "q_rational", "RouteTable", "all_routes", "fibonacci_families",
-    "SnakeGraph", "snake_graph", "denominator_snake", "sign_sequence",
+    "SnakeGraph", "snake_graph", "sign_sequence",
     "enumerate_matchings", "matching_stat_dp",
     "scalar_exponent", "numerator_via_matchings", "denominator_via_matchings",
     "case_recurrences_check",

@@ -86,8 +86,8 @@ MAX_FIBONACCI_ROWS = 300
 
 # Largest `verify --max-r`.  The sweep checks every coprime pair s < r <= N,
 # about 0.3 N^2 pairs, and a pair's cost grows with r, so the time grows
-# about as N^3: --max-r 100 took 2.9 s of CPU, 200 17.9 s and 300 (27397
-# pairs) 41 s on one core.  The pair list is built whole first, so without a
+# about as N^2.2: --max-r 100 took 1.3 s of CPU, 200 5.9 s and 300 (27397
+# pairs) 15 s on one core.  The pair list is built whole first, so without a
 # bound a huge N ends in a MemoryError or an out-of-memory kill; 1000 is the
 # largest sweep the property tests aim at.
 MAX_VERIFY_R = 1000

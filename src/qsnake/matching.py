@@ -5,7 +5,8 @@ edge weights is computed by a linear two-term sweep along the box path; the
 ``matchings`` command lists the matchings themselves, by an exhaustive
 backtracking enumeration.  Scaling by the power q^n, with n read off the
 even-length continued fraction, recovers the numerator polynomial of the
-deformed rational.
+deformed rational, and the same power times the statistic of the snake's
+boxes from the cut on recovers its denominator.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator
 
 from .laurent import ONE, LaurentPoly
 from .qrational import cf_even_form, cf_expand
-from .snake import Edge, SnakeGraph, Vertex, denominator_snake, snake_graph
+from .snake import Edge, SnakeGraph, Vertex, snake_graph
 
 Matching = tuple[Edge, ...]
 
@@ -135,16 +136,24 @@ def numerator_via_matchings(r: int, s: int) -> LaurentPoly:
 
 def denominator_via_matchings(r: int, s: int) -> LaurentPoly:
     """
-    The denominator candidate q^n' times the statistic of the tail snake.
+    q^n times the statistic of the snake of r/s = [a1..ak] from box a on,
+    n as for the numerator and a = cf_even_form(cf)[0]: the denominator.
 
-    At q = 1 this always counts s.  As a polynomial it is the mirror
-    (coefficient reversal) of the denominator, hence equal to it exactly
-    whenever the denominator is palindromic; see the package README.
+    For k = 1 the cut is past the last box and n = 0.  For k >= 2, a = a1;
+    [x + 1]_q = q [x]_q + 1 and [1/x]_q = 1/[x]_(1/q) (Morier-Genoud and
+    Ovsienko, 2020) give [r/s]_q = [a1]_q + q^a1 / [t]_(1/q), t = [a2..ak].
+    With [t]_q = P/Q reduced, that is ([a1]_q P(1/q) + q^a1 Q(1/q)) / P(1/q),
+    reduced too (a common factor divides q^a1 Q(1/q)), so the denominator
+    is P(1/q) times a unit.  The snake of t is the boxes from the cut on
+    with every exponent negated, which takes M(q) to M(1/q), and by the
+    theorem for t, P = q^n' M(snake of t) with n' = scalar_exponent(t).  So
+    the denominator is q^j M(boxes from the cut on), its coefficients all
+    positive, with j = deg P - n' = sum(t) - 1 - n' (Morier-Genoud and
+    Ovsienko), which is n: the even forms give n + n' = sum(t) - 1.
     """
     cf = cf_expand(r, s)
-    if len(cf) == 1:
-        return ONE
-    return matching_stat_dp(denominator_snake(cf)).shifted(scalar_exponent(cf[1:]))
+    tail = matching_stat_dp(SnakeGraph(snake_graph(cf).exps[cf_even_form(cf)[0]:]))
+    return tail.shifted(scalar_exponent(cf))
 
 
 @dataclass(frozen=True)

@@ -494,7 +494,7 @@ def fibonacci_families(n: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
         a, b = dens[k - 2], dens[k - 4]
         dens.append(a + a.shifted(1) + (a - b).shifted(2))
     del dens[n + 1:]
-    return [ONE, ONE] + [dens[k].mirror(k - 2) for k in range(2, n + 1)], dens
+    return [ONE, ONE][:n + 1] + [dens[k].mirror(k - 2) for k in range(2, n + 1)], dens
 
 
 def fibonacci_number(n: int) -> int:

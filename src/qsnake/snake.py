@@ -164,10 +164,3 @@ def snake_graph(cf: tuple[int, ...]) -> SnakeGraph:
         raise ValueError("continued fraction must have positive sum")
     signs = sign_sequence(cf)
     return SnakeGraph(tuple([1 if c == "-" else -1 for c in signs[:-1]]))
-
-
-def denominator_snake(cf: tuple[int, ...]) -> SnakeGraph:
-    """The snake of the tail [a2, ..., ak], used for the denominator."""
-    if len(cf) < 2:
-        raise ValueError("denominator snake needs at least two coefficients")
-    return snake_graph(cf[1:])

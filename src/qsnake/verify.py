@@ -1,11 +1,11 @@
 """Sweep harness checking every identity on every coprime pair up to a bound.
 
 Per pair: the four computation routes agree, the scaled matching statistic
-equals the numerator, the q = 1 counts give back r and s and the scaled
-tail statistic is the mirror of the denominator, the Kasteleyn determinant
-is (-1)^sum(cf) times the statistic, and the one-box removal recurrence
-holds.  Pairs are independent, so the sweep can fan out over
-processes; results are merged in (r, s) order either way.
+equals the numerator, the q = 1 counts give back r and s and the snake's
+boxes from the cut on, scaled by the same q^n, give the denominator, the
+Kasteleyn determinant is (-1)^sum(cf) times the statistic, and the one-box
+removal recurrence holds.  Pairs are independent, so the sweep can fan out
+over processes; results are merged in (r, s) order either way.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .kasteleyn import kasteleyn_report
 from .matching import case_recurrences_check, matching_stat_dp, prefix_statistics, scalar_exponent
-from .qrational import all_routes, cf_expand
-from .snake import denominator_snake, snake_graph
+from .qrational import all_routes, cf_even_form, cf_expand
+from .snake import SnakeGraph, snake_graph
 
 CHECK_NAMES = ("routes", "theorem", "counts", "kasteleyn", "cases")
 
@@ -52,13 +52,11 @@ def check_pair(pair: tuple[int, int]) -> PairResult:
     stat = stats[-1]
     kasteleyn = kasteleyn_report(cf, g, stat, routes.fractions["matrix"].num)
 
-    # the tail snake counts s, and q^n' times its statistic is the mirror
-    # of the denominator
-    counts_ok = stat.eval_at_one() == r
-    if len(cf) > 1:
-        tail_stat, den = matching_stat_dp(denominator_snake(cf)), routes.fractions["matrix"].den
-        counts_ok = (counts_ok and tail_stat.eval_at_one() == s
-                     and tail_stat.shifted(scalar_exponent(cf[1:])) == den.mirror(den.top_deg))
+    # the snake's boxes from the cut on count s, and q^n times their
+    # statistic is the denominator (proved in denominator_via_matchings)
+    tail = matching_stat_dp(SnakeGraph(g.exps[cf_even_form(cf)[0]:]))
+    counts_ok = (stat.eval_at_one() == r and tail.eval_at_one() == s
+                 and tail.shifted(scalar_exponent(cf)) == routes.fractions["matrix"].den)
 
     case = case_recurrences_check(cf, stats)
     cases_ok = case.holds if case.applicable else True

@@ -18,7 +18,7 @@ from qsnake.kasteleyn import KasteleynMatrix
 from qsnake.laurent import ONE, ZERO, LaurentFraction, LaurentPoly, laurent_gcd
 from qsnake.matching import enumerate_matchings, matching_weight_exp
 from qsnake.qrational import q_int
-from qsnake.snake import Box, Edge, SnakeGraph, box_edges, sign_sequence
+from qsnake.snake import Box, Edge, SnakeGraph, box_edges, sign_sequence, snake_graph
 
 Entries = tuple[tuple[LaurentPoly, ...], ...]
 
@@ -114,11 +114,11 @@ def fibonacci_families_reference(n: int) -> tuple[list[LaurentPoly], list[Lauren
     - q^2 p(k-4) on ``times_qint_add``, one per seed list: a reference for
     ``fibonacci_families``, which runs the denominators alone and mirrors
     them.  The numerators' mirror-consistent seed at index 1 is q^-1, which
-    is reported as 1.
+    is reported as 1; both families hold the indices 0 .. n.
     """
     den = _fib_family(n, [ONE, ONE, q_int(2), q_int(3)])
     num = _fib_family(n, [LaurentPoly.monomial(-1), ONE, q_int(2), q_int(3)])
-    return [ONE, ONE] + num[1:], [ONE] + den
+    return ([ONE, ONE] + num[1:])[:n + 1], [ONE] + den
 
 
 def _fib_family(n: int, seeds: list[LaurentPoly]) -> list[LaurentPoly]:
@@ -164,6 +164,19 @@ def box_path(cf: tuple[int, ...]) -> tuple[Box, ...]:
         base = "-" if i % 2 == 1 else "+"
         boxes.append((x + 1, y) if signs[i] == base else (x, y + 1))
     return tuple(boxes)
+
+
+def denominator_snake(cf: tuple[int, ...]) -> SnakeGraph:
+    """
+    The snake of the tail [a2, ..., ak], a reference for the tail-snake
+    statement: q^n' times its statistic, n' the tail's scalar exponent, is
+    the denominator mirrored.  ``denominator_via_matchings`` reads the
+    whole snake's boxes from the cut on instead, this snake's exponents
+    negated.
+    """
+    if len(cf) < 2:
+        raise ValueError("denominator snake needs at least two coefficients")
+    return snake_graph(cf[1:])
 
 
 def matching_stat(g: SnakeGraph) -> LaurentPoly:

@@ -6,11 +6,12 @@ sign table) of the package, runs ``check_pair`` on every coprime pair with
 r <= 30, and asserts the set of families that fail on some pair, not how
 many pairs fail.  A family's claim to be independent evidence is a row in
 which it fails alone: ``routes`` for the recurrence route's product by a
-q-integer and for the continuant, ``counts`` for the tail snake,
-``kasteleyn`` for the band and the determinant.  Every route reads its
-packed ints through the one slot reader ``_slots``, so a fault there turns
-all of them alike and only ``theorem`` and ``counts`` see it.  Add a row
-whenever a check or a kernel is added.
+q-integer and for the continuant, ``counts`` for the snake's boxes from
+the cut on, whose statistic gives the denominator, ``kasteleyn`` for the
+band and the determinant.  Every route reads its packed ints through the
+one slot reader ``_slots``, so a fault there turns all of them alike and
+only ``theorem`` and ``counts`` see it.  Add a row whenever a check or a
+kernel is added.
 """
 
 from dataclasses import replace
@@ -74,6 +75,12 @@ def odd_boxes_negated(exps):
 def last_box_negated(exps):
     exps[-1:] = [-e for e in exps[-1:]]
     return exps
+
+
+def cut_one_box_late(even_form):
+    # the first quotient of the even form, where the denominator's suffix
+    # of the snake starts, read one too high
+    return lambda cf: (even_form(cf)[0] + 1, *even_form(cf)[1:])
 
 
 def bottom_slot_bumped_once(kernel):
@@ -151,7 +158,9 @@ FAULTS = [
      {"theorem", "counts", "cases"}),
     ("snake-last-box-negated", verify, "snake_graph", snake_built(last_box_negated),
      {"theorem", "counts", "cases"}),
-    ("tail-snake-mirrored", verify, "denominator_snake", snake_built(mirrored),
+    ("tail-snake-mirrored", verify, "matching_stat_dp", dp_reads(mirrored),
+     {"counts"}),
+    ("tail-cut-one-box-late", verify, "cf_even_form", cut_one_box_late,
      {"counts"}),
     ("product-kernel-extra-top-slot", qrational, "_times_qint_mul", extra_top_slot,
      {"routes"}),

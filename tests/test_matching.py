@@ -12,9 +12,9 @@ from qsnake.matching import (CaseReport, case_recurrences_check,
                              numerator_via_matchings, prefix_statistics,
                              scalar_exponent)
 from qsnake.qrational import cf_expand, fibonacci_number, q_rational
-from qsnake.snake import SnakeGraph, denominator_snake, snake_graph
+from qsnake.snake import SnakeGraph, snake_graph
 
-from oracles import matching_stat
+from oracles import denominator_snake, matching_stat
 
 
 def lp(min_deg, *coeffs):
@@ -189,25 +189,34 @@ def test_denominator_via_matchings():
     assert denominator_via_matchings(5, 2) == lp(0, 1, 1)
     assert denominator_via_matchings(13, 3) == lp(0, 1, 1, 1)
     assert denominator_via_matchings(7, 1) == ONE
-    for r, s in SWEEP:
-        cand = denominator_via_matchings(r, s)
-        assert cand.eval_at_one() == s, (r, s)
+    # the denominator itself, on every coprime pair with r <= 200 and the
+    # integers
+    pairs = [(r, s) for r in range(2, 201) for s in range(1, r) if math.gcd(r, s) == 1]
+    for r, s in pairs + [(n, 1) for n in range(1, 60)]:
+        den = denominator_via_matchings(r, s)
+        assert den == q_rational(r, s).den and den.eval_at_one() == s, (r, s)
 
 
-def test_denominator_candidate_is_mirror_of_denominator():
-    # empirical relation reported in the README: the tail-snake candidate is
-    # the coefficient reversal of the true denominator
+def test_tail_snake_is_the_mirror_of_the_denominator():
+    # the tail-snake statement: q^n' times the statistic of the snake of
+    # [a2, ..., ak] is the coefficient reversal of the denominator, which
+    # is the denominator itself exactly when that is palindromic
     palindromic = equal = 0
     for r, s in SWEEP:
-        cand = denominator_via_matchings(r, s)
+        cf = cf_expand(r, s)
+        if len(cf) < 2:
+            continue
+        tail = matching_stat_dp(denominator_snake(cf)).shifted(scalar_exponent(cf[1:]))
         den = q_rational(r, s).den
-        assert cand == den.mirror(den.top_deg), (r, s)
-        if cand == den:
+        assert tail == den.mirror(den.top_deg), (r, s)
+        # n + n' is the degree of the denominator
+        assert scalar_exponent(cf) + scalar_exponent(cf[1:]) == den.top_deg == sum(cf[1:]) - 1
+        if tail == den:
             equal += 1
         if den == den.mirror(den.top_deg):
             palindromic += 1
     assert equal == palindromic  # equality happens exactly at palindromes
-    assert equal < len(SWEEP)  # and mirror-only cases do occur
+    assert 0 < equal < len(SWEEP)  # and mirror-only cases do occur
 
 
 def cases_check(cf):

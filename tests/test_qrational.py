@@ -377,12 +377,11 @@ def test_fibonacci_polys():
 def test_fibonacci_families_match_two_family_reference():
     # the numerators are mirrors of the denominators by definition, so the
     # evidence is a reference that runs both families on the list kernel;
-    # a run of it to n >= 1 is its run to 301 cut at n, which the first
-    # indices check directly, and n = 0 reports the index-1 numerator too
+    # a run of it to n is its run to 301 cut at n, which the first indices
+    # check directly
     nums, dens = fibonacci_families_reference(301)
     for n in range(22):
-        assert fibonacci_families_reference(n) == (
-            (nums[:n + 1], dens[:n + 1]) if n else ([ONE, ONE], [ONE])), n
+        assert fibonacci_families_reference(n) == (nums[:n + 1], dens[:n + 1]), n
     for n in range(302):
         want = fibonacci_families_reference(n) if n < 22 else (nums[:n + 1], dens[:n + 1])
         assert fibonacci_families(n) == want, n
@@ -391,6 +390,11 @@ def test_fibonacci_families_match_two_family_reference():
     for k in range(1, 301):
         qr = q_rational(fibonacci_number(k + 1), fibonacci_number(k))
         assert (nums[k + 1], dens[k]) == (qr.num, qr.den), k
+
+
+def test_fibonacci_families_hold_every_index_0_to_n():
+    assert fibonacci_families(0) == ([ONE], [ONE])
+    assert fibonacci_families(1) == ([ONE, ONE], [ONE, ONE])
 
 
 def test_fibonacci_families_refuse_negative_n():

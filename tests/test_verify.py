@@ -5,6 +5,7 @@ import math
 from functools import cached_property
 
 import qsnake.kasteleyn
+from qsnake.laurent import LaurentPoly
 from qsnake.matching import _prefix_statistics
 from qsnake.qrational import cf_expand
 from qsnake.snake import SnakeGraph, snake_graph
@@ -15,11 +16,12 @@ def test_check_pair_derives_each_snake_and_statistic_once(count_calls):
     calls = count_calls(cf_expand, snake_graph, _prefix_statistics)
     result = check_pair((13, 3))
     assert result.ok and result.cases_applicable
-    # 13/3 = [4, 3]: the whole snake, whose prefixes hold the shorter [4, 2]
-    # and truncated [4] snakes of the removal recurrence, and the tail [3]
-    # for the denominator; each snake gets one pass of the DP body, behind
-    # both prefix_statistics and matching_stat_dp
-    assert calls["snake_graph"] == 2
+    # 13/3 = [4, 3]: one snake, whose prefixes hold the shorter [4, 2] and
+    # truncated [4] snakes of the removal recurrence and whose boxes from
+    # the cut on give the denominator; one pass of the DP body over the
+    # whole snake, behind prefix_statistics, and one over that suffix,
+    # behind matching_stat_dp
+    assert calls["snake_graph"] == 1
     assert calls["_prefix_statistics"] == 2
     # one expansion for the pair, which the denominator count reads too
     assert calls["cf_expand"] == 1
@@ -31,6 +33,19 @@ def test_check_pair_reads_no_vertex_list(monkeypatch):
         raise AssertionError("the vertex list was built")
 
     monkeypatch.setattr(SnakeGraph, "vertices", property(refuse))
+    for r in range(2, 31):
+        for s in range(1, r):
+            if math.gcd(r, s) == 1:
+                assert check_pair((r, s)).ok, (r, s)
+
+
+def test_check_pair_mirrors_nothing(monkeypatch):
+    # the denominator is q^n times the statistic of the snake's boxes from
+    # the cut on, with no coefficient reversal
+    def refuse(self, d):
+        raise AssertionError("a polynomial was mirrored")
+
+    monkeypatch.setattr(LaurentPoly, "mirror", refuse)
     for r in range(2, 31):
         for s in range(1, r):
             if math.gcd(r, s) == 1:
@@ -58,7 +73,7 @@ def test_check_pair_builds_one_weight_map(monkeypatch):
 
 def test_check_pair_derives_the_boxes_of_one_snake(monkeypatch):
     # the DP reads the exponents alone, so only the whole snake's boxes are
-    # derived, for its Kasteleyn matrix; the tail snake's never are
+    # derived, for its Kasteleyn matrix; the suffix snake's never are
     derived = []
     real = SnakeGraph.boxes.func
 
