@@ -84,12 +84,11 @@ MAX_MATCHING_EDGES = 400_000
 # shared 2-core Xeon.
 MAX_FIBONACCI_ROWS = 300
 
-# Largest `verify --max-r`.  The sweep checks every coprime pair s < r <= N,
-# about 0.3 N^2 pairs, and a pair's cost grows with r, so the time grows
-# about as N^2.2: --max-r 100 took 1.3 s of CPU, 200 5.9 s and 300 (27397
-# pairs) 15 s on one core.  The pair list is built whole first, so without a
-# bound a huge N ends in a MemoryError or an out-of-memory kill; 1000 is the
-# largest sweep the property tests aim at.
+# Largest `verify --max-r`, a bound on time alone, as pairs and results are
+# streamed.  The sweep checks every coprime pair s < r <= N, about 0.3 N^2
+# of them, each costlier as r grows, so the time grows about as N^2.2:
+# --max-r 300 took 17-18 s of CPU on one core and 1000, the largest sweep
+# the property tests aim at, 319 s.
 MAX_VERIFY_R = 1000
 
 # Most worker processes `verify` starts.  The pool starts every worker at
@@ -353,9 +352,9 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"argument --jobs: invalid int value: {env!r}")
     if not 1 <= jobs <= MAX_JOBS:  # before any pool exists
         parser.error(f"{source} must be between 1 and {MAX_JOBS}, got {jobs}")
-    results = run_sweep(args.max_r, jobs=jobs)
-    print(summarize(results))
-    return 0 if all(res.ok for res in results) else 1
+    summary, ok = summarize(run_sweep(args.max_r, jobs=jobs))
+    print(summary)
+    return 0 if ok else 1
 
 
 @functools.cache
@@ -366,28 +365,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="q-deformed rationals via continued fractions, snake graphs "
                     "and Kasteleyn determinants; all arithmetic is exact.")
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)  # the r s of every pair command
+    pair.add_argument("r", type=int)
+    pair.add_argument("s", type=int)
 
-    p = sub.add_parser("compute", help="numerator/denominator of [r/s]_q")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
+    p = sub.add_parser("compute", parents=[pair], help="numerator/denominator of [r/s]_q")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--all-routes", action="store_true",
                    help="print every computation route and the agreement verdict")
 
-    p = sub.add_parser("snake", help="render the snake graph of r/s")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
+    p = sub.add_parser("snake", parents=[pair], help="render the snake graph of r/s")
     p.add_argument("--render", choices=("ascii", "svg", "tikz", "json"),
                    default="ascii")
     p.add_argument("--out", help="write to a file instead of stdout")
 
-    p = sub.add_parser("matchings", help="enumerate weighted perfect matchings")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-
-    p = sub.add_parser("kasteleyn", help="Kasteleyn matrix, determinant, verdict")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
+    sub.add_parser("matchings", parents=[pair], help="enumerate weighted perfect matchings")
+    sub.add_parser("kasteleyn", parents=[pair], help="Kasteleyn matrix, determinant, verdict")
 
     p = sub.add_parser("fibonacci", help="table of deformed Fibonacci ratios")
     p.add_argument("n", type=int)

@@ -5,13 +5,16 @@ equals the numerator, the q = 1 counts give back r and s and the snake's
 boxes from the cut on, scaled by the same q^n, give the denominator, the
 Kasteleyn determinant is (-1)^sum(cf) times the statistic, and the one-box
 removal recurrence holds.  Pairs are independent, so the sweep can fan out
-over processes; results are merged in (r, s) order either way.
+over processes; either way one pass folds the results, in (r, s) order.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .kasteleyn import kasteleyn_report
 from .matching import case_recurrences_check, matching_stat_dp, prefix_statistics, scalar_exponent
@@ -33,9 +36,9 @@ class PairResult:
         return all(self.passed.values())
 
 
-def coprime_pairs(max_r: int) -> list[tuple[int, int]]:
-    return [(r, s) for r in range(2, max_r + 1)
-            for s in range(1, r) if math.gcd(r, s) == 1]
+def coprime_pairs(max_r: int) -> Iterator[tuple[int, int]]:
+    return ((r, s) for r in range(2, max_r + 1)
+            for s in range(1, r) if math.gcd(r, s) == 1)
 
 
 def check_pair(pair: tuple[int, int]) -> PairResult:
@@ -69,29 +72,33 @@ def check_pair(pair: tuple[int, int]) -> PairResult:
                               "cases": cases_ok})
 
 
-def run_sweep(max_r: int, jobs: int = 1) -> list[PairResult]:
+def run_sweep(max_r: int, jobs: int = 1) -> Iterator[PairResult]:
     pairs = coprime_pairs(max_r)
     if jobs <= 1:
-        return [check_pair(p) for p in pairs]
-    # imported here: the multiprocessing machinery adds about 2.5 MiB to
-    # every process that imports qsnake, and only a pool needs it
+        yield from map(check_pair, pairs)
+        return
+    # only a pool needs this 2.5 MiB import; map submits all it is given, so give it slabs
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(check_pair, pairs, chunksize=16))
+        while slab := list(islice(pairs, 8192)):
+            yield from pool.map(check_pair, slab, chunksize=16)
 
 
-def summarize(results: list[PairResult]) -> str:
-    lines = [f"pairs checked: {len(results)}"]
+def summarize(results: Iterable[PairResult]) -> tuple[str, bool]:
+    """The summary text and whether every check passed, from one pass."""
+    count, tally, bad = 0, Counter(), None
+    for count, res in enumerate(results, 1):
+        tally.update(name for name, ok in res.passed.items() if ok)
+        tally["applicable"] += res.cases_applicable
+        if bad is None and not res.ok:
+            bad = res
+    lines = [f"pairs checked: {count}"]
     for name in CHECK_NAMES:
-        good = sum(1 for res in results if res.passed[name])
-        extra = ""
-        if name == "cases":
-            extra = f" (applicable {sum(1 for res in results if res.cases_applicable)})"
-        lines.append(f"  {name:<10} {good}/{len(results)}{extra}")
-    bad = next((res for res in results if not res.ok), None)
+        extra = f" (applicable {tally['applicable']})" if name == "cases" else ""
+        lines.append(f"  {name:<10} {tally[name]}/{count}{extra}")
     if bad is None:
         lines.append("all checks passed")
     else:
         failed = [k for k, v in bad.passed.items() if not v]
         lines.append(f"FIRST FAILURE at {bad.r}/{bad.s}: {', '.join(failed)}")
-    return "\n".join(lines)
+    return "\n".join(lines), bad is None

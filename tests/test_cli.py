@@ -271,7 +271,7 @@ def test_jobs_bound_is_inclusive(capsys, monkeypatch):
 
 
 def test_max_r_bound_is_inclusive(capsys, monkeypatch):
-    # patched small: never build an over-bound pair list
+    # patched small: never start an over-bound sweep
     monkeypatch.setattr(cli, "MAX_VERIFY_R", 12)
     code, out = run(capsys, "verify", "--max-r", "12")
     assert code == 0

@@ -24,7 +24,7 @@ from qsnake.qrational import cf_expand, q_continuant
 from qsnake.snake import SnakeGraph
 from qsnake.verify import CHECK_NAMES, check_pair, coprime_pairs
 
-PAIRS = coprime_pairs(30)
+PAIRS = list(coprime_pairs(30))
 
 
 # -- the faults: each takes the function it replaces and returns the fault ---

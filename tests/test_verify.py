@@ -1,15 +1,20 @@
 """The per-pair computation of the verify sweep: what it derives, and which
-family each identity's failure lands in."""
+family each identity's failure lands in; and the sweep itself, a stream of
+results folded in one pass into the summary and the exit code."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from functools import cached_property
 
 import qsnake.kasteleyn
+from qsnake import verify
+from qsnake.cli import main
 from qsnake.laurent import LaurentPoly
 from qsnake.matching import _prefix_statistics
 from qsnake.qrational import cf_expand
 from qsnake.snake import SnakeGraph, snake_graph
-from qsnake.verify import CHECK_NAMES, check_pair
+from qsnake.verify import CHECK_NAMES, PairResult, check_pair, run_sweep, summarize
 
 
 def test_check_pair_derives_each_snake_and_statistic_once(count_calls):
@@ -98,3 +103,77 @@ def test_theorem_fault_fails_only_the_theorem_family(monkeypatch):
                         lambda cf: real(cf) + 1)
     result = check_pair((13, 3))
     assert [name for name in CHECK_NAMES if not result.passed[name]] == ["theorem"]
+
+
+def check_pair_failing_from_9_on(pair):
+    """``check_pair`` with a planted fault: ``theorem`` fails on every pair
+    whose r is a multiple of 9, and ``kasteleyn`` too when r is 18.  The first
+    failing pair, 9/1, is the 22nd, past the pool's first chunk of 16.  At
+    module level, so that the pool's workers unpickle it by name."""
+    result = check_pair(pair)
+    failed = {"theorem": False} if pair[0] % 9 == 0 else {}
+    if pair[0] == 18:
+        failed["kasteleyn"] = False
+    return replace(result, passed={**result.passed, **failed})
+
+
+def test_first_failure_exits_1_with_the_same_bytes_for_any_jobs(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "check_pair", check_pair_failing_from_9_on)
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(["verify", "--max-r", "20", "--jobs", jobs]) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == (
+        "pairs checked: 127\n"
+        "  routes     127/127\n"
+        "  theorem    115/127\n"
+        "  counts     127/127\n"
+        "  kasteleyn  121/127\n"
+        "  cases      127/127 (applicable 126)\n"
+        "FIRST FAILURE at 9/1: theorem\n")
+
+
+def test_summarize_holds_no_result():
+    # held, each of the 19,000 more results would cost about 336 B
+    def peak(n):
+        results = (PairResult(r=k, s=1, passed=dict.fromkeys(CHECK_NAMES, True),
+                              cases_applicable=True) for k in range(2, n + 2))
+        tracemalloc.start()
+        try:
+            summary, ok = summarize(results)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and summary.startswith(f"pairs checked: {n}\n")
+        return top
+
+    small, large = peak(1_000), peak(20_000)
+    assert large - small < 64 * 1024, (small, large)
+
+
+def test_serial_sweep_checks_each_pair_when_its_result_is_read(count_calls):
+    calls = count_calls(check_pair)
+    results = run_sweep(30)
+    assert calls["check_pair"] == 0
+    first = next(results)
+    assert (first.r, first.s) == (2, 1) and calls["check_pair"] == 1
+
+
+def test_pooled_sweep_draws_the_pairs_a_slab_at_a_time(monkeypatch):
+    # the executor's map submits all it is given before its first result:
+    # given the whole stream, it would draw all 304,191 pairs of --max-r 1000
+    drawn = 0
+    real = verify.coprime_pairs
+
+    def counting(max_r):
+        nonlocal drawn
+        for pair in real(max_r):
+            drawn += 1
+            yield pair
+
+    monkeypatch.setattr(verify, "coprime_pairs", counting)
+    results = run_sweep(1000, jobs=2)
+    first = next(results)
+    results.close()
+    assert (first.r, first.s) == (2, 1)
+    assert drawn < 30_000, drawn
