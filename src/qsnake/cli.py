@@ -15,7 +15,6 @@ from .matching import (MAX_ENUMERATION_BOXES, enumerate_matchings,
                        matching_stat_dp, matching_weight_exp)
 from .qrational import (CF, all_routes, cf_expand, fibonacci_families,
                         fibonacci_number, q_matrix_eval, q_rational)
-from .render import ascii_grid, graph_json, render
 from .snake import far_corner, snake_graph
 from .verify import run_sweep, summarize
 
@@ -143,6 +142,7 @@ def cmd_compute(args, parser) -> int:
 def cmd_snake(args, parser) -> int:
     cf = _cf(parser, args.r, args.s)
     boxes = sum(cf) - 1
+    from .render import ascii_grid  # imported here, so no other command compiles render
     if args.render == "ascii":
         try:
             ascii_grid(far_corner(cf))
@@ -165,6 +165,7 @@ def cmd_snake(args, parser) -> int:
 
 def _write_render(g, fmt: str, out) -> None:
     """Write the snake's render in fmt to out, the json one by _write_json."""
+    from .render import graph_json, render
     if fmt == "json":
         _write_json(graph_json(g), out)
     else:

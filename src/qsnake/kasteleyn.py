@@ -12,8 +12,7 @@ sign into the inversion parity, so it multiplies no polynomials.  It equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .laurent import ONE, ZERO, LaurentPoly
 from .matching import matching_stat_dp, scalar_exponent
@@ -41,7 +40,6 @@ def number_vertices(g: SnakeGraph) -> tuple[list, list]:
     return black, white
 
 
-@dataclass(frozen=True)
 class KasteleynMatrix:
     """
     Signed weighted adjacency between numbered black and white vertices,
@@ -50,9 +48,19 @@ class KasteleynMatrix:
     i - 2 + k.
     """
 
-    band: Band
-    black_order: tuple
-    white_order: tuple
+    def __init__(self, band: Band, black_order: tuple, white_order: tuple):
+        vars(self).update(band=band, black_order=black_order, white_order=white_order)
+
+    __setattr__ = __delattr__ = LaurentPoly.__setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is KasteleynMatrix else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.band, self.black_order, self.white_order))
+
+    def __repr__(self) -> str:
+        return "KasteleynMatrix(%s)" % ", ".join([f"{k}={v!r}" for k, v in vars(self).items()])
 
     def __len__(self) -> int:
         """The size n of the n x n matrix, its row count."""
@@ -148,8 +156,7 @@ def det_exact(m: KasteleynMatrix) -> LaurentPoly:
 
 # -- verification ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KasteleynReport:
+class KasteleynReport(NamedTuple):
     matrix: KasteleynMatrix
     det: LaurentPoly
     statistic: LaurentPoly

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
 from typing import Iterator, Sequence
 
 
-@dataclass(init=False, unsafe_hash=True)
 class LaurentPoly:
     """
     A Laurent polynomial with integer coefficients, stored as a valuation
@@ -24,8 +22,7 @@ class LaurentPoly:
     LaurentPoly('q^-1 + 2 + q + q^2')
     """
 
-    min_deg: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("min_deg", "coeffs")
 
     def __init__(self, min_deg: int = 0, coeffs: Sequence[int] = ()):
         lo, hi = 0, len(coeffs)
@@ -34,13 +31,25 @@ class LaurentPoly:
             min_deg += 1
         while lo < hi and coeffs[hi - 1] == 0:
             hi -= 1
-        if lo == hi:
-            self.min_deg = 0
-            self.coeffs = ()
-        else:
-            self.min_deg = min_deg
-            # a list is copied once, and a tuple not at all, when nothing is trimmed
-            self.coeffs = tuple(coeffs if hi - lo == len(coeffs) else coeffs[lo:hi])
+        _set_min_deg(self, min_deg if lo < hi else 0)
+        # a list is copied once, and a tuple not at all, when nothing is trimmed
+        _set_coeffs(self, tuple(coeffs if hi - lo == len(coeffs) else coeffs[lo:hi]))
+
+    def __setattr__(self, name, value=None):
+        # __init__ sets each slot by its own setter; the other records share this
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (self.min_deg == other.min_deg and self.coeffs == other.coeffs
+                if other.__class__ is LaurentPoly else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.min_deg, self.coeffs))
+
+    def __reduce__(self):
+        return LaurentPoly, (self.min_deg, self.coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -176,6 +185,7 @@ class LaurentPoly:
         return f"LaurentPoly('{self.text()}')"
 
 
+_set_min_deg, _set_coeffs = LaurentPoly.min_deg.__set__, LaurentPoly.coeffs.__set__
 ZERO = LaurentPoly()
 ONE = LaurentPoly(0, (1,))
 
@@ -224,7 +234,6 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(0, [c * x for x in A] if A[-1] > 0 else [-c * x for x in A])
 
 
-@dataclass(frozen=True)
 class LaurentFraction:
     """
     A quotient of Laurent polynomials, normalized so the denominator has
@@ -233,22 +242,25 @@ class LaurentFraction:
     the single admissible zero-denominator value 1/0.
     """
 
-    num: LaurentPoly
-    den: LaurentPoly
-
-    def __post_init__(self):
-        num, den = self.num, self.den
-        if den.is_zero():
-            if num == ONE:
-                return
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
+        if den.is_zero() and num != ONE:
             raise ZeroDivisionError("only the canonical infinity 1/0 may have a zero denominator")
         if den.min_deg:
-            num = num.shifted(-den.min_deg)
-            den = den.shifted(-den.min_deg)
-        if den.coeffs[0] < 0:
+            num, den = num.shifted(-den.min_deg), den.shifted(-den.min_deg)
+        if den.coeffs and den.coeffs[0] < 0:  # the infinity 1/0 is left as it is
             num, den = -num, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        vars(self).update(num=num, den=den)
+
+    __setattr__ = __delattr__ = LaurentPoly.__setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is LaurentFraction else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"LaurentFraction(num={self.num!r}, den={self.den!r})"
 
     @classmethod
     def infinity(cls) -> LaurentFraction:

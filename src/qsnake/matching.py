@@ -11,8 +11,7 @@ boxes from the cut on recovers its denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .laurent import ONE, LaurentPoly
 from .qrational import cf_even_form, cf_expand
@@ -82,13 +81,14 @@ def matching_weight_exp(g: SnakeGraph, m: Matching) -> int:
     return sum(g.weight_exp[e] for e in m)
 
 
-def prefix_statistics(g: SnakeGraph) -> list[LaurentPoly]:
+def prefix_statistics(g: SnakeGraph, keep=None) -> list[LaurentPoly | None]:
     """
     The statistic of every prefix in one linear pass: entry m (m = 0 ..
     sum(cf)) is that of the first m - 1 boxes, the snake of cf cut to sum m;
-    entries 0 (empty) and 1 (the lone unweighted edge) are 1.
+    entries 0 (empty) and 1 (the lone unweighted edge) are 1.  Given a set
+    keep, an entry whose m is not in it is None, and only the kept are held.
     """
-    return list(_prefix_statistics(g))
+    return [x if keep is None or m in keep else None for m, x in enumerate(_prefix_statistics(g))]
 
 
 def _prefix_statistics(g: SnakeGraph) -> Iterator[LaurentPoly]:
@@ -156,8 +156,7 @@ def denominator_via_matchings(r: int, s: int) -> LaurentPoly:
     return tail.shifted(scalar_exponent(cf))
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     """Outcome of checking the one-box-removal recurrence on a snake."""
 
     cf: tuple[int, ...]

@@ -64,13 +64,13 @@ mirror.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 from struct import iter_unpack
 from sys import byteorder
+from typing import NamedTuple
 
 from .laurent import ONE, ZERO, LaurentFraction, LaurentPoly
 
@@ -441,8 +441,7 @@ def q_rational(r: int, s: int) -> LaurentFraction:
     return q_matrix_eval(cf_expand(r, s))
 
 
-@dataclass(frozen=True)
-class RouteTable:
+class RouteTable(NamedTuple):
     """
     Every route to one deformed rational: the full fractions keyed by route
     name (``matrix``, ``nested-fraction``, ``recurrence-map``), the

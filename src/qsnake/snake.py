@@ -24,9 +24,10 @@ vertices and the colors are derived from it when a reader asks for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
+
+from .laurent import LaurentPoly
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -86,7 +87,6 @@ def weighted_sides(boxes: tuple[Box, ...]) -> Iterator[Edge]:
         y_before = y
 
 
-@dataclass(frozen=True)
 class SnakeGraph:
     """
     A weighted snake graph embedded in the grid, built by ``snake_graph``:
@@ -97,7 +97,19 @@ class SnakeGraph:
     edges, sorted, and the vertices (sorted) and the colors are read off it.
     """
 
-    exps: tuple[int, ...]
+    def __init__(self, exps: tuple[int, ...]):
+        vars(self)["exps"] = exps  # the cached properties share the instance dict
+
+    __setattr__ = __delattr__ = LaurentPoly.__setattr__
+
+    def __eq__(self, other):
+        return self.exps == other.exps if other.__class__ is SnakeGraph else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.exps)
+
+    def __repr__(self) -> str:
+        return f"SnakeGraph(exps={self.exps!r})"
 
     @cached_property
     def boxes(self) -> tuple[Box, ...]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .kasteleyn import kasteleyn_report
 from .matching import case_recurrences_check, matching_stat_dp, prefix_statistics, scalar_exponent
@@ -24,8 +24,7 @@ from .snake import SnakeGraph, snake_graph
 CHECK_NAMES = ("routes", "theorem", "counts", "kasteleyn", "cases")
 
 
-@dataclass(frozen=True)
-class PairResult:
+class PairResult(NamedTuple):
     r: int
     s: int
     passed: dict[str, bool]
@@ -43,15 +42,16 @@ def coprime_pairs(max_r: int) -> Iterator[tuple[int, int]]:
 
 def check_pair(pair: tuple[int, int]) -> PairResult:
     """
-    Every check on one pair, from one continued fraction, one route table
-    and one snake with its prefix statistics.  The Kasteleyn report gives
-    both the theorem check and the kasteleyn check (det = (-1)^sum(cf) stat).
+    Every check on one pair, from one continued fraction, one route table,
+    one snake and three of its prefix statistics.  The Kasteleyn report
+    gives the theorem check and the kasteleyn check (det = (-1)^sum(cf) stat).
     """
     r, s = pair
     cf = cf_expand(r, s)
     routes = all_routes(cf)
     g = snake_graph(cf)
-    stats = prefix_statistics(g)
+    n = sum(cf)  # the case check reads prefixes n, n - 1 and, cf being canonical, n - cf[-1]
+    stats = prefix_statistics(g, keep={n - 1, n, n - cf[-1]})
     stat = stats[-1]
     kasteleyn = kasteleyn_report(cf, g, stat, routes.fractions["matrix"].num)
 

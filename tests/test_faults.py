@@ -14,8 +14,6 @@ only ``theorem`` and ``counts`` see it.  Add a row whenever a check or a
 kernel is added.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from qsnake import kasteleyn, matching, qrational, verify
@@ -119,7 +117,8 @@ def last_row_sign_flipped(build):
         m = build(g)
         *head, last = m.band
         *entries, (k, sign, exp) = last
-        return replace(m, band=(*head, (*entries, (k, -sign, exp))))
+        return kasteleyn.KasteleynMatrix((*head, (*entries, (k, -sign, exp))),
+                                         m.black_order, m.white_order)
     return fault
 
 

@@ -47,6 +47,19 @@ def test_no_indented_json_dumps():
     assert SOURCES and not found, found
 
 
+def test_no_dataclasses_import():
+    # a frozen dataclass execs generated source for each of its methods when
+    # its module is imported, and dataclasses imports inspect; the records
+    # are NamedTuples or small classes written out
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Import)
+                 and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")]
+    assert SOURCES and not found, found
+
+
 def test_no_struct_format_grown_per_call():
     # struct caches every format it compiles, so a format that grows with
     # its input, such as f"{w}s" * n, keeps one compiled format per size:
@@ -82,6 +95,20 @@ def test_import_loads_no_test_helpers():
     code = ("import sys, qsnake, qsnake.cli, qsnake.verify; "
             "print(sorted({m.split('.')[0] for m in sys.modules}"
             " & {'sympy', 'hypothesis', 'oracles'}))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_import_loads_no_dataclasses_inspect_or_render():
+    # what a one-shot command pays for at start-up: only `snake` reads the
+    # render module, and no record is built by dataclasses; measured against
+    # the modules a fresh interpreter holds before qsnake is imported
+    code = ("import sys; before = set(sys.modules); "
+            "import qsnake, qsnake.cli, qsnake.verify; "
+            "print(sorted((set(sys.modules) - before)"
+            " & {'dataclasses', 'inspect', 'qsnake.render'}))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)

@@ -4,7 +4,6 @@ results folded in one pass into the summary and the exit code."""
 
 import math
 import tracemalloc
-from dataclasses import replace
 from functools import cached_property
 
 import qsnake.kasteleyn
@@ -114,7 +113,7 @@ def check_pair_failing_from_9_on(pair):
     failed = {"theorem": False} if pair[0] % 9 == 0 else {}
     if pair[0] == 18:
         failed["kasteleyn"] = False
-    return replace(result, passed={**result.passed, **failed})
+    return result._replace(passed={**result.passed, **failed})
 
 
 def test_first_failure_exits_1_with_the_same_bytes_for_any_jobs(capsys, monkeypatch):
