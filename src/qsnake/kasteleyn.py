@@ -7,7 +7,7 @@ the band, each row's nonzero entries as (column offset, sign, exponent), in
 memory linear in the box count.  The determinant is a Laplace expansion along
 that band which applies each entry as a shift by its exponent and folds its
 sign into the inversion parity, so it multiplies no polynomials.  It equals
-(-1)^sum(cf) times the weighted matching statistic (observed, not proved).
+``kasteleyn_sign`` times the matching statistic (observed, not proved).
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .laurent import ONE, ZERO, LaurentPoly
-from .matching import matching_stat_dp, scalar_exponent
-from .qrational import CF, cf_expand, q_matrix_eval
+from .matching import matching_stat_dp, scalar_exponent, snake_fraction
+from .qrational import cf_expand, q_matrix_eval
 from .snake import SnakeGraph, snake_graph
 
 # Row i of a band: its nonzero entries as (k, sign, exponent), the entry
@@ -30,11 +30,8 @@ def number_vertices(g: SnakeGraph) -> tuple[list, list]:
     SW, SE, NW, NE corners inside each box, numbering each color by first
     appearance.  This keeps the matrix 4-diagonal.
     """
-    if g.boxes:
-        corners = dict.fromkeys([v for x, y in g.boxes
-                                 for v in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))])
-    else:
-        corners = g.vertices
+    corners = dict.fromkeys([v for x, y in g.boxes for v in
+                             ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))]) or g.vertices
     black = [v for v in corners if g.is_black(v)]
     white = [v for v in corners if not g.is_black(v)]
     return black, white
@@ -78,23 +75,20 @@ class KasteleynMatrix:
 
 def kasteleyn_matrix(g: SnakeGraph) -> KasteleynMatrix:
     """
-    Entry (i, j) is +weight for an edge oriented from black i to white j,
-    -weight for one oriented white j to black i, 0 when not adjacent.  One
-    pass over the edges; raises ValueError if an edge falls outside the band.
+    Entry (i, j) is +q^k for an edge of weight q^k != 1 between black i and
+    white j, -1 for one of weight 1 (``SnakeGraph.arrow``), 0 when not
+    adjacent.  One pass over the edges; raises ValueError if an edge falls
+    outside the band.
     """
     black, white = number_vertices(g)
     row_of = {v: i for i, v in enumerate(black)}
     col_of = {v: j for j, v in enumerate(white)}
     rows: list[list] = [[] for _ in black]
-    for e, exp in g.weight_exp.items():
-        tail, head = g.arrow(e)
-        if g.is_black(tail):
-            i, j, sign = row_of[tail], col_of[head], 1
-        else:
-            i, j, sign = row_of[head], col_of[tail], -1
+    for (u, v), exp in g.weight_exp.items():
+        i, j = (row_of[u], col_of[v]) if g.is_black(u) else (row_of[v], col_of[u])
         if abs(i - j) > 2:
-            raise ValueError(f"edge {e} is entry ({i}, {j}), outside the band |i - j| <= 2")
-        rows[i].append((j - i + 2, sign, exp))
+            raise ValueError(f"edge {(u, v)} is entry ({i}, {j}), outside the band |i - j| <= 2")
+        rows[i].append((j - i + 2, 1 if exp else -1, exp))
     return KasteleynMatrix(tuple([tuple(row) for row in rows]),
                            tuple(black), tuple(white))
 
@@ -175,21 +169,26 @@ def verify_kasteleyn(r: int, s: int) -> KasteleynReport:
     """Build the snake of r/s, its statistic and numerator, and report on them."""
     cf = cf_expand(r, s)
     g = snake_graph(cf)
-    return kasteleyn_report(cf, g, matching_stat_dp(g), q_matrix_eval(cf).num)
+    stat = matching_stat_dp(g)
+    return kasteleyn_report(g, stat, snake_fraction(g, stat)[0], q_matrix_eval(cf).num)
 
 
-def kasteleyn_report(cf: CF, g: SnakeGraph, stat: LaurentPoly,
-                     num: LaurentPoly) -> KasteleynReport:
+def kasteleyn_sign(g: SnakeGraph) -> int:
+    """det / statistic, (-1)^(boxes + 1): + exactly when the box count is odd."""
+    return (-1) ** (len(g.exps) + 1)
+
+
+def kasteleyn_report(g: SnakeGraph, stat: LaurentPoly, num: LaurentPoly,
+                     expected: LaurentPoly) -> KasteleynReport:
     """
-    For the snake g of the continued fraction cf, with matching statistic
-    stat and the numerator num of its deformation: det must equal
-    (-1)^sum(cf) times the statistic, q^n times the statistic the numerator.
+    For the snake g with statistic stat, the numerator num it gives
+    (``snake_fraction``) and the one expected, which the report keeps: det
+    must be kasteleyn_sign(g) stat, and num the expected numerator.
     """
     mat = kasteleyn_matrix(g)
     det = det_exact(mat)
     sign = 1 if det == stat else (-1 if -det == stat else 0)
-    n = scalar_exponent(cf)
     return KasteleynReport(matrix=mat, det=det, statistic=stat, sign=sign,
-                           scalar=n, numerator=num,
-                           det_matches_statistic=sign == (-1) ** sum(cf),
-                           scaled_matches_numerator=stat.shifted(n) == num)
+                           scalar=scalar_exponent(g), numerator=expected,
+                           det_matches_statistic=sign == kasteleyn_sign(g),
+                           scaled_matches_numerator=num == expected)

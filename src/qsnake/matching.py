@@ -3,10 +3,10 @@
 The generating function M(G) = sum over perfect matchings of the product of
 edge weights is computed by a linear two-term sweep along the box path; the
 ``matchings`` command lists the matchings themselves, by an exhaustive
-backtracking enumeration.  Scaling by the power q^n, with n read off the
-even-length continued fraction, recovers the numerator polynomial of the
-deformed rational, and the same power times the statistic of the snake's
-boxes from the cut on recovers its denominator.
+backtracking enumeration.  ``snake_fraction`` scales it by q^n, n the
+number of boxes weighted 1/q, to the numerator of the deformed rational,
+and the statistic of the boxes from the first such box on to its
+denominator.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .laurent import ONE, LaurentPoly
-from .qrational import cf_even_form, cf_expand
+from .qrational import cf_expand
 from .snake import Edge, SnakeGraph, Vertex, snake_graph
 
 Matching = tuple[Edge, ...]
@@ -122,38 +122,49 @@ def matching_stat_dp(g: SnakeGraph) -> LaurentPoly:
     return stat
 
 
-def scalar_exponent(cf: tuple[int, ...]) -> int:
-    """Sum of the even-position coefficients of the even-length form, minus 1."""
-    even = cf_even_form(cf)
-    return sum(even[1::2]) - 1
+def scalar_exponent(g: SnakeGraph) -> int:
+    """n, the power of q that scales the statistic to the numerator: the boxes
+    weighted 1/q, one per '+' sign but the last, which builds no box, so the
+    sum of the even-length form's even-position quotients, minus 1."""
+    return g.exps.count(-1)
+
+
+def denominator_cut(g: SnakeGraph) -> int:
+    """The first box of the denominator's suffix: the first box weighted 1/q,
+    box a1 of [a1, ..., ak], or past the last box for an integer."""
+    return g.exps.index(-1) if -1 in g.exps else len(g.exps)
+
+
+def snake_fraction(g: SnakeGraph, stat: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """
+    The numerator and denominator of the rational whose snake is g, from its
+    statistic stat: q^n stat and q^n M(boxes from the cut on), n and the cut
+    as above.  Two polynomials: a ``LaurentFraction`` would hide a wrong n.
+
+    An integer has n = 0 and an empty suffix.  Else the cut is box a1, and
+    [x + 1]_q = q [x]_q + 1, [1/x]_q = 1/[x]_(1/q) (Morier-Genoud and
+    Ovsienko, 2020) give [r/s]_q = [a1]_q + q^a1 / [t]_(1/q), t = [a2..ak].
+    With [t]_q = P/Q reduced, that is ([a1]_q P(1/q) + q^a1 Q(1/q)) / P(1/q),
+    reduced too (a common factor divides q^a1 Q(1/q)), so the denominator is
+    P(1/q) times a unit.  The snake of t is the suffix with every exponent
+    negated, which takes M(q) to M(1/q), and by the theorem for t, P = q^n'
+    M(snake of t), n' the suffix's q boxes.  So the denominator is q^j
+    M(suffix), with j = deg P - n' = sum(t) - 1 - n' (Morier-Genoud and
+    Ovsienko), the suffix's 1/q boxes: all n of g's, as none precede the cut.
+    """
+    n = scalar_exponent(g)
+    tail = matching_stat_dp(SnakeGraph(g.exps[denominator_cut(g):]))
+    return stat.shifted(n), tail.shifted(n)
 
 
 def numerator_via_matchings(r: int, s: int) -> LaurentPoly:
-    """q^n times the statistic of the snake of r/s; equals the numerator."""
-    cf = cf_expand(r, s)
-    return matching_stat_dp(snake_graph(cf)).shifted(scalar_exponent(cf))
+    """The numerator of [r/s]_q from the snake of r/s (``snake_fraction``)."""
+    return snake_fraction(g := snake_graph(cf_expand(r, s)), matching_stat_dp(g))[0]
 
 
 def denominator_via_matchings(r: int, s: int) -> LaurentPoly:
-    """
-    q^n times the statistic of the snake of r/s = [a1..ak] from box a on,
-    n as for the numerator and a = cf_even_form(cf)[0]: the denominator.
-
-    For k = 1 the cut is past the last box and n = 0.  For k >= 2, a = a1;
-    [x + 1]_q = q [x]_q + 1 and [1/x]_q = 1/[x]_(1/q) (Morier-Genoud and
-    Ovsienko, 2020) give [r/s]_q = [a1]_q + q^a1 / [t]_(1/q), t = [a2..ak].
-    With [t]_q = P/Q reduced, that is ([a1]_q P(1/q) + q^a1 Q(1/q)) / P(1/q),
-    reduced too (a common factor divides q^a1 Q(1/q)), so the denominator
-    is P(1/q) times a unit.  The snake of t is the boxes from the cut on
-    with every exponent negated, which takes M(q) to M(1/q), and by the
-    theorem for t, P = q^n' M(snake of t) with n' = scalar_exponent(t).  So
-    the denominator is q^j M(boxes from the cut on), its coefficients all
-    positive, with j = deg P - n' = sum(t) - 1 - n' (Morier-Genoud and
-    Ovsienko), which is n: the even forms give n + n' = sum(t) - 1.
-    """
-    cf = cf_expand(r, s)
-    tail = matching_stat_dp(SnakeGraph(snake_graph(cf).exps[cf_even_form(cf)[0]:]))
-    return tail.shifted(scalar_exponent(cf))
+    """The denominator of [r/s]_q from the snake of r/s (``snake_fraction``)."""
+    return snake_fraction(g := snake_graph(cf_expand(r, s)), matching_stat_dp(g))[1]
 
 
 class CaseReport(NamedTuple):
@@ -169,27 +180,28 @@ class CaseReport(NamedTuple):
     factor_exp: int | None = None
 
 
-def case_recurrences_check(cf: tuple[int, ...], stats: list[LaurentPoly]) -> CaseReport:
+def case_recurrences_check(cf: tuple[int, ...], g: SnakeGraph) -> CaseReport:
     """
-    Verify the applicable removal recurrence on the snake of cf (either
-    parity form, both build the same snake) from its prefix statistics
-    stats: the shorter and truncated snakes are prefixes of the whole one.
-    With k coefficients and canonical a_k >= 2:
+    The statistic ``whole`` of the snake g of cf (either parity form), and
+    the applicable removal recurrence on it: the shorter and truncated
+    snakes are prefixes, so one DP pass gives the three, and holds only
+    them.  With k coefficients and canonical a_k >= 2:
 
       k even:  M([a1..ak]) = M([a1..ak - 1]) + q^(1-ak) * M([a1..a(k-1)])
       k odd:   M([a1..ak]) = M([a1..ak - 1]) + q^(ak-1) * M([a1..a(k-1)])
 
     where the truncated word for k = 1 is the empty snake with statistic 1.
     """
-    if sum(cf) < 3:
-        return CaseReport(cf=cf, applicable=False)
     if len(cf) >= 2 and cf[-1] == 1:  # recurrence needs the canonical a_k >= 2
         cf = cf[:-2] + (cf[-2] + 1,)
+    m = sum(cf)
+    stats = prefix_statistics(g, keep={m, m - 1, m - cf[-1]})
+    whole = stats[-1]
+    if m < 3:
+        return CaseReport(cf=cf, applicable=False, whole=whole)
     k = len(cf)
-    whole, shorter = stats[-1], stats[-2]
-    truncated = stats[sum(cf) - cf[-1]]
+    shorter, truncated = stats[-2], stats[m - cf[-1]]
     factor_exp = (1 - cf[-1]) if k % 2 == 0 else (cf[-1] - 1)
-    rhs = shorter + truncated.shifted(factor_exp)
     return CaseReport(cf=cf, applicable=True, case=1 if k % 2 == 0 else 2,
-                      holds=(whole == rhs), whole=whole, shorter=shorter,
-                      truncated=truncated, factor_exp=factor_exp)
+                      holds=whole == shorter + truncated.shifted(factor_exp), whole=whole,
+                      shorter=shorter, truncated=truncated, factor_exp=factor_exp)

@@ -104,18 +104,6 @@ def cf_value(cf: CF) -> Fraction:
     return Fraction(num, den)
 
 
-def cf_even_form(cf: CF) -> CF:
-    """Equivalent expansion of even length, via [.., ak] = [.., ak - 1, 1]."""
-    if len(cf) % 2 == 0:
-        return cf
-    if cf[-1] >= 2:
-        return cf[:-1] + (cf[-1] - 1, 1)
-    if len(cf) >= 2:
-        return cf[:-2] + (cf[-2] + 1,)
-    # the integer 1: the even form [0, 1] keeps the value with a leading zero
-    return (0, 1)
-
-
 def q_int(n: int) -> LaurentPoly:
     """The q-integer 1 + q + ... + q^(n-1)."""
     if n < 0:

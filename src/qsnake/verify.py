@@ -1,11 +1,10 @@
 """Sweep harness checking every identity on every coprime pair up to a bound.
 
-Per pair: the four computation routes agree, the scaled matching statistic
-equals the numerator, the q = 1 counts give back r and s and the snake's
-boxes from the cut on, scaled by the same q^n, give the denominator, the
-Kasteleyn determinant is (-1)^sum(cf) times the statistic, and the one-box
-removal recurrence holds.  Pairs are independent, so the sweep can fan out
-over processes; either way one pass folds the results, in (r, s) order.
+Per pair: the four routes agree, the snake gives the numerator and the
+denominator (``snake_fraction``), the q = 1 counts give back r and s, the
+Kasteleyn determinant is ``kasteleyn_sign`` times the statistic, and the
+one-box removal recurrence holds.  Pairs are independent, so the sweep can
+fan out over processes; either way one pass folds the results in (r, s) order.
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ from itertools import islice
 from typing import NamedTuple
 
 from .kasteleyn import kasteleyn_report
-from .matching import case_recurrences_check, matching_stat_dp, prefix_statistics, scalar_exponent
-from .qrational import all_routes, cf_even_form, cf_expand
-from .snake import SnakeGraph, snake_graph
+from .matching import case_recurrences_check, snake_fraction
+from .qrational import all_routes, cf_expand
+from .snake import snake_graph
 
 CHECK_NAMES = ("routes", "theorem", "counts", "kasteleyn", "cases")
 
@@ -43,33 +42,25 @@ def coprime_pairs(max_r: int) -> Iterator[tuple[int, int]]:
 def check_pair(pair: tuple[int, int]) -> PairResult:
     """
     Every check on one pair, from one continued fraction, one route table,
-    one snake and three of its prefix statistics.  The Kasteleyn report
-    gives the theorem check and the kasteleyn check (det = (-1)^sum(cf) stat).
+    one snake and the three prefix statistics the case check reads, the
+    whole snake's among them, and one statistic of the denominator's suffix.
     """
     r, s = pair
     cf = cf_expand(r, s)
     routes = all_routes(cf)
+    fraction = routes.fractions["matrix"]
     g = snake_graph(cf)
-    n = sum(cf)  # the case check reads prefixes n, n - 1 and, cf being canonical, n - cf[-1]
-    stats = prefix_statistics(g, keep={n - 1, n, n - cf[-1]})
-    stat = stats[-1]
-    kasteleyn = kasteleyn_report(cf, g, stat, routes.fractions["matrix"].num)
-
-    # the snake's boxes from the cut on count s, and q^n times their
-    # statistic is the denominator (proved in denominator_via_matchings)
-    tail = matching_stat_dp(SnakeGraph(g.exps[cf_even_form(cf)[0]:]))
-    counts_ok = (stat.eval_at_one() == r and tail.eval_at_one() == s
-                 and tail.shifted(scalar_exponent(cf)) == routes.fractions["matrix"].den)
-
-    case = case_recurrences_check(cf, stats)
-    cases_ok = case.holds if case.applicable else True
-
+    case = case_recurrences_check(cf, g)
+    stat = case.whole
+    num, den = snake_fraction(g, stat)
+    kasteleyn = kasteleyn_report(g, stat, num, fraction.num)
     return PairResult(r=r, s=s, cases_applicable=case.applicable,
                       passed={"routes": routes.agree,
                               "theorem": kasteleyn.scaled_matches_numerator,
-                              "counts": counts_ok,
+                              "counts": (stat.eval_at_one() == r and den.eval_at_one() == s
+                                         and den == fraction.den),
                               "kasteleyn": kasteleyn.det_matches_statistic,
-                              "cases": cases_ok})
+                              "cases": not case.applicable or case.holds})
 
 
 def run_sweep(max_r: int, jobs: int = 1) -> Iterator[PairResult]:

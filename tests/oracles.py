@@ -133,6 +133,30 @@ def _fib_family(n: int, seeds: list[LaurentPoly]) -> list[LaurentPoly]:
 
 # -- continued fractions -----------------------------------------------------
 
+def cf_even_form(cf: tuple[int, ...]) -> tuple[int, ...]:
+    """
+    Equivalent expansion of even length, via [.., ak] = [.., ak - 1, 1]; the
+    integer 1 becomes [0, 1].  Its first entry is where the denominator's
+    suffix of the snake starts: a reference for ``denominator_cut``.
+    """
+    if len(cf) % 2 == 0:
+        return cf
+    if cf[-1] >= 2:
+        return cf[:-1] + (cf[-1] - 1, 1)
+    if len(cf) >= 2:
+        return cf[:-2] + (cf[-2] + 1,)
+    return (0, 1)
+
+
+def scalar_exponent_reference(cf: tuple[int, ...]) -> int:
+    """
+    The scaling exponent n as the continued fraction gives it: the sum of
+    the even-position entries of the even-length form, minus 1.  A
+    reference for ``scalar_exponent``, which counts the snake's 1/q boxes.
+    """
+    return sum(cf_even_form(cf)[1::2]) - 1
+
+
 def cf_odd_form(cf: tuple[int, ...]) -> tuple[int, ...]:
     """Equivalent expansion of odd length, via [.., ak] = [.., ak - 1, 1]."""
     if len(cf) % 2 == 1:

@@ -12,8 +12,7 @@ from qsnake.kasteleyn import (det_exact, kasteleyn_matrix, leading_minors,
                               verify_kasteleyn)
 from qsnake.laurent import ONE, ZERO, LaurentFraction, LaurentPoly
 from qsnake.matching import (case_recurrences_check, denominator_via_matchings,
-                             matching_stat_dp, numerator_via_matchings,
-                             prefix_statistics)
+                             matching_stat_dp, numerator_via_matchings)
 from qsnake.qrational import (cf_expand, fibonacci_families, fibonacci_number,
                               q_int, q_rational)
 from qsnake.snake import snake_graph
@@ -157,7 +156,7 @@ def test_criterion_9_case_recurrences():
     ok = True
     for r, s in PAIRS_60:
         cf = cf_expand(r, s)
-        rep = case_recurrences_check(cf, prefix_statistics(snake_graph(cf)))
+        rep = case_recurrences_check(cf, snake_graph(cf))
         if rep.applicable:
             applicable += 1
             ok = ok and rep.holds

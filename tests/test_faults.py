@@ -75,10 +75,14 @@ def last_box_negated(exps):
     return exps
 
 
-def cut_one_box_late(even_form):
-    # the first quotient of the even form, where the denominator's suffix
-    # of the snake starts, read one too high
-    return lambda cf: (even_form(cf)[0] + 1, *even_form(cf)[1:])
+def cut_one_box_late(cut):
+    # the first box of the denominator's suffix of the snake one too far on
+    return lambda g: cut(g) + 1
+
+
+def one_more(scalar_exponent):
+    # n, the power of q that scales both statistics, one too high
+    return lambda g: scalar_exponent(g) + 1
 
 
 def bottom_slot_bumped_once(kernel):
@@ -157,10 +161,12 @@ FAULTS = [
      {"theorem", "counts", "cases"}),
     ("snake-last-box-negated", verify, "snake_graph", snake_built(last_box_negated),
      {"theorem", "counts", "cases"}),
-    ("tail-snake-mirrored", verify, "matching_stat_dp", dp_reads(mirrored),
+    ("tail-snake-mirrored", matching, "matching_stat_dp", dp_reads(mirrored),
      {"counts"}),
-    ("tail-cut-one-box-late", verify, "cf_even_form", cut_one_box_late,
+    ("tail-cut-one-box-late", matching, "denominator_cut", cut_one_box_late,
      {"counts"}),
+    ("scalar-exponent-one-more", matching, "scalar_exponent", one_more,
+     {"theorem", "counts"}),
     ("product-kernel-extra-top-slot", qrational, "_times_qint_mul", extra_top_slot,
      {"routes"}),
     ("product-kernel-bottom-slot-bumped-once", qrational, "_times_qint_mul",

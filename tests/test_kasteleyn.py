@@ -8,7 +8,7 @@ from qsnake.kasteleyn import (KasteleynMatrix, det_exact, kasteleyn_matrix,
                               kasteleyn_report, leading_minors, number_vertices,
                               verify_kasteleyn)
 from qsnake.laurent import LaurentPoly, ONE, ZERO
-from qsnake.matching import matching_stat_dp
+from qsnake.matching import matching_stat_dp, snake_fraction
 from qsnake.qrational import (cf_expand, fibonacci_families, fibonacci_number, q_int,
                               q_matrix_eval)
 from qsnake.snake import SnakeGraph, snake_graph
@@ -194,13 +194,34 @@ def test_band_equals_dense_matrix():
         assert sum(len(row) for row in mat.band) == len(g.weight_exp)
 
 
+def test_band_sign_is_the_arrow_orientation():
+    # the matrix signs an entry by its weight alone, +1 on a weighted edge
+    # and -1 on any other; that must be the canonical orientation: + exactly
+    # on an edge whose arrow runs black -> white, for every edge of every
+    # snake with r <= 100
+    for r, s in _coprime(100):
+        g = snake_graph(cf_expand(r, s))
+        mat = kasteleyn_matrix(g)
+        row_of = {v: i for i, v in enumerate(mat.black_order)}
+        col_of = {v: j for j, v in enumerate(mat.white_order)}
+        signs = {(i, i - 2 + k): sign for i, row in enumerate(mat.band) for k, sign, _ in row}
+        assert len(signs) == len(g.weight_exp), (r, s)
+        for e in g.weight_exp:
+            tail, head = g.arrow(e)
+            if g.is_black(tail):
+                assert signs[row_of[tail], col_of[head]] == 1, (r, s, e)
+            else:
+                assert signs[row_of[head], col_of[tail]] == -1, (r, s, e)
+
+
 def test_determinant_multiplies_no_polynomials(monkeypatch):
     # each entry +-q^k is applied as a shift by k and a sign
     cases = []
     for r, s in _coprime(30):
         cf = cf_expand(r, s)
         g = snake_graph(cf)
-        args = (cf, g, matching_stat_dp(g), q_matrix_eval(cf).num)
+        stat = matching_stat_dp(g)
+        args = (g, stat, snake_fraction(g, stat)[0], q_matrix_eval(cf).num)
         cases.append((args, kasteleyn_report(*args)))
     strip = _strip_dets(40)
 
@@ -210,7 +231,7 @@ def test_determinant_multiplies_no_polynomials(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
     monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
     for args, before in cases:
-        assert kasteleyn_report(*args) == before, args[0]
+        assert kasteleyn_report(*args) == before, args[0].exps
     assert _strip_dets(40) == strip
 
 

@@ -5,16 +5,18 @@ import pytest
 
 from qsnake import matching
 from qsnake.laurent import LaurentPoly, ONE
-from qsnake.matching import (CaseReport, case_recurrences_check,
+from qsnake.kasteleyn import kasteleyn_sign
+from qsnake.matching import (CaseReport, case_recurrences_check, denominator_cut,
                              denominator_via_matchings,
                              enumerate_matchings, matching_stat_dp,
                              matching_weight_exp,
                              numerator_via_matchings, prefix_statistics,
-                             scalar_exponent)
-from qsnake.qrational import cf_expand, fibonacci_number, q_rational
+                             scalar_exponent, snake_fraction)
+from qsnake.qrational import cf_expand, fibonacci_number, q_matrix_eval, q_rational
 from qsnake.snake import SnakeGraph, snake_graph
 
-from oracles import denominator_snake, matching_stat
+from oracles import (cf_even_form, cf_odd_form, denominator_snake, matching_stat,
+                     scalar_exponent_reference)
 
 
 def lp(min_deg, *coeffs):
@@ -153,12 +155,49 @@ def test_dp_fibonacci_long_strip():
 
 
 def test_scalar_exponent():
-    assert scalar_exponent((2, 2)) == 1
-    assert scalar_exponent((2, 2, 2, 2)) == 3
-    assert scalar_exponent((4, 3)) == 2
-    assert scalar_exponent((7,)) == 0
-    assert scalar_exponent((1,)) == 0
-    assert scalar_exponent((1, 1, 3)) == 1
+    for cf, n in [((2, 2), 1), ((2, 2, 2, 2), 3), ((4, 3), 2), ((7,), 0), ((1,), 0),
+                  ((1, 1, 3), 1)]:
+        assert scalar_exponent(snake_graph(cf)) == scalar_exponent_reference(cf) == n, cf
+
+
+def test_snake_rules_match_the_even_form():
+    # n is the count of 1/q boxes, the cut the first of them (past the last
+    # box for an integer) and the Kasteleyn sign (-1)^(boxes + 1): each read
+    # off the exponents, against its continued-fraction reference, in every
+    # form of every coprime pair with r <= 300 and of the integer 1
+    words = [(1,)] + [cf_expand(r, s) for r in range(2, 301)
+                      for s in range(1, r) if math.gcd(r, s) == 1]
+    assert len(words) == 27398
+    for cf in words:
+        for form in (cf, cf_even_form(cf), cf_odd_form(cf)):
+            g = snake_graph(form)
+            assert scalar_exponent(g) == scalar_exponent_reference(form), form
+            assert denominator_cut(g) == cf_even_form(form)[0], form
+            assert kasteleyn_sign(g) == (-1) ** sum(form), form
+
+
+def test_snake_fraction_of_every_short_word():
+    # every exponent word of 1 to 12 boxes starting with +1, its continued
+    # fraction read off its runs of equal exponents (the last run one longer,
+    # for the last sign, which builds no box): the snake alone gives the
+    # numerator and the denominator of the matrix route
+    count = 0
+    for boxes in range(1, 13):
+        for bits in range(2 ** (boxes - 1)):
+            exps = (1,) + tuple([-1 if bits >> i & 1 else 1 for i in range(boxes - 1)])
+            runs = [1]
+            for before, e in zip(exps, exps[1:]):
+                if e == before:
+                    runs[-1] += 1
+                else:
+                    runs.append(1)
+            cf = tuple(runs[:-1]) + (runs[-1] + 1,)
+            g = SnakeGraph(exps)
+            assert snake_graph(cf) == g, exps
+            fraction = q_matrix_eval(cf)
+            assert snake_fraction(g, matching_stat_dp(g)) == (fraction.num, fraction.den), cf
+            count += 1
+    assert count == 2 ** 12 - 1
 
 
 def test_numerator_via_matchings():
@@ -206,11 +245,13 @@ def test_tail_snake_is_the_mirror_of_the_denominator():
         cf = cf_expand(r, s)
         if len(cf) < 2:
             continue
-        tail = matching_stat_dp(denominator_snake(cf)).shifted(scalar_exponent(cf[1:]))
+        tail_snake = denominator_snake(cf)
+        tail = matching_stat_dp(tail_snake).shifted(scalar_exponent(tail_snake))
         den = q_rational(r, s).den
         assert tail == den.mirror(den.top_deg), (r, s)
         # n + n' is the degree of the denominator
-        assert scalar_exponent(cf) + scalar_exponent(cf[1:]) == den.top_deg == sum(cf[1:]) - 1
+        n = scalar_exponent(snake_graph(cf))
+        assert n + scalar_exponent(tail_snake) == den.top_deg == sum(cf[1:]) - 1
         if tail == den:
             equal += 1
         if den == den.mirror(den.top_deg):
@@ -220,15 +261,19 @@ def test_tail_snake_is_the_mirror_of_the_denominator():
 
 
 def cases_check(cf):
-    return case_recurrences_check(cf, prefix_statistics(snake_graph(cf)))
+    return case_recurrences_check(cf, snake_graph(cf))
 
 
-def test_case_recurrences_examples():
+def test_case_recurrences_examples(monkeypatch):
     rep = cases_check((2, 2))
     assert rep.applicable and rep.case == 1 and rep.holds
     assert rep.whole == lp(-1, 1, 2, 1, 1)
-    stats = prefix_statistics(snake_graph((2, 2)))
-    assert not case_recurrences_check((2, 2), stats[:-1] + [stats[-1] + ONE]).holds
+    with monkeypatch.context() as m:
+        # the whole snake's statistic one too high
+        real = prefix_statistics
+        m.setattr(matching, "prefix_statistics",
+                  lambda g, keep=None: [*real(g, keep)[:-1], real(g, keep)[-1] + ONE])
+        assert not cases_check((2, 2)).holds
     rep = cases_check((4, 3))
     assert rep.case == 1 and rep.holds
     # the odd form of 13/3 builds the same snake, and is canonicalized
@@ -249,7 +294,8 @@ def test_case_reports_match_separately_built_snakes():
         cf = cf_expand(r, s)
         rep = cases_check(cf)
         if sum(cf) < 3:
-            assert rep == CaseReport(cf=cf, applicable=False), (r, s)
+            whole = matching_stat_dp(snake_graph(cf))
+            assert rep == CaseReport(cf=cf, applicable=False, whole=whole), (r, s)
             continue
         if len(cf) >= 2 and cf[-1] == 1:
             cf = cf[:-2] + (cf[-2] + 1,)

@@ -20,7 +20,7 @@ from qsnake.qrational import (all_routes, cf_expand, cf_matrix_column, cf_value,
                               q_map_general)
 from qsnake.snake import snake_graph
 
-from oracles import qmatrix_det, reduced, times_qint_add
+from oracles import qmatrix_det, reduced, scalar_exponent_reference, times_qint_add
 
 # reproducible and writes no example database
 REPRODUCIBLE = settings(derandomize=True, database=None, deadline=None)
@@ -51,7 +51,8 @@ def test_routes_and_matchings_agree(matrix_word_reference, pair):
     assert qmatrix_det(matrix_word_reference(cf)) == LaurentPoly.monomial(sum(cf))
     g = snake_graph(cf)
     stat = matching_stat_dp(g)
-    assert LaurentPoly.monomial(scalar_exponent(cf)) * stat == table.fractions["matrix"].num
+    assert scalar_exponent(g) == scalar_exponent_reference(cf)
+    assert LaurentPoly.monomial(scalar_exponent(g)) * stat == table.fractions["matrix"].num
     det = det_exact(kasteleyn_matrix(g))
     assert det in (stat, -stat)
 

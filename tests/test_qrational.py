@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from qsnake import laurent, qrational
 from qsnake.laurent import LaurentFraction, LaurentPoly, ONE, ZERO
-from qsnake.qrational import (_slot_bytes, _unpack, all_routes, cf_even_form,
-                              cf_expand, cf_matrix_column, cf_value, continuant_det,
+from qsnake.qrational import (_slot_bytes, _unpack, all_routes, cf_expand, cf_matrix_column, cf_value, continuant_det,
                               fibonacci_families, fibonacci_number, q_cf_eval,
                               q_continuant, q_int, q_map_general, q_matrix_eval,
                               q_rational)
 from qsnake.verify import check_pair
 
-from oracles import cf_odd_form, fibonacci_families_reference, qmatrix_det
+from oracles import cf_even_form, cf_odd_form, fibonacci_families_reference, qmatrix_det
 
 
 def lp(min_deg, *coeffs):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qsnake.kasteleyn import kasteleyn_matrix, verify_kasteleyn
 from qsnake.laurent import LaurentFraction, LaurentPoly
-from qsnake.matching import case_recurrences_check, prefix_statistics
+from qsnake.matching import case_recurrences_check
 from qsnake.qrational import all_routes, cf_expand
 from qsnake.snake import snake_graph
 from qsnake.verify import check_pair
@@ -69,7 +69,7 @@ def records(pair):
              (g, ("exps",)),
              (kasteleyn_matrix(g), ("band", "black_order", "white_order"))]
     found += [(x, type(x)._fields) for x in (
-        routes, case_recurrences_check(cf, prefix_statistics(g)),
+        routes, case_recurrences_check(cf, g),
         verify_kasteleyn(*pair), check_pair(pair))]
     return found
 

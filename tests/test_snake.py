@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from qsnake.qrational import cf_even_form, cf_expand
+from qsnake.qrational import cf_expand
 from qsnake.snake import box_edges, sign_sequence, snake_graph
 
-from oracles import box_path, cf_odd_form, colored_edges, denominator_snake, face_arrow_counts
+from oracles import (box_path, cf_even_form, cf_odd_form, colored_edges, denominator_snake,
+                     face_arrow_counts)
 
 SWEEP = [(r, s) for r in range(2, 41) for s in range(1, r) if math.gcd(r, s) == 1]
 

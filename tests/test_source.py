@@ -148,6 +148,24 @@ def test_no_private_names_imported_across_modules():
     assert SOURCES and not found, found
 
 
+def test_dimer_side_reads_the_snake_alone():
+    # n, the denominator's cut and the Kasteleyn sign are read off the
+    # snake's exponents: no Kasteleyn function takes a continued fraction,
+    # in matching only the removal recurrence does (it is stated on the
+    # quotients), and the even-length form lives in tests/oracles.py
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    takes_cf = {name: sorted(node.name for node in ast.walk(tree)
+                             if isinstance(node, ast.FunctionDef)
+                             and "cf" in [a.arg for a in ast.walk(node.args)
+                                          if isinstance(a, ast.arg)])
+                for name, tree in trees.items()}
+    assert takes_cf["kasteleyn.py"] == [], takes_cf["kasteleyn.py"]
+    assert takes_cf["matching.py"] == ["case_recurrences_check"], takes_cf["matching.py"]
+    defines = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "cf_even_form"]
+    assert not defines, defines
+
+
 def test_public_names_resolve():
     import qsnake
     missing = [name for name in qsnake.__all__ if not hasattr(qsnake, name)]

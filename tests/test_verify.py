@@ -6,7 +6,6 @@ import math
 import tracemalloc
 from functools import cached_property
 
-import qsnake.kasteleyn
 from qsnake import verify
 from qsnake.cli import main
 from qsnake.laurent import LaurentPoly
@@ -97,9 +96,14 @@ def test_check_pair_derives_the_boxes_of_one_snake(monkeypatch):
 
 
 def test_theorem_fault_fails_only_the_theorem_family(monkeypatch):
-    real = qsnake.kasteleyn.scalar_exponent
-    monkeypatch.setattr(qsnake.kasteleyn, "scalar_exponent",
-                        lambda cf: real(cf) + 1)
+    # the snake's numerator one power of q too high, its denominator right
+    real = verify.snake_fraction
+
+    def numerator_shifted(g, stat):
+        num, den = real(g, stat)
+        return num.shifted(1), den
+
+    monkeypatch.setattr(verify, "snake_fraction", numerator_shifted)
     result = check_pair((13, 3))
     assert [name for name in CHECK_NAMES if not result.passed[name]] == ["theorem"]
 
