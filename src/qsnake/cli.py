@@ -59,10 +59,10 @@ MAX_KASTELEYN_BOXES = 600
 # Largest snake `snake` draws as svg, tikz or json.  Those renders take time
 # and memory linear in the box count.  The json blob holds the boxes and
 # vertices whole and its edges as a generator, written one record at a
-# time: 10001/1, 20001/1 and 30001/1 took 0.5-0.6, 1.0-1.1 and 1.4-1.5 s of
-# user CPU and peaked at 32, 44 and 60 MiB, about 1.4 MiB per thousand
+# time: 10001/1, 20001/1 and 30001/1 took 0.7, 1.1-1.3 and 1.2-1.9 s of
+# user CPU and peaked at 25, 34 and 44 MiB, about 1 MiB per thousand
 # boxes (49, 76 and 105 MiB with the edge list built whole), on a shared
-# 2-core VM.  30001/1 peaked at 79 MiB as svg and 68 MiB as tikz.  The bound
+# 2-core VM.  30001/1 peaked at 64 MiB as svg and 52 MiB as tikz.  The bound
 # keeps the heaviest render below `compute` at MAX_CF_SUM.  The ascii render
 # has its own bound, render.MAX_ASCII_CELLS.
 MAX_RENDER_BOXES = 30_000

@@ -26,14 +26,12 @@ Band = tuple[tuple[tuple[int, int, int], ...], ...]
 
 def number_vertices(g: SnakeGraph) -> tuple[list, list]:
     """
-    Black and white vertex orders: sweep boxes along the path, visiting
-    SW, SE, NW, NE corners inside each box, numbering each color by first
-    appearance.  This keeps the matrix 4-diagonal.
+    Black and white vertex orders: the path-order vertices
+    (``SnakeGraph.corners``) split by color.  Each box adds one of each
+    color, so this keeps the matrix 4-diagonal.
     """
-    corners = dict.fromkeys([v for x, y in g.boxes for v in
-                             ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))]) or g.vertices
-    black = [v for v in corners if g.is_black(v)]
-    white = [v for v in corners if not g.is_black(v)]
+    black = [v for v in g.corners if g.is_black(v)]
+    white = [v for v in g.corners if not g.is_black(v)]
     return black, white
 
 

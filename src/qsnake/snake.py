@@ -4,10 +4,16 @@ A continued fraction [a1, ..., ak] determines a sign sequence of runs
 (-^a1, +^a2, -^a3, ...).  Box i comes from sign i, i < sum - 1, so both
 parity forms build the same snake: box 0 at (0, 0), box i glued above box
 i - 1 when sign i differs from the base sign, '-' for odd i and '+' for
-even i, and to its right otherwise.  Each box carries exactly one weighted
-edge, q or 1/q: its west side if glued above (box 0 counts as glued
-above), its south side if glued to the right; every other edge weighs 1.
-One weighted edge per box makes the canonical orientation below Kasteleyn.
+even i, and to its right otherwise.  The graph is one walk along the boxes
+from the edge (0, 0) - (1, 0), the north side under box 0; box 0 counts as
+glued above.  A box glued above takes the last north side as its south
+side and adds its NW and NE corners and its west, east and north sides; a
+box glued right takes the last east side as its west side and adds its SE
+and NE corners and its south, east and north sides.  So each box adds one
+black vertex, one white vertex and three edges, and one weighted edge, q or
+1/q: its west side if glued above, its south side if glued right; every
+other edge weighs 1.  One weighted edge per box makes the canonical
+orientation below Kasteleyn.
 
 * Box i's exponent is +1 under a '-' and -1 under a '+'.  Box i has
   x + y = i, and the grid colouring weights a west side q when x + y is
@@ -25,7 +31,6 @@ vertices and the colors are derived from it when a reader asks for them.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator
 
 from .laurent import LaurentPoly
 
@@ -64,37 +69,15 @@ def far_corner(cf: tuple[int, ...]) -> Vertex:
     return right + 1, total - 1 - right
 
 
-def box_edges(box: Box) -> dict[str, Edge]:
-    """The four edges of a unit cell keyed by side W/E/S/N."""
-    x, y = box
-    return {
-        "W": ((x, y), (x, y + 1)),
-        "E": ((x + 1, y), (x + 1, y + 1)),
-        "S": ((x, y), (x + 1, y)),
-        "N": ((x, y + 1), (x + 1, y + 1)),
-    }
-
-
-def weighted_sides(boxes: tuple[Box, ...]) -> Iterator[Edge]:
-    """
-    Per box along the path, its one weighted edge: the west side of a box
-    glued above the box before it and the south side of a box glued to the
-    right.  Box 0 counts as glued above.
-    """
-    y_before = -1
-    for x, y in boxes:
-        yield ((x, y), (x, y + 1)) if y > y_before else ((x, y), (x + 1, y))
-        y_before = y
-
-
 class SnakeGraph:
     """
     A weighted snake graph embedded in the grid, built by ``snake_graph``:
     ``exps[i]`` is the exponent k of the weight q^k on box i's one weighted
-    edge (see ``weighted_sides``).  The boxes along the path are derived
-    from it by the turn rule of the module docstring, and the weight map of
-    every edge from both, each once, on first access; its keys are the
-    edges, sorted, and the vertices (sorted) and the colors are read off it.
+    edge.  The boxes along the path are derived from it by the turn rule of
+    the module docstring, and from both, by its one walk, the weight map of
+    every edge (keys sorted) and the vertices in path order (``corners``),
+    each once, on first access.  Each vertex is one tuple, shared by the
+    corners and the edges; the sorted vertices and colors are read off.
     """
 
     def __init__(self, exps: tuple[int, ...]):
@@ -127,19 +110,37 @@ class SnakeGraph:
 
     @cached_property
     def weight_exp(self) -> dict[Edge, int]:
-        """Every edge, in sorted edge order, to the exponent of its weight;
+        """Every edge, in sorted edge order, to the exponent of its weight,
+        by the walk of the module docstring, which also sets ``corners``;
         the rational 1 is the lone unweighted edge (0, 0) - (1, 0)."""
-        if not self.boxes:
-            return {((0, 0), (1, 0)): 0}
-        weights = dict.fromkeys(sorted({e for b in self.boxes
-                                        for e in box_edges(b).values()}), 0)
-        for edge, k in zip(weighted_sides(self.boxes), self.exps):
-            weights[edge] = k
+        nw, ne = (0, 0), (1, 0)  # the edge under box 0 stands as the last north side
+        corners, edges, weighted = [nw, ne], [(nw, ne)], []
+        for x, y in self.boxes:
+            if y == ne[1]:  # glued above, on the last north side
+                sw, se, nw, ne = nw, ne, (x, y + 1), (x + 1, y + 1)
+                corners += nw, ne
+                weighted.append((sw, nw))
+            else:  # glued right, on the last east side
+                sw, se, nw, ne = se, (x + 1, y), ne, (x + 1, y + 1)
+                corners += se, ne
+                weighted.append((sw, se))
+            edges += weighted[-1], (se, ne), (nw, ne)
+        vars(self)["corners"] = tuple(corners)
+        edges.sort()
+        weights = dict.fromkeys(edges, 0)
+        weights.update(zip(weighted, self.exps))
         return weights
+
+    @cached_property
+    def corners(self) -> tuple[Vertex, ...]:
+        """The vertices in path order: (0, 0), (1, 0), then the two corners
+        each box adds, set by the walk that builds ``weight_exp``."""
+        self.weight_exp  # the walk
+        return vars(self)["corners"]
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(sorted({v for e in self.weight_exp for v in e}))
+        return tuple(sorted(self.corners))
 
     def is_black(self, v: Vertex) -> bool:
         return (v[0] + v[1]) % 2 == 0

@@ -18,7 +18,7 @@ from qsnake.kasteleyn import KasteleynMatrix
 from qsnake.laurent import ONE, ZERO, LaurentFraction, LaurentPoly, laurent_gcd
 from qsnake.matching import enumerate_matchings, matching_weight_exp
 from qsnake.qrational import q_int
-from qsnake.snake import Box, Edge, SnakeGraph, box_edges, sign_sequence, snake_graph
+from qsnake.snake import Box, Edge, SnakeGraph, Vertex, sign_sequence, snake_graph
 
 Entries = tuple[tuple[LaurentPoly, ...], ...]
 
@@ -167,6 +167,34 @@ def cf_odd_form(cf: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # -- snakes and matchings ----------------------------------------------------
+
+def box_edges(box: Box) -> dict[str, Edge]:
+    """The four edges of a unit cell keyed by side W/E/S/N."""
+    x, y = box
+    return {
+        "W": ((x, y), (x, y + 1)),
+        "E": ((x + 1, y), (x + 1, y + 1)),
+        "S": ((x, y), (x + 1, y)),
+        "N": ((x, y + 1), (x + 1, y + 1)),
+    }
+
+
+def corner_numbering(g: SnakeGraph) -> tuple[list[Vertex], list[Vertex]]:
+    """
+    Black and white vertex orders by a sweep of the boxes along the path,
+    visiting the SW, SE, NW and NE corners of each box and numbering each
+    color by first appearance; the boxless snake numbers its edge's two
+    ends: a reference for ``number_vertices``, which splits the walk's
+    path-order vertices by color.
+    """
+    corners = dict.fromkeys([v for x, y in g.boxes for v in
+                             ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))])
+    if not corners:
+        corners = dict.fromkeys([(0, 0), (1, 0)])
+    black = [v for v in corners if (v[0] + v[1]) % 2 == 0]
+    white = [v for v in corners if (v[0] + v[1]) % 2 == 1]
+    return black, white
+
 
 def box_path(cf: tuple[int, ...]) -> tuple[Box, ...]:
     """

@@ -7,16 +7,19 @@ r <= 30, and asserts the set of families that fail on some pair, not how
 many pairs fail.  A family's claim to be independent evidence is a row in
 which it fails alone: ``routes`` for the recurrence route's product by a
 q-integer and for the continuant, ``counts`` for the snake's boxes from
-the cut on, whose statistic gives the denominator, ``kasteleyn`` for the
-band and the determinant.  Every route reads its packed ints through the
+the cut on, whose statistic gives the denominator, and for a wrong word,
+which both halves read alike, ``kasteleyn`` for the walk's weighted sides,
+the band and the determinant.  Every route reads its packed ints through the
 one slot reader ``_slots``, so a fault there turns all of them alike and
 only ``theorem`` and ``counts`` see it.  Add a row whenever a check or a
 kernel is added.
 """
 
+from functools import cached_property
+
 import pytest
 
-from qsnake import kasteleyn, matching, qrational, verify
+from qsnake import kasteleyn, matching, qrational, snake, verify
 from qsnake.laurent import ONE, LaurentPoly
 from qsnake.qrational import cf_expand, q_continuant
 from qsnake.snake import SnakeGraph
@@ -83,6 +86,39 @@ def cut_one_box_late(cut):
 def one_more(scalar_exponent):
     # n, the power of q that scales both statistics, one too high
     return lambda g: scalar_exponent(g) + 1
+
+
+def east_side_weighted(walk):
+    # the walk weights a box glued right on its east side, not its south
+    def fault(g):
+        weights = walk.func(g)
+        y_before = -1
+        for (x, y), k in zip(g.boxes, g.exps):
+            if y == y_before:
+                weights[(x, y), (x + 1, y)] = 0
+                weights[(x + 1, y), (x + 1, y + 1)] = k
+            y_before = y
+        return weights
+
+    prop = cached_property(fault)
+    prop.__set_name__(SnakeGraph, "weight_exp")
+    return prop
+
+
+def last_quotient_one_more(expand):
+    # the word of another rational, its last quotient one too high
+    def fault(r, s):
+        *head, last = expand(r, s)
+        return (*head, last + 1)
+    return fault
+
+
+def sign_1_flipped(signs):
+    def fault(cf):
+        out = list(signs(cf))
+        out[1:2] = ["+" if c == "-" else "-" for c in out[1:2]]
+        return tuple(out)
+    return fault
 
 
 def bottom_slot_bumped_once(kernel):
@@ -161,6 +197,10 @@ FAULTS = [
      {"theorem", "counts", "cases"}),
     ("snake-last-box-negated", verify, "snake_graph", snake_built(last_box_negated),
      {"theorem", "counts", "cases"}),
+    ("snake-sign-1-flipped", snake, "sign_sequence", sign_1_flipped,
+     {"theorem", "counts", "cases"}),
+    ("word-last-quotient-one-more", verify, "cf_expand", last_quotient_one_more,
+     {"counts"}),
     ("tail-snake-mirrored", matching, "matching_stat_dp", dp_reads(mirrored),
      {"counts"}),
     ("tail-cut-one-box-late", matching, "denominator_cut", cut_one_box_late,
@@ -175,6 +215,8 @@ FAULTS = [
      {"routes", "theorem", "counts"}),
     ("slot-read-top-slot-bumped", qrational, "_slots", top_slot_bumped,
      {"theorem", "counts"}),
+    ("walk-weights-east-side", SnakeGraph, "weight_exp", east_side_weighted,
+     {"kasteleyn"}),
     ("band-last-row-sign-flipped", kasteleyn, "kasteleyn_matrix", last_row_sign_flipped,
      {"kasteleyn"}),
     ("det-inversion-sign-flipped", kasteleyn, "_INVERSION_SIGN", inversion_sign_flipped,

@@ -13,7 +13,7 @@ from qsnake.qrational import (cf_expand, fibonacci_families, fibonacci_number, q
                               q_matrix_eval)
 from qsnake.snake import SnakeGraph, snake_graph
 
-from oracles import det_expansion, permutation_term_signs
+from oracles import box_edges, corner_numbering, det_expansion, permutation_term_signs
 
 
 def lp(min_deg, *coeffs):
@@ -71,6 +71,39 @@ def test_numbering_sizes():
     # a Fibonacci-type strip with n - 1 boxes gives an n x n matrix
     g = snake_graph(cf_expand(fibonacci_number(9), fibonacci_number(8)))
     assert len(kasteleyn_matrix(g)) == len(g.boxes) + 1 == 8
+
+
+def test_walk_numbering_matches_the_corner_sweep():
+    # the walk's path-order vertices split by color against the sweep of
+    # every box's four corners, on the boxless [1] too; the sorted vertices
+    # are the edges' ends, and each vertex is one tuple, which the corners
+    # and the edge keys share
+    for cf in [(1,)] + [cf_expand(r, s) for r, s in _coprime(200)]:
+        g = snake_graph(cf)
+        assert number_vertices(g) == corner_numbering(g), cf
+        assert g.vertices == tuple(sorted({v for e in g.weight_exp for v in e})), cf
+        ids = {id(v) for e in g.weight_exp for v in e}
+        assert len(ids) == 2 * len(g.exps) + 2, cf
+        assert ids == {id(v) for v in g.corners}, cf
+
+
+def test_face_condition_read_from_the_band():
+    # Kasteleyn's condition on every bounded face: of each box's four edges,
+    # found in the band through the vertex orders alone, one is +q^k and
+    # three are -1, so the signs round the face multiply to -1
+    face = [(-1, 0), (-1, 0), (-1, 0), (1, 1)]
+    for r, s in _coprime(150):
+        g = snake_graph(cf_expand(r, s))
+        mat = kasteleyn_matrix(g)
+        row_of = {v: i for i, v in enumerate(mat.black_order)}
+        col_of = {v: j for j, v in enumerate(mat.white_order)}
+        entry = {(i, i - 2 + k): (sign, int(exp != 0))
+                 for i, row in enumerate(mat.band) for k, sign, exp in row}
+        for box in g.boxes:
+            entries = sorted([entry[row_of[u], col_of[v]] if u in row_of
+                              else entry[row_of[v], col_of[u]]
+                              for u, v in box_edges(box).values()])
+            assert entries == face, (r, s, box)
 
 
 def test_matrix_13_3_matches_printed_up_to_permutation():

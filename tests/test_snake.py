@@ -3,10 +3,10 @@ import math
 import pytest
 
 from qsnake.qrational import cf_expand
-from qsnake.snake import box_edges, sign_sequence, snake_graph
+from qsnake.snake import sign_sequence, snake_graph
 
-from oracles import (box_path, cf_even_form, cf_odd_form, colored_edges, denominator_snake,
-                     face_arrow_counts)
+from oracles import (box_edges, box_path, cf_even_form, cf_odd_form, colored_edges,
+                     denominator_snake, face_arrow_counts)
 
 SWEEP = [(r, s) for r in range(2, 41) for s in range(1, r) if math.gcd(r, s) == 1]
 

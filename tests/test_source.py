@@ -166,6 +166,23 @@ def test_dimer_side_reads_the_snake_alone():
     assert not defines, defines
 
 
+def test_snake_geometry_is_one_walk():
+    # the walk in snake builds the edges and the vertices in path order:
+    # kasteleyn numbers the walk's corners and reads neither the boxes nor
+    # the sorted vertices, and no module builds a box's four sides or its
+    # weighted side apart from the walk (the four sides live in oracles.py)
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    reads = [f"kasteleyn.py:{node.lineno} .{node.attr}"
+             for node in ast.walk(trees["kasteleyn.py"])
+             if isinstance(node, ast.Attribute) and node.attr in ("boxes", "vertices")]
+    assert not reads, reads
+    defines = [f"{name}:{node.lineno} {node.name}"
+               for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("box_edges", "weighted_sides")]
+    assert not defines, defines
+
+
 def test_public_names_resolve():
     import qsnake
     missing = [name for name in qsnake.__all__ if not hasattr(qsnake, name)]
