@@ -5,7 +5,7 @@ from .matching import (case_recurrences_check, denominator_via_matchings,
                        enumerate_matchings, matching_stat_dp,
                        numerator_via_matchings, scalar_exponent, snake_fraction)
 from .kasteleyn import (KasteleynMatrix, det_exact, kasteleyn_matrix,
-                        kasteleyn_report, number_vertices, verify_kasteleyn)
+                        number_vertices, verify_kasteleyn)
 from .qrational import (RouteTable, all_routes, cf_expand,
                         fibonacci_families, q_cf_eval, q_continuant, q_int,
                         q_map_general, q_matrix_eval, q_rational)
@@ -23,6 +23,6 @@ __all__ = [
     "scalar_exponent", "snake_fraction", "numerator_via_matchings",
     "denominator_via_matchings", "case_recurrences_check",
     "KasteleynMatrix", "number_vertices", "kasteleyn_matrix", "det_exact",
-    "verify_kasteleyn", "kasteleyn_report",
+    "verify_kasteleyn",
     "__version__",
 ]

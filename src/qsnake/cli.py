@@ -8,6 +8,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from contextlib import nullcontext
 
 from .kasteleyn import kasteleyn_matrix, leading_minors, verify_kasteleyn
 from .laurent import ZERO, LaurentPoly
@@ -142,7 +143,7 @@ def cmd_compute(args, parser) -> int:
 def cmd_snake(args, parser) -> int:
     cf = _cf(parser, args.r, args.s)
     boxes = sum(cf) - 1
-    from .render import ascii_grid  # imported here, so no other command compiles render
+    from .render import ascii_grid, graph_json, render  # so no other command compiles render
     if args.render == "ascii":
         try:
             ascii_grid(far_corner(cf))
@@ -152,24 +153,17 @@ def cmd_snake(args, parser) -> int:
         parser.error(f"the {args.render} render is limited to snakes of at most "
                      f"{MAX_RENDER_BOXES} boxes, got {boxes}")
     g = snake_graph(cf)
-    if not args.out:
-        _write_render(g, args.render, sys.stdout)
-        return 0
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_render(g, args.render, fh)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+            if args.render == "json":
+                _write_json(graph_json(g), out)
+            else:
+                print(render(g, args.render), file=out)
     except OSError as exc:
+        if not args.out:
+            raise  # on stdout: main answers a closed pipe with exit 141
         parser.error(f"argument --out: cannot write {args.out!r}: {exc.strerror}")
     return 0
-
-
-def _write_render(g, fmt: str, out) -> None:
-    """Write the snake's render in fmt to out, the json one by _write_json."""
-    from .render import graph_json, render
-    if fmt == "json":
-        _write_json(graph_json(g), out)
-    else:
-        print(render(g, fmt), file=out)
 
 
 def cmd_matchings(args, parser) -> int:
@@ -320,7 +314,7 @@ def cmd_fibonacci(args, parser) -> int:
     nums, dens = fibonacci_families(args.n + 1)
     # the snake of k ones is the strip's first k - 1 boxes, and under the path
     # numbering its matrix is the strip's leading k x k block
-    minors = leading_minors(kasteleyn_matrix(snake_graph((1,) * args.n)))
+    minors = list(leading_minors(kasteleyn_matrix(snake_graph((1,) * args.n))))
     print(f"{'k':>3}  {'ratio':>12}  numerator / denominator")
     for k in range(1, args.n + 1):
         fr, fs = fibonacci_number(k + 1), fibonacci_number(k)

@@ -7,7 +7,7 @@ the band, each row's nonzero entries as (column offset, sign, exponent), in
 memory linear in the box count.  The determinant is a Laplace expansion along
 that band which applies each entry as a shift by its exponent and folds its
 sign into the inversion parity, so it multiplies no polynomials.  It equals
-``kasteleyn_sign`` times the matching statistic (observed, not proved).
+``kasteleyn_sign`` times the matching statistic (proved in its docstring).
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ _INVERSION_SIGN = tuple([tuple([-1 if (~used & ((1 << k) - 1)).bit_count() % 2 e
                                 for k in range(5)]) for used in range(16)])
 
 
-def _minors(m: KasteleynMatrix) -> Iterator[LaurentPoly]:
+def leading_minors(m: KasteleynMatrix) -> Iterator[LaurentPoly]:
     """
     Division-free Laplace expansion along the band rows, yielding every
-    leading principal minor in turn, from the 0 x 0 one.
+    leading principal minor in turn: item k is the k x k one.
 
     Row i can only use columns i-2 .. i+2, so before it every column left of
     i-2 is taken and exactly two of i-2 .. i+1 are.  The partial expansions
@@ -131,17 +131,12 @@ def _minors(m: KasteleynMatrix) -> Iterator[LaurentPoly]:
         yield partial.get(0b0011, ZERO)  # minor of rows, columns 0 .. i
 
 
-def leading_minors(m: KasteleynMatrix) -> list[LaurentPoly]:
-    """Every leading principal minor of the matrix: entry k is the k x k one."""
-    return list(_minors(m))
-
-
 def det_exact(m: KasteleynMatrix) -> LaurentPoly:
     """
     The determinant of the matrix: its last leading minor, with only the
     current minors held, so memory stays linear in the size.
     """
-    for minor in _minors(m):
+    for minor in leading_minors(m):
         pass
     return minor
 
@@ -164,29 +159,34 @@ class KasteleynReport(NamedTuple):
 
 
 def verify_kasteleyn(r: int, s: int) -> KasteleynReport:
-    """Build the snake of r/s, its statistic and numerator, and report on them."""
+    """The snake of r/s, its statistic, numerator and Kasteleyn matrix: det
+    must be kasteleyn_sign(g) stat, and the numerator the matrix route's."""
     cf = cf_expand(r, s)
     g = snake_graph(cf)
     stat = matching_stat_dp(g)
-    return kasteleyn_report(g, stat, snake_fraction(g, stat)[0], q_matrix_eval(cf).num)
-
-
-def kasteleyn_sign(g: SnakeGraph) -> int:
-    """det / statistic, (-1)^(boxes + 1): + exactly when the box count is odd."""
-    return (-1) ** (len(g.exps) + 1)
-
-
-def kasteleyn_report(g: SnakeGraph, stat: LaurentPoly, num: LaurentPoly,
-                     expected: LaurentPoly) -> KasteleynReport:
-    """
-    For the snake g with statistic stat, the numerator num it gives
-    (``snake_fraction``) and the one expected, which the report keeps: det
-    must be kasteleyn_sign(g) stat, and num the expected numerator.
-    """
+    expected = q_matrix_eval(cf).num
     mat = kasteleyn_matrix(g)
     det = det_exact(mat)
     sign = 1 if det == stat else (-1 if -det == stat else 0)
     return KasteleynReport(matrix=mat, det=det, statistic=stat, sign=sign,
                            scalar=scalar_exponent(g), numerator=expected,
                            det_matches_statistic=sign == kasteleyn_sign(g),
-                           scaled_matches_numerator=num == expected)
+                           scaled_matches_numerator=snake_fraction(g, stat)[0] == expected)
+
+
+def kasteleyn_sign(g: SnakeGraph) -> int:
+    """
+    det / statistic, (-1)^(boxes + 1): + exactly when the box count is odd.
+
+    Proof: a term of det is a perfect matching, with its permutation's sign,
+    an entry sign per edge and its weight, so it is enough that all terms
+    have one sign.  The entries round a box are one + (its weighted edge)
+    and three -.  Two matchings differ on disjoint cycles, each bounding m
+    consecutive boxes, 2m + 2 edges and no vertex inside, so trading one's
+    edges changes the entry signs by (-1)^m, the boxes' product with each
+    inner side counted twice, and the permutation by an (m + 1)-cycle,
+    (-1)^m too.  That sign is the term of the matching of the walk's first
+    edge and each box's side between the two corners it adds (north if
+    glued above, east if right): unweighted, entries -1, black i to white i.
+    """
+    return (-1) ** (len(g.exps) + 1)

@@ -37,9 +37,9 @@ def enumerate_matchings(g: SnakeGraph) -> list[Matching]:
 
     Raises ValueError for snakes of more than MAX_ENUMERATION_BOXES boxes.
     """
-    if len(g.boxes) > MAX_ENUMERATION_BOXES:
+    if len(g.exps) > MAX_ENUMERATION_BOXES:
         raise ValueError(f"matching enumeration is limited to snakes of at most "
-                         f"{MAX_ENUMERATION_BOXES} boxes, got {len(g.boxes)}")
+                         f"{MAX_ENUMERATION_BOXES} boxes, got {len(g.exps)}")
     adjacency: dict[Vertex, list[Vertex]] = {}
     for a, b in g.weight_exp:
         adjacency.setdefault(a, []).append(b)
@@ -81,25 +81,17 @@ def matching_weight_exp(g: SnakeGraph, m: Matching) -> int:
     return sum(g.weight_exp[e] for e in m)
 
 
-def prefix_statistics(g: SnakeGraph, keep=None) -> list[LaurentPoly | None]:
+def prefix_statistics(g: SnakeGraph) -> Iterator[LaurentPoly]:
     """
-    The statistic of every prefix in one linear pass: entry m (m = 0 ..
-    sum(cf)) is that of the first m - 1 boxes, the snake of cf cut to sum m;
-    entries 0 (empty) and 1 (the lone unweighted edge) are 1.  Given a set
-    keep, an entry whose m is not in it is None, and only the kept are held.
-    """
-    return [x if keep is None or m in keep else None for m, x in enumerate(_prefix_statistics(g))]
-
-
-def _prefix_statistics(g: SnakeGraph) -> Iterator[LaurentPoly]:
-    """
-    Yield the prefix statistics in turn, holding only the last two.  State
-    after each box: the statistic of the prefix graph, and that of the
-    prefix with the two vertices where the next box attaches removed.  A
-    box adds its weighted edge's matchings on that reduced graph; a box
-    glued the same way as the one before (their exponents differ) reduces
-    to the prefix before it, one that turns forces the previous box's
-    weighted edge.  Weights stay exponents: each q^k is a shift by k.
+    The statistic of every prefix, yielded in turn by one linear pass that
+    holds the last two: item m (m = 0 .. sum(cf)) is that of the first m - 1
+    boxes, the snake of cf cut to sum m; items 0 (empty) and 1 (the lone
+    unweighted edge) are 1.  State after each box: the statistic of the
+    prefix graph, and that of the prefix with the two vertices where the
+    next box attaches removed.  A box adds its weighted edge's matchings on
+    that reduced graph; a box glued the same way as the one before (their
+    exponents differ) reduces to the prefix before it, one that turns forces
+    the previous box's weighted edge.  Weights stay exponents: q^k shifts by k.
     """
     prev = last = reduced = ONE
     yield prev  # the empty snake
@@ -117,7 +109,7 @@ def matching_stat_dp(g: SnakeGraph) -> LaurentPoly:
     The statistic in one linear pass: the last of the prefix statistics,
     with only the current ones held, so memory stays linear in the boxes.
     """
-    for stat in _prefix_statistics(g):
+    for stat in prefix_statistics(g):
         pass
     return stat
 
@@ -195,12 +187,12 @@ def case_recurrences_check(cf: tuple[int, ...], g: SnakeGraph) -> CaseReport:
     if len(cf) >= 2 and cf[-1] == 1:  # recurrence needs the canonical a_k >= 2
         cf = cf[:-2] + (cf[-2] + 1,)
     m = sum(cf)
-    stats = prefix_statistics(g, keep={m, m - 1, m - cf[-1]})
-    whole = stats[-1]
+    stats = {i: x for i, x in enumerate(prefix_statistics(g)) if i in (m, m - 1, m - cf[-1])}
+    whole = stats[m]
     if m < 3:
         return CaseReport(cf=cf, applicable=False, whole=whole)
     k = len(cf)
-    shorter, truncated = stats[-2], stats[m - cf[-1]]
+    shorter, truncated = stats[m - 1], stats[m - cf[-1]]
     factor_exp = (1 - cf[-1]) if k % 2 == 0 else (cf[-1] - 1)
     return CaseReport(cf=cf, applicable=True, case=1 if k % 2 == 0 else 2,
                       holds=whole == shorter + truncated.shifted(factor_exp), whole=whole,

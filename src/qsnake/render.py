@@ -7,6 +7,7 @@ order on a fixed unit-square scale.
 
 from __future__ import annotations
 
+from .kasteleyn import number_vertices
 from .snake import SnakeGraph
 
 CELL_W = 6
@@ -121,10 +122,11 @@ def tikz_render(g: SnakeGraph) -> str:
 def graph_json(g: SnakeGraph) -> dict:
     """The JSON dump's blob, its edges a generator of records, so that a
     streaming writer holds one record at a time, never the whole list."""
+    black, white = number_vertices(g)
     return {
         "boxes": [list(b) for b in g.boxes],
-        "black": [list(v) for v in g.black_vertices],
-        "white": [list(v) for v in g.white_vertices],
+        "black": [list(v) for v in sorted(black)],
+        "white": [list(v) for v in sorted(white)],
         "edges": _edge_records(g),
     }
 

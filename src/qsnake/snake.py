@@ -145,14 +145,6 @@ class SnakeGraph:
     def is_black(self, v: Vertex) -> bool:
         return (v[0] + v[1]) % 2 == 0
 
-    @property
-    def black_vertices(self) -> tuple[Vertex, ...]:
-        return tuple([v for v in self.vertices if self.is_black(v)])
-
-    @property
-    def white_vertices(self) -> tuple[Vertex, ...]:
-        return tuple([v for v in self.vertices if not self.is_black(v)])
-
     def arrow(self, edge: Edge) -> tuple[Vertex, Vertex]:
         """
         The (tail, head) of an edge under the canonical Kasteleyn orientation:

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from typing import NamedTuple
 
-from .kasteleyn import kasteleyn_report
+from .kasteleyn import det_exact, kasteleyn_matrix, kasteleyn_sign
 from .matching import case_recurrences_check, snake_fraction
 from .qrational import all_routes, cf_expand
 from .snake import snake_graph
@@ -41,9 +41,9 @@ def coprime_pairs(max_r: int) -> Iterator[tuple[int, int]]:
 
 def check_pair(pair: tuple[int, int]) -> PairResult:
     """
-    Every check on one pair, from one continued fraction, one route table,
-    one snake and the three prefix statistics the case check reads, the
-    whole snake's among them, and one statistic of the denominator's suffix.
+    Every check on one pair, each family one comparison, of one continued
+    fraction, route table and snake: the case check's three prefix statistics
+    (the whole snake's among them), the denominator suffix's, one determinant.
     """
     r, s = pair
     cf = cf_expand(r, s)
@@ -53,13 +53,13 @@ def check_pair(pair: tuple[int, int]) -> PairResult:
     case = case_recurrences_check(cf, g)
     stat = case.whole
     num, den = snake_fraction(g, stat)
-    kasteleyn = kasteleyn_report(g, stat, num, fraction.num)
+    det = det_exact(kasteleyn_matrix(g))
     return PairResult(r=r, s=s, cases_applicable=case.applicable,
                       passed={"routes": routes.agree,
-                              "theorem": kasteleyn.scaled_matches_numerator,
+                              "theorem": num == fraction.num,
                               "counts": (stat.eval_at_one() == r and den.eval_at_one() == s
                                          and den == fraction.den),
-                              "kasteleyn": kasteleyn.det_matches_statistic,
+                              "kasteleyn": det == (stat if kasteleyn_sign(g) == 1 else -stat),
                               "cases": not case.applicable or case.holds})
 
 

@@ -139,7 +139,7 @@ def test_criterion_8_fibonacci_suite():
     nums, dens = fibonacci_families(21)
     # the snake of n ones is the strip's first n - 1 boxes, and its matrix is
     # the leading n x n block of the strip's
-    minors = leading_minors(kasteleyn_matrix(snake_graph((1,) * 20)))
+    minors = list(leading_minors(kasteleyn_matrix(snake_graph((1,) * 20))))
     for n in range(1, 21):
         qr = q_rational(fibonacci_number(n + 1), fibonacci_number(n))
         ok = ok and (nums[n + 1], dens[n]) == (qr.num, qr.den)

@@ -431,7 +431,9 @@ def test_render_extent_is_the_far_vertex():
                 assert far_corner(cf) == far, (r, s)
 
 
-@pytest.mark.parametrize("command", ["compute 13 3", "kasteleyn 61 27"])
+@pytest.mark.parametrize("command", ["compute 13 3", "kasteleyn 61 27",
+                                     "snake 179 74 --render svg",
+                                     "snake 179 74 --render json"])
 def test_a_closed_stdout_pipe_exits_141_quietly(command):
     # the read end is closed before the child starts, so its first write
     # fails whatever the timing; 141 is 128 + SIGPIPE, as a shell reports it

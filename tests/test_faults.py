@@ -187,11 +187,11 @@ def top_term_added(j=None):
 
 
 FAULTS = [
-    ("dp-chained-shift-negated", matching, "_prefix_statistics", chained_shift_negated,
+    ("dp-chained-shift-negated", matching, "prefix_statistics", chained_shift_negated,
      {"theorem", "counts", "kasteleyn", "cases"}),
-    ("dp-box-weights-mirrored", matching, "_prefix_statistics", dp_reads(mirrored),
+    ("dp-box-weights-mirrored", matching, "prefix_statistics", dp_reads(mirrored),
      {"theorem", "counts", "kasteleyn", "cases"}),
-    ("dp-box-5-doubled", matching, "_prefix_statistics", dp_reads(box_5_doubled),
+    ("dp-box-5-doubled", matching, "prefix_statistics", dp_reads(box_5_doubled),
      {"theorem", "counts", "kasteleyn", "cases"}),
     ("snake-odd-boxes-negated", verify, "snake_graph", snake_built(odd_boxes_negated),
      {"theorem", "counts", "cases"}),
@@ -217,7 +217,7 @@ FAULTS = [
      {"theorem", "counts"}),
     ("walk-weights-east-side", SnakeGraph, "weight_exp", east_side_weighted,
      {"kasteleyn"}),
-    ("band-last-row-sign-flipped", kasteleyn, "kasteleyn_matrix", last_row_sign_flipped,
+    ("band-last-row-sign-flipped", verify, "kasteleyn_matrix", last_row_sign_flipped,
      {"kasteleyn"}),
     ("det-inversion-sign-flipped", kasteleyn, "_INVERSION_SIGN", inversion_sign_flipped,
      {"kasteleyn"}),

@@ -80,7 +80,7 @@ def test_dp_reads_one_exponent_per_box(monkeypatch):
     # the DP reads the boxes and their exponents, never the weight map
     words = [(1,)] + [cf_expand(r, s) for r in range(2, 61) for s in range(1, r)
                       if math.gcd(r, s) == 1]
-    recorded = [(matching_stat_dp(snake_graph(cf)), prefix_statistics(snake_graph(cf)))
+    recorded = [(matching_stat_dp(snake_graph(cf)), list(prefix_statistics(snake_graph(cf))))
                 for cf in words]
 
     def refuse(self):
@@ -89,7 +89,7 @@ def test_dp_reads_one_exponent_per_box(monkeypatch):
     monkeypatch.setattr(SnakeGraph, "weight_exp", property(refuse))
     for cf, (stat, stats) in zip(words, recorded):
         g = snake_graph(cf)
-        assert (matching_stat_dp(g), prefix_statistics(g)) == (stat, stats), cf
+        assert (matching_stat_dp(g), list(prefix_statistics(g))) == (stat, stats), cf
 
 
 def test_enumeration_box_bound_is_inclusive(monkeypatch):
@@ -97,6 +97,18 @@ def test_enumeration_box_bound_is_inclusive(monkeypatch):
     assert len(enumerate_matchings(snake_graph((4,)))) == 4  # 3 boxes
     with pytest.raises(ValueError, match="at most 3 boxes, got 4"):
         enumerate_matchings(snake_graph((5,)))
+
+
+def test_enumeration_bound_builds_no_box(monkeypatch):
+    # the bound is read off the exponent word, so a refused snake derives
+    # none of its box tuples
+    def refuse(self):
+        raise AssertionError("the boxes were built")
+
+    monkeypatch.setattr(SnakeGraph, "boxes", property(refuse))
+    with pytest.raises(ValueError, match=f"at most {matching.MAX_ENUMERATION_BOXES} "
+                                         f"boxes, got 601"):
+        enumerate_matchings(snake_graph((602,)))  # the 601-box strip
 
 
 def test_enumeration_resumes_its_scan(monkeypatch):
@@ -124,7 +136,7 @@ def test_prefix_statistics_are_prefix_snake_statistics(_cut):
     # across continued fractions
     for r, s in SWEEP:
         cf = cf_expand(r, s)
-        stats = prefix_statistics(snake_graph(cf))
+        stats = list(prefix_statistics(snake_graph(cf)))
         assert len(stats) == sum(cf) + 1
         assert stats[0] == stats[1] == ONE
         for m in range(1, sum(cf) + 1):
@@ -133,7 +145,7 @@ def test_prefix_statistics_are_prefix_snake_statistics(_cut):
 
 def test_dp_holds_only_the_current_statistics():
     # the 4000-box staircase of 4001/1: keeping every prefix statistic, as
-    # prefix_statistics does, peaks near 62 MiB for a result of a few KiB
+    # list(prefix_statistics(g)) does, peaks near 62 MiB for a result of a few KiB
     g = snake_graph((4001,))
     tracemalloc.start()
     try:
@@ -272,7 +284,7 @@ def test_case_recurrences_examples(monkeypatch):
         # the whole snake's statistic one too high
         real = prefix_statistics
         m.setattr(matching, "prefix_statistics",
-                  lambda g, keep=None: [*real(g, keep)[:-1], real(g, keep)[-1] + ONE])
+                  lambda g: [*list(real(g))[:-1], list(real(g))[-1] + ONE])
         assert not cases_check((2, 2)).holds
     rep = cases_check((4, 3))
     assert rep.case == 1 and rep.holds

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qsnake.kasteleyn import number_vertices
 from qsnake.qrational import cf_expand
 from qsnake.snake import sign_sequence, snake_graph
 
@@ -44,8 +45,8 @@ def test_counts():
         assert d == sum(cf_expand(r, s)) - 1
         assert len(g.vertices) == 2 * d + 2
         assert len(g.weight_exp) == 3 * d + 1
-        assert len(g.black_vertices) == d + 1
-        assert len(g.white_vertices) == d + 1
+        assert len(number_vertices(g)[0]) == d + 1
+        assert len(number_vertices(g)[1]) == d + 1
         assert list(g.weight_exp) == sorted(g.weight_exp)
 
 

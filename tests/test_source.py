@@ -183,6 +183,31 @@ def test_snake_geometry_is_one_walk():
     assert not defines, defines
 
 
+def test_each_dimer_pass_has_one_entry():
+    # the matching DP and the band expansion are each one public stream,
+    # prefix_statistics and leading_minors, whose last item is the whole
+    # result: no private generator or list form beside them, no Kasteleyn
+    # report on the check path, one colour split (kasteleyn.number_vertices)
+    # and one render dispatch (cli.cmd_snake)
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    gone = ("kasteleyn_report", "_minors", "_prefix_statistics", "_write_render",
+            "black_vertices", "white_vertices")
+    defines = [f"{name}:{node.lineno} {node.name}"
+               for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone]
+    defines += [f"{name}:{node.lineno} {target.id}"
+                for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name) and target.id in gone]
+    assert not defines, defines
+    [dp] = [node for node in ast.walk(trees["matching.py"])
+            if isinstance(node, ast.FunctionDef) and node.name == "prefix_statistics"]
+    args = dp.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+              + [a for a in (args.vararg, args.kwarg) if a]]
+    assert params == ["g"], params
+
+
 def test_public_names_resolve():
     import qsnake
     missing = [name for name in qsnake.__all__ if not hasattr(qsnake, name)]

@@ -3,20 +3,21 @@ family each identity's failure lands in; and the sweep itself, a stream of
 results folded in one pass into the summary and the exit code."""
 
 import math
+import random
 import tracemalloc
 from functools import cached_property
 
 from qsnake import verify
 from qsnake.cli import main
 from qsnake.laurent import LaurentPoly
-from qsnake.matching import _prefix_statistics
-from qsnake.qrational import cf_expand
+from qsnake.matching import prefix_statistics
+from qsnake.qrational import _slot_bytes, cf_expand
 from qsnake.snake import SnakeGraph, snake_graph
 from qsnake.verify import CHECK_NAMES, PairResult, check_pair, run_sweep, summarize
 
 
 def test_check_pair_derives_each_snake_and_statistic_once(count_calls):
-    calls = count_calls(cf_expand, snake_graph, _prefix_statistics)
+    calls = count_calls(cf_expand, snake_graph, prefix_statistics)
     result = check_pair((13, 3))
     assert result.ok and result.cases_applicable
     # 13/3 = [4, 3]: one snake, whose prefixes hold the shorter [4, 2] and
@@ -25,9 +26,42 @@ def test_check_pair_derives_each_snake_and_statistic_once(count_calls):
     # whole snake, behind prefix_statistics, and one over that suffix,
     # behind matching_stat_dp
     assert calls["snake_graph"] == 1
-    assert calls["_prefix_statistics"] == 2
+    assert calls["prefix_statistics"] == 2
     # one expansion for the pair, which the denominator count reads too
     assert calls["cf_expand"] == 1
+
+
+def _slot_edge_pairs(seed=21, per_side=16, max_boxes=200):
+    """
+    Seeded coprime pairs with r on both sides of each slot width edge, 2^8,
+    2^16, 2^32 and 2^64, and at most max_boxes boxes, half of them with s
+    near r/phi, whose quotients are mostly 1 and whose coefficients come
+    within a few bits of r.
+    """
+    rng = random.Random(seed)
+    pairs = []
+    for edge in (2**8, 2**16, 2**32, 2**64):
+        for lo, hi in ((edge - edge // 8, edge - 1), (edge, edge + edge // 8)):
+            side = []
+            while len(side) < per_side:
+                r = rng.randint(lo, hi)
+                s = (rng.randint(1, r - 1) if len(side) % 2 else
+                     (math.isqrt(5 * r * r) - r) // 2 + rng.randint(0, 8))
+                if math.gcd(r, s) == 1 and sum(cf_expand(r, s)) - 1 <= max_boxes:
+                    side.append((r, s))
+            pairs += side
+    return pairs
+
+
+def test_check_pair_passes_in_every_slot_width():
+    # every coefficient is at most r, so r sets the width of the packed
+    # slots, and `verify --max-r 1000` reaches only the 1- and 2-byte ones;
+    # here every width class, 1, 2, 4 and 8 bytes and wider, is reached
+    pairs = _slot_edge_pairs()
+    for pair in pairs:
+        result = check_pair(pair)
+        assert result.ok, (pair, result.passed)
+    assert {_slot_bytes(r) for r, _ in pairs} == {1, 2, 4, 8, 9}
 
 
 def test_check_pair_reads_no_vertex_list(monkeypatch):
